@@ -32,9 +32,21 @@ from .lowerbound import (
     gen_glued_instance,
     validate_lowerbound_claims,
 )
-from .pls import Verdict, prove_planar, verify_node_planarity
+from .pls import Verdict, prove_planar
+# verify runs through run_round; the name stays importable from here because
+# perfbench/spans.py traces cli.verify_node_planarity by name.
+from .pls import verify_node_planarity  # noqa: F401
 from .pop import is_path_outerplanar
-from .sim import attack, attack_report, attack_to_csv, size_sweep, sweep_to_csv
+from .sim import (
+    Assignment,
+    Origin,
+    attack,
+    attack_report,
+    attack_to_csv,
+    run_round,
+    size_sweep,
+    sweep_to_csv,
+)
 from .transform import contract_check, dfs_mapping, induce_graph, spanning_tree_dfs
 
 EXIT_ACCEPT = 0
@@ -121,17 +133,13 @@ def _cmd_prove(args) -> int:
 def verdicts_from_files(graph_text: str, cert_text: str) -> dict[int, Verdict]:
     """Per-node verdicts for a serialized graph/certificate pair.
 
-    Raises ParameterError when the certificate ids do not cover exactly the
+    The certificate bytes take the simulator's path: one ``run_round``.  It
+    raises ParameterError when the certificate ids do not cover exactly the
     graph's nodes; the CLI maps that case to its own exit code.
     """
     g, _ = parse_graph(graph_text)
     certs = parse_certificates(cert_text)
-    if set(certs) != set(g.nodes()):
-        raise ParameterError("certificate ids do not match the graph's nodes")
-    return {
-        x: verify_node_planarity(x, certs[x], {y: certs[y] for y in g.neighbors(x)})
-        for x in g.nodes()
-    }
+    return run_round(g, Assignment(certs, Origin("external", base="certificate file"))).per_node
 
 
 def _cmd_verify(args) -> int:

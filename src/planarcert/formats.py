@@ -5,20 +5,18 @@ Graph files: first significant line is ``n m``, followed by ``m`` lines
 them), counterclockwise orders ride along as ``rot u: v1 v2 ... vd`` lines,
 and ``#`` starts a comment.
 
-Certificate files hold one record per node — ``<id> <json> #bits=<n>`` —
-with canonical key order and compact separators so identical certificates
-always serialize to identical bytes.  The bit annotation states the
-canonical packed size, not the text length; parsers treat it as advisory.
+Certificate files hold one line per node, ``<id> <hex> #bits=<n>``: the
+node's packed certificate bytes (``pls.pack_certificate``) in hex, and a
+comment stating the canonical packed size without padding.  Parsing only
+reads the bytes; whether they decode is the verifier's business, exactly as
+for bytes handed to ``sim.run_round``.
 """
 
 from __future__ import annotations
 
-import json
-
 from .errors import FormatError
 from .graphs import Graph, build_graph
-from .pls import EdgeCertificate, NodeCertificate, TreeSub, certificate_size_bits
-from .pop import PopCertificate
+from .pls import NodeCertificate, certificate_size_bits, pack_certificate
 
 
 def write_graph(g: Graph, rot: dict[int, tuple[int, ...]] | None = None) -> str:
@@ -94,86 +92,28 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
 # --- certificate files ----------------------------------------------------------
 
 
-def _edge_cert_record(ec: EdgeCertificate) -> dict:
-    return {
-        "id_x": ec.id_x,
-        "id_y": ec.id_y,
-        "i": ec.i,
-        "j": ec.j,
-        "i2": ec.i2,
-        "j2": ec.j2,
-        "pop_i": vars(ec.pop_i),
-        "pop_j": vars(ec.pop_j),
-        "pop_i2": vars(ec.pop_i2),
-        "pop_j2": vars(ec.pop_j2),
-    }
-
-
 def write_certificates(certs: dict[int, NodeCertificate]) -> str:
-    lines = []
-    for x in sorted(certs):
-        cert = certs[x]
-        record = {
-            "n": cert.n,
-            "tree_sub": vars(cert.tree_sub),
-            "edge_certs": [_edge_cert_record(ec) for ec in cert.edge_certs],
-        }
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        lines.append(f"{x} {body} #bits={certificate_size_bits(cert, cert.n)}")
+    lines = [
+        f"{x} {pack_certificate(c).hex()} #bits={certificate_size_bits(c, c.n)}"
+        for x, c in sorted(certs.items())
+    ]
     return "\n".join(lines) + "\n"
 
 
-_POP_KEYS = {"n", "rank", "lo", "hi"}
-_EDGE_KEYS = {"id_x", "id_y", "i", "j", "i2", "j2", "pop_i", "pop_j", "pop_i2", "pop_j2"}
-
-
-def _pop_from(record: object) -> PopCertificate:
-    if not isinstance(record, dict) or set(record) != _POP_KEYS:
-        raise FormatError(f"malformed interval certificate record {record!r}")
-    return PopCertificate(**record)
-
-
-def _edge_cert_from(record: object) -> EdgeCertificate:
-    if not isinstance(record, dict) or set(record) != _EDGE_KEYS:
-        raise FormatError(f"malformed edge certificate record {record!r}")
-    fields = {k: record[k] for k in ("id_x", "id_y", "i", "j", "i2", "j2")}
-    for k in ("pop_i", "pop_j", "pop_i2", "pop_j2"):
-        fields[k] = _pop_from(record[k])
-    return EdgeCertificate(**fields)
-
-
-def parse_certificates(text: str) -> dict[int, NodeCertificate]:
-    """Parse a certificate file; structural problems raise FormatError.
-
-    Field values are passed through untouched — judging them is the
-    verifier's job, and it must see exactly what the file says.
-    """
-    out: dict[int, NodeCertificate] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, _ = line.partition(" #bits=")
-        node_token, _, body = head.partition(" ")
-        x = _int_or_fail(node_token, "certificate line")
+def parse_certificates(text: str) -> dict[int, bytes]:
+    """Each node's certificate bytes; a line that is not ``<id> <hex>`` raises."""
+    out: dict[int, bytes] = {}
+    for line in _significant_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"certificate line must be '<id> <hex>', got {line!r}")
+        x = _int_or_fail(parts[0], "certificate line")
         if x in out:
             raise FormatError(f"duplicate certificate for node {x}")
         try:
-            record = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"node {x}: bad record: {exc}") from None
-        if not isinstance(record, dict) or set(record) != {"n", "tree_sub", "edge_certs"}:
-            raise FormatError(f"node {x}: record must have n, tree_sub, edge_certs")
-        ts = record["tree_sub"]
-        if not isinstance(ts, dict) or set(ts) != {"root_id", "parent_id", "dist"}:
-            raise FormatError(f"node {x}: malformed tree_sub")
-        if not isinstance(record["edge_certs"], list):
-            raise FormatError(f"node {x}: edge_certs must be a list")
-        out[x] = NodeCertificate(
-            edge_certs=tuple(_edge_cert_from(ec) for ec in record["edge_certs"]),
-            tree_sub=TreeSub(**ts),
-            n=record["n"],
-        )
+            out[x] = bytes.fromhex(parts[1])
+        except ValueError:
+            raise FormatError(f"node {x}: certificate is not hex") from None
     if not out:
         raise FormatError("certificate file has no records")
     return out

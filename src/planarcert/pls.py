@@ -1,4 +1,4 @@
-"""One-round planarity certification: honest prover and per-node verifier.
+"""One-round planarity certification: honest prover, per-node verifier, codec.
 
 The prover embeds the graph, cuts it along a depth-first spanning tree, and
 certifies path-outerplanarity of the resulting virtual path graph.  Every
@@ -10,15 +10,21 @@ the virtual graph from its own and its neighbors' certificates, replays the
 interval checks for every tour copy it owns, and runs standard spanning-tree
 consistency checks on the side.
 
-The verifier is total: malformed or adversarial certificates produce a
-reject verdict, never an exception.
+Certificates travel as packed bits in one layout, stated once in ``_walk``:
+it drives packing, unpacking, the size count and the attack harness's
+forging and field edits.  Decoding is the gate: a field outside its legal
+range raises FormatError, so the verifier sees only well-formed
+certificates and judges what they claim.  No value the verifier would force
+is sent: a chord sends its one tour index pair once, and a flag bit tells it
+from a tree edge, which sends two tour steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .embedding import NonPlanarWitness, RotationSystem, planar_embed
+from .embedding import NonPlanarWitness, RotationSystem, planar_embed, validate_rotation
 from .errors import FormatError, NonPlanarError, ParameterError
 from .graphs import Edge, Graph, degeneracy_order, norm_edge
 from .pop import (
@@ -52,7 +58,8 @@ class EdgeCertificate:
     """Everything one graph edge contributes to the virtual path graph.
 
     A tree edge is traversed twice by the tour and owns two distinct virtual
-    path edges; a non-tree edge owns a single chord, repeated in both slots.
+    path edges; a non-tree edge owns a single chord, repeated in both slots
+    here and sent once on the wire.
     Indices ``i``/``i2`` are copies of ``id_x`` and ``j``/``j2`` copies of
     ``id_y``; each index comes with the interval certificate of that copy.
     """
@@ -124,10 +131,16 @@ def prove_planar(
     """Certificates that make every node of a planar graph accept.
 
     With no rotation supplied the graph is embedded first; a non-planar
-    input is refused with the embedder's subdivision witness attached.
+    input is refused with the embedder's subdivision witness attached.  A
+    supplied rotation must be a planar embedding of ``g``.
     """
     if not g.connected:
         raise ParameterError("certification requires a connected graph")
+    if rot is not None and not validate_rotation(g, rot):
+        raise ParameterError(
+            "the supplied rotation is not a planar embedding of the graph: it must "
+            "order every node's neighbors and pass the Euler face count"
+        )
     if rot is None:
         found = planar_embed(g)
         if isinstance(found, NonPlanarWitness):
@@ -199,61 +212,6 @@ def prove_planar(
     return out
 
 
-# --- verifier: validation helpers -------------------------------------------
-
-
-def _is_id(v: object) -> bool:
-    return type(v) is int and v >= 1
-
-
-def _is_int(v: object) -> bool:
-    return type(v) is int
-
-
-def _pop_ok(pc: object, nv: int, rank: int) -> bool:
-    return (
-        isinstance(pc, PopCertificate)
-        and all(_is_int(v) for v in (pc.n, pc.rank, pc.lo, pc.hi))
-        and pc.n == nv
-        and pc.rank == rank
-    )
-
-
-def _edge_cert_ok(ec: object, nv: int) -> bool:
-    if not isinstance(ec, EdgeCertificate):
-        return False
-    if not (_is_id(ec.id_x) and _is_id(ec.id_y) and ec.id_x != ec.id_y):
-        return False
-    idx = (ec.i, ec.j, ec.i2, ec.j2)
-    if not all(_is_int(v) and 1 <= v <= nv for v in idx):
-        return False
-    if ec.i == ec.j or ec.i2 == ec.j2:
-        return False
-    return all(
-        _pop_ok(pc, nv, k) for k, pc in ec.bindings()
-    )
-
-
-def _node_cert_ok(cert: object) -> bool:
-    if not isinstance(cert, NodeCertificate):
-        return False
-    if not (_is_int(cert.n) and cert.n >= 1):
-        return False
-    ts = cert.tree_sub
-    if not isinstance(ts, TreeSub) or not _is_id(ts.root_id):
-        return False
-    if ts.parent_id is not None and not _is_id(ts.parent_id):
-        return False
-    if not (_is_int(ts.dist) and 0 <= ts.dist < cert.n):
-        return False
-    if not isinstance(cert.edge_certs, tuple):
-        return False
-    if len(cert.edge_certs) > MAX_EDGE_CERTS:
-        return False
-    nv = 2 * cert.n - 1
-    return all(_edge_cert_ok(ec, nv) for ec in cert.edge_certs)
-
-
 # --- verifier: spanning-tree sub-check ---------------------------------------
 
 
@@ -298,14 +256,14 @@ def verify_node_planarity(
     """One node's verdict after a single exchange of certificates.
 
     ``neighbor_certs`` must hold the certificate of every graph neighbor of
-    ``x`` and nothing else; that is the one-round view.
+    ``x`` and nothing else; that is the one-round view.  Every certificate
+    must be well-formed, as ``unpack_certificate`` returns them: each field
+    in its legal range for the node count that certificate claims.
     """
-    # Phase 1: validate shapes and recover the local virtual-graph slice.
-    if not _is_id(x) or not _node_cert_ok(own):
-        return _reject(PHASE_COLLECT, "own certificate is malformed")
-    for y, cert in neighbor_certs.items():
-        if not _is_id(y) or y == x or not _node_cert_ok(cert):
-            return _reject(PHASE_COLLECT, f"certificate of neighbor {y} is malformed")
+    # Phase 1: recover the local virtual-graph slice.  Once the node counts
+    # agree, every tour index lies in 1..2n-1, and the layout already put
+    # both copies of each tree-edge tour step next to each other.
+    for cert in neighbor_certs.values():
         if cert.n != own.n:
             return _reject(PHASE_COLLECT, "node-count claims disagree")
     n = own.n
@@ -350,11 +308,6 @@ def verify_node_planarity(
         if not ec.is_tree():
             chord_certs.append(ec)
             continue
-        pairs = ((ec.i, ec.j), (ec.i2, ec.j2))
-        if any(abs(a - b) != 1 for a, b in pairs):
-            return _reject(
-                PHASE_COLLECT, f"tree edge {e} does not map to two tour steps"
-            )
         xs = ec.side_indices(x)
         ys = ec.side_indices(other)
         for k in xs:
@@ -443,7 +396,81 @@ def verify_node_planarity(
     return _accept()
 
 
-# --- canonical packing -------------------------------------------------------
+# --- the wire layout -----------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One field of the wire layout: width in bits, legal values lo..hi."""
+
+    name: str
+    width: int
+    lo: int
+    hi: int
+    value: int
+
+
+def _walk(
+    field, id_bits: int, idx_bits: int, cert: NodeCertificate | None = None
+) -> NodeCertificate:
+    """The wire layout, stated once: every field in order, with its legal range.
+
+    ``field(name, width, lo, hi, value)`` is called once per field and returns
+    the value the field takes; ``value`` is the field's value in ``cert``, or
+    None when there is no certificate to read it from.  The walk rebuilds a
+    certificate from the returned values and refills what the wire leaves
+    out, all values the verifier would force anyway:
+
+    - each interval certificate's instance size (2n - 1) and rank (its copy
+      index);
+    - a chord's second slot pair, which repeats its first;
+    - in a tree edge, the copy at the far end of each tour step, which is
+      next to the near one: a step bit says whether it comes after it.
+
+    Node ids take ``id_bits``; the node count, distance, tour indices and
+    interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
+    endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
+    most five, so their count takes 3 bits.
+    """
+    ts = cert.tree_sub if cert else None
+    any_id = (1, (1 << id_bits) - 1)
+    count = field("count", 3, 0, MAX_EDGE_CERTS, cert and len(cert.edge_certs))
+    n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, cert and cert.n)
+    nv = 2 * n - 1
+    has_parent = field("has_parent", 1, 0, 1, ts and int(ts.parent_id is not None))
+    root_id = field("root_id", id_bits, *any_id, ts and ts.root_id)
+    parent_id = field("parent_id", id_bits, *any_id, ts and ts.parent_id) if has_parent else None
+    dist = field("dist", idx_bits, 0, n - 1, ts and ts.dist)
+    edge_certs = []
+    for e in range(count):
+        ec = cert.edge_certs[e] if cert else None
+        id_x = field("id_x", id_bits, *any_id, ec and ec.id_x)
+        id_y = field("id_y", id_bits, *any_id, ec and ec.id_y)
+        held = ec.bindings() if ec else (None,) * 4
+        # 0: the certificate is one chord, whose single slot pair fills both
+        # slots; 1: a second pair follows (a tree edge's second tour step),
+        # which takes a tour of at least two nodes.
+        second = field("second", 1, 0, int(n > 1), ec and int(held[2:] != held[:2]))
+        slots = []
+        for s, b in enumerate(held[: 4 if second else 2]):
+            if second and s % 2:
+                # the far end of a tour step, next to its near end
+                at = slots[-1][0]
+                up = field("step", 1, int(at == 1), int(at < nv), b and int(b[0] > at))
+                k = at + 2 * up - 1
+            else:
+                k = field("index", idx_bits, 1, nv, b and b[0])
+            lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
+            hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
+            slots.append((k, PopCertificate(n=nv, rank=k, lo=lo, hi=hi)))
+        if not second:
+            slots *= 2
+        (i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2) = slots
+        edge_certs.append(EdgeCertificate(id_x, id_y, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
+    return NodeCertificate(
+        edge_certs=tuple(edge_certs),
+        tree_sub=TreeSub(root_id=root_id, parent_id=parent_id, dist=dist),
+        n=n,
+    )
 
 
 def _width_for_codes(codes: int) -> int:
@@ -456,157 +483,92 @@ def _widths(cert: NodeCertificate) -> tuple[int, int]:
         ids.append(cert.tree_sub.parent_id)
     for ec in cert.edge_certs:
         ids.extend((ec.id_x, ec.id_y))
-    id_bits = _width_for_codes(max(ids) + 1)
-    idx_bits = _width_for_codes(2 * cert.n + 3)
-    return id_bits, idx_bits
+    return _width_for_codes(max(ids) + 1), _width_for_codes(2 * cert.n + 3)
 
 
-def certificate_size_bits(cert: NodeCertificate, n: int) -> int:
-    """Canonical packed length in bits.
+def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
+    """The fields pack_certificate writes, in order, two width bytes excluded.
 
-    Node identifiers use just enough bits for the largest id mentioned;
-    every tour index, rank, or interval endpoint (sentinels included) uses
-    enough bits for the ``2n + 3`` possible codes; a 3-bit header counts the
-    edge certificates and one flag marks a present parent.
+    The attack harness corrupts an encoded certificate through these windows.
     """
-    id_bits, idx_bits = _widths(cert)
-    bits = 3 + idx_bits  # header + node count
-    bits += 1 + id_bits + idx_bits  # parent flag + root id + distance
-    if cert.tree_sub.parent_id is not None:
-        bits += id_bits
-    bits += len(cert.edge_certs) * (2 * id_bits + 20 * idx_bits)
-    return bits
+    fields: list[Field] = []
 
+    def record(name, width, lo, hi, value):
+        fields.append(Field(name, width, lo, hi, value))
+        return value
 
-class _BitWriter:
-    """Big-endian bit accumulator; whole stream kept in one int."""
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-
-    def put(self, value: int, width: int) -> None:
-        if not 0 <= value < (1 << width):
-            raise ParameterError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-
-    def getvalue(self) -> bytes:
-        pad = -self._nbits % 8
-        return ((self._acc << pad)).to_bytes((self._nbits + pad) // 8, "big")
-
-
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self._value = int.from_bytes(data, "big")
-        self._total = len(data) * 8
-        self._pos = 0
-
-    def take(self, width: int) -> int:
-        end = self._pos + width
-        if end > self._total:
-            raise FormatError("certificate bitstream is truncated")
-        self._pos = end
-        return (self._value >> (self._total - end)) & ((1 << width) - 1)
-
-    def finish(self) -> None:
-        tail = self._total - self._pos
-        if tail >= 8 or self._value & ((1 << tail) - 1):
-            raise FormatError("certificate bitstream has trailing data")
-
-
-def certificate_bit_fields(cert: NodeCertificate) -> tuple[tuple[int, int], ...]:
-    """The canonical bitstream as (value, width) pairs, header excluded.
-
-    This is the layout contract: pack_certificate writes exactly these
-    fields in order, and the attack harness uses the same windows to corrupt
-    individual fields of an encoded certificate.
-    """
-    id_bits, idx_bits = _widths(cert)
-    ts = cert.tree_sub
-    fields: list[tuple[int, int]] = [
-        (len(cert.edge_certs), 3),
-        (cert.n, idx_bits),
-        (0 if ts.parent_id is None else 1, 1),
-        (ts.root_id, id_bits),
-    ]
-    if ts.parent_id is not None:
-        fields.append((ts.parent_id, id_bits))
-    fields.append((ts.dist, idx_bits))
-    for ec in cert.edge_certs:
-        fields.append((ec.id_x, id_bits))
-        fields.append((ec.id_y, id_bits))
-        for k, pc in ec.bindings():
-            fields.extend(
-                [
-                    (k, idx_bits),
-                    (pc.n, idx_bits),
-                    (pc.rank, idx_bits),
-                    (pc.lo + 1, idx_bits),
-                    (pc.hi + 1, idx_bits),
-                ]
-            )
+    _walk(record, *_widths(cert), cert)
     return tuple(fields)
 
 
+def certificate_size_bits(cert: NodeCertificate, n: int) -> int:
+    """Canonical packed length in bits: the fields' widths, padding excluded."""
+    return sum(f.width for f in certificate_bit_fields(cert))
+
+
+def encode_fields(
+    choose, id_bits: int, idx_bits: int, cert: NodeCertificate | None = None
+) -> tuple[bytes, NodeCertificate]:
+    """Pack the values ``choose(name, width, lo, hi, value)`` picks per field.
+
+    Returns the bytes, two width bytes up front, and the certificate they
+    decode to.
+    """
+    acc = nbits = 0
+
+    def put(name, width, lo, hi, value):
+        nonlocal acc, nbits
+        value = choose(name, width, lo, hi, value)
+        acc = (acc << width) | value
+        nbits += width
+        return value
+
+    decoded = _walk(put, id_bits, idx_bits, cert)
+    pad = -nbits % 8
+    payload = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+    return bytes((id_bits, idx_bits)) + payload, decoded
+
+
+def _in_range(name, width, lo, hi, value):
+    if not lo <= value <= hi:
+        raise ParameterError(f"cannot pack {name} = {value}: legal values are {lo}..{hi}")
+    return value
+
+
 def pack_certificate(cert: NodeCertificate) -> bytes:
-    """Serialize to the canonical bit layout, two width bytes up front."""
-    if not _node_cert_ok(cert):
-        raise ParameterError("cannot pack a malformed certificate")
+    """Serialize to the canonical layout; unrepresentable certificates raise."""
     id_bits, idx_bits = _widths(cert)
     if id_bits > 255 or idx_bits > 255:
         raise ParameterError("identifiers too large to pack")
-    w = _BitWriter()
-    for value, width in certificate_bit_fields(cert):
-        w.put(value, width)
-    return bytes((id_bits, idx_bits)) + w.getvalue()
+    data, decoded = encode_fields(_in_range, id_bits, idx_bits, cert)
+    if decoded != cert:
+        raise ParameterError("certificate holds a value the layout leaves out and forces")
+    return data
 
 
 def unpack_certificate(data: bytes) -> NodeCertificate:
-    """Inverse of pack_certificate; malformed bytes raise FormatError."""
+    """The only way into the verifier: any out-of-range field raises FormatError."""
     if len(data) < 3:
         raise FormatError("certificate bytes too short")
     id_bits, idx_bits = data[0], data[1]
     if id_bits < 1 or idx_bits < 1:
         raise FormatError("implausible field widths")
-    r = _BitReader(data[2:])
-    count = r.take(3)
-    n = r.take(idx_bits)
-    has_parent = r.take(1)
-    root_id = r.take(id_bits)
-    parent_id = r.take(id_bits) if has_parent else None
-    dist = r.take(idx_bits)
-    edge_certs = []
-    for _ in range(count):
-        id_x = r.take(id_bits)
-        id_y = r.take(id_bits)
-        slots = []
-        for _ in range(4):
-            k = r.take(idx_bits)
-            pc = PopCertificate(
-                n=r.take(idx_bits),
-                rank=r.take(idx_bits),
-                lo=r.take(idx_bits) - 1,
-                hi=r.take(idx_bits) - 1,
-            )
-            slots.append((k, pc))
-        edge_certs.append(
-            EdgeCertificate(
-                id_x=id_x,
-                id_y=id_y,
-                i=slots[0][0],
-                j=slots[1][0],
-                i2=slots[2][0],
-                j2=slots[3][0],
-                pop_i=slots[0][1],
-                pop_j=slots[1][1],
-                pop_i2=slots[2][1],
-                pop_j2=slots[3][1],
-            )
-        )
-    r.finish()
-    return NodeCertificate(
-        edge_certs=tuple(edge_certs),
-        tree_sub=TreeSub(root_id=root_id, parent_id=parent_id, dist=dist),
-        n=n,
-    )
+    stream = int.from_bytes(data[2:], "big")
+    total = 8 * (len(data) - 2)
+    pos = 0
+
+    def take(name, width, lo, hi, value):
+        nonlocal pos
+        pos += width
+        if pos > total:
+            raise FormatError("certificate bitstream is truncated")
+        got = (stream >> (total - pos)) & ((1 << width) - 1)
+        if not lo <= got <= hi:
+            raise FormatError(f"{name} = {got} is outside {lo}..{hi}")
+        return got
+
+    cert = _walk(take, id_bits, idx_bits)
+    tail = total - pos
+    if tail >= 8 or stream & ((1 << tail) - 1):
+        raise FormatError("certificate bitstream has trailing data")
+    return cert

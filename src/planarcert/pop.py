@@ -18,10 +18,7 @@ comparisons.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError, ResourceError, WitnessError
 from .graphs import Graph
@@ -81,11 +78,6 @@ def virtual_certificate(n: int, rank: int) -> PopCertificate:
     return PopCertificate(n=n, rank=rank, lo=NEG_INF, hi=pos_inf(n))
 
 
-def cert_bit_size(n: int) -> int:
-    """Canonical packed size: four fields, each in ceil(log2(n+3)) bits."""
-    return 4 * max(1, (n + 2).bit_length())
-
-
 def _edges_in_rank_space(g: Graph, order: tuple[int, ...]) -> list[tuple[int, int]]:
     rank = {v: i + 1 for i, v in enumerate(order)}
     out = []
@@ -95,28 +87,20 @@ def _edges_in_rank_space(g: Graph, order: tuple[int, ...]) -> list[tuple[int, in
     return out
 
 
-def _pairs_noncrossing_py(spans: list[tuple[int, int]]) -> bool:
-    for (a, b), (c, d) in itertools.combinations(spans, 2):
-        if not (b <= c or d <= a or (a <= c and d <= b) or (c <= a and b <= d)):
-            return False
-    return True
+def _spans_noncrossing(spans: list[tuple[int, int]]) -> bool:
+    """True iff every two spans are disjoint (up to touching) or nested.
 
-
-def _pairs_noncrossing_np(spans: list[tuple[int, int]]) -> bool:
-    arr = np.array(spans, dtype=np.int64)
-    a, b = arr[:, 0], arr[:, 1]
-    step = max(1, (1 << 22) // max(1, len(spans)))  # bound temp matrices
-    for start in range(0, len(spans), step):
-        aa = a[start : start + step, None]
-        bb = b[start : start + step, None]
-        ok = (
-            (bb <= a[None, :])
-            | (b[None, :] <= aa)
-            | ((aa <= a[None, :]) & (b[None, :] <= bb))
-            | ((a[None, :] <= aa) & (bb <= b[None, :]))
-        )
-        if not ok.all():
+    Sweep in (start, -end) order with the ends of the open spans on a stack:
+    those are nested, so a new span crosses one of them iff it ends past the
+    innermost one still open.
+    """
+    stack: list[int] = []
+    for a, b in sorted(spans, key=lambda s: (s[0], -s[1])):
+        while stack and stack[-1] <= a:
+            stack.pop()
+        if stack and b > stack[-1]:
             return False
+        stack.append(b)
     return True
 
 
@@ -127,10 +111,7 @@ def is_path_outerplanar(g: Graph, order) -> bool:
         raise ParameterError("order is not a permutation of the graph's nodes")
     if any(not g.has_edge(u, v) for u, v in zip(order, order[1:])):
         return False
-    spans = _edges_in_rank_space(g, order)
-    if len(spans) >= 200:
-        return _pairs_noncrossing_np(spans)
-    return _pairs_noncrossing_py(spans)
+    return _spans_noncrossing(_edges_in_rank_space(g, order))
 
 
 def find_witness_exhaustive(g: Graph) -> PopWitness | None:

@@ -29,9 +29,9 @@ from .pls import (
     PHASE_COLLECT,
     NodeCertificate,
     Verdict,
-    _BitWriter,
     certificate_bit_fields,
     certificate_size_bits,
+    encode_fields,
     pack_certificate,
     prove_planar,
     unpack_certificate,
@@ -197,29 +197,15 @@ def honest_assignment(g: Graph) -> Assignment:
 
 
 def random_assignment(g: Graph, seed: int | str) -> Assignment:
-    """Uniform random values in every field of a well-formed layout."""
+    """Uniform random values, each in its field's legal range, in the layout."""
     rng = random.Random(seed)
-    n = g.n
     id_bits = max(1, max(g.nodes()).bit_length())
-    idx_bits = max(1, (2 * n + 2).bit_length())
-    certs = {}
-    for x in g.nodes():
-        w = _BitWriter()
-        count = rng.randrange(6)
-        w.put(count, 3)
-        w.put(rng.getrandbits(idx_bits), idx_bits)
-        has_parent = rng.getrandbits(1)
-        w.put(has_parent, 1)
-        w.put(rng.getrandbits(id_bits), id_bits)
-        if has_parent:
-            w.put(rng.getrandbits(id_bits), id_bits)
-        w.put(rng.getrandbits(idx_bits), idx_bits)
-        for _ in range(count):
-            w.put(rng.getrandbits(id_bits), id_bits)
-            w.put(rng.getrandbits(id_bits), id_bits)
-            for _ in range(20):
-                w.put(rng.getrandbits(idx_bits), idx_bits)
-        certs[x] = bytes((id_bits, idx_bits)) + w.getvalue()
+    idx_bits = max(1, (2 * g.n + 2).bit_length())
+
+    def draw(name, width, lo, hi, value):
+        return rng.randint(lo, hi)
+
+    certs = {x: encode_fields(draw, id_bits, idx_bits)[0] for x in g.nodes()}
     return Assignment(certs=certs, origin=Origin("random"))
 
 
@@ -251,22 +237,27 @@ def _planar_template(g: Graph, seed: int | str) -> tuple[dict[int, NodeCertifica
     return prove_planar(sub), "planar-subgraph-template"
 
 
+def _set_field(data: bytes, fields, target: int, value: int) -> bytes:
+    """Overwrite the window of ``fields[target]`` in the packed bytes."""
+    offset = sum(f.width for f in fields[:target])
+    width = fields[target].width
+    payload = data[2:]
+    shift = 8 * len(payload) - offset - width
+    as_int = int.from_bytes(payload, "big") & ~(((1 << width) - 1) << shift)
+    return data[:2] + (as_int | (value << shift)).to_bytes(len(payload), "big")
+
+
 def _edit_one_field(cert: NodeCertificate, data: bytes, rng: random.Random) -> bytes:
-    """Overwrite one randomly chosen field window in the packed bytes."""
+    """Give one randomly chosen field another of its legal values.
+
+    A field with a single legal value gets any other value of its width.
+    """
     fields = certificate_bit_fields(cert)
     target = rng.randrange(len(fields))
-    offset = sum(width for _, width in fields[:target])
-    value, width = fields[target]
-    new = rng.randrange(1 << width)
-    while new == value:
-        new = rng.randrange(1 << width)
-    payload = data[2:]
-    total = len(payload) * 8
-    as_int = int.from_bytes(payload, "big")
-    shift = total - offset - width
-    mask = ((1 << width) - 1) << shift
-    as_int = (as_int & ~mask) | (new << shift)
-    return data[:2] + as_int.to_bytes(len(payload), "big")
+    f = fields[target]
+    lo, hi = (f.lo, f.hi) if f.lo < f.hi else (0, (1 << f.width) - 1)
+    new = rng.randint(lo, hi - 1)
+    return _set_field(data, fields, target, new + (new >= f.value))
 
 
 def _replay_graph(g: Graph, seed: int) -> Graph:

@@ -7,8 +7,8 @@ import pytest
 from planarcert.cli import main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
 from planarcert.graphs import generate
-from planarcert.pls import pack_certificate, prove_planar
-from planarcert.sim import honest_assignment, run_round
+from planarcert.pls import certificate_bit_fields, pack_certificate, prove_planar
+from planarcert.sim import _set_field, honest_assignment, run_round
 
 
 def _graph_file(tmp_path, g, name="graph.txt", rot=None):
@@ -83,7 +83,7 @@ def test_file_round_trip_reproduces_in_process_verdicts():
 
     reparsed = parse_certificates(cert_text)
     for x, cert in prove_planar(g).items():
-        assert pack_certificate(reparsed[x]) == pack_certificate(cert)
+        assert reparsed[x] == pack_certificate(cert)
 
 
 def test_prove_non_planar_exits_with_witness(tmp_path, capsys):
@@ -102,18 +102,70 @@ def test_verify_foreign_certificates_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def _edited_field(cert, name: str, value: int) -> bytes:
+    """The packed certificate with its first ``name`` field set to ``value``."""
+    fields = certificate_bit_fields(cert)
+    target = next(k for k, f in enumerate(fields) if f.name == name)
+    return _set_field(pack_certificate(cert), fields, target, value)
+
+
 def test_verify_one_edited_field_rejects(tmp_path, capsys):
     g = generate("wheel", n=8)
     graph = _graph_file(tmp_path, g)
-    text = write_certificates(prove_planar(g))
-    assert '"dist":1' in text
+    certs = prove_planar(g)
+    x = min(x for x, c in certs.items() if c.tree_sub.dist == 1)
+    text = write_certificates(certs)
     doctored = tmp_path / "doctored.txt"
-    doctored.write_text(text.replace('"dist":1', '"dist":6', 1))
+    edited = _edited_field(certs[x], "dist", 6)
+    doctored.write_text(text.replace(pack_certificate(certs[x]).hex(), edited.hex(), 1))
     code = main(["verify", graph, str(doctored)])
     out = capsys.readouterr().out
     assert code == 3
     assert "global: reject" in out
     assert any("reject [phase" in line for line in out.splitlines())
+
+
+def test_verify_undecodable_bytes_reject_in_phase_one(tmp_path, capsys):
+    # dist = 9 is outside 0..n-1: the line is hex, so this is a verdict
+    # (exit 3), not a parse error.
+    g = generate("wheel", n=8)
+    graph = _graph_file(tmp_path, g)
+    certs = prove_planar(g)
+    edited = _edited_field(certs[3], "dist", 9)
+    doctored = tmp_path / "doctored.txt"
+    doctored.write_text(
+        write_certificates(certs).replace(pack_certificate(certs[3]).hex(), edited.hex(), 1)
+    )
+    assert main(["verify", graph, str(doctored)]) == 3
+    out = capsys.readouterr().out
+    assert "node 3: reject [phase 1] own certificate does not decode" in out
+
+
+def test_verify_non_hex_line_is_a_parse_error(tmp_path, capsys):
+    g = generate("wheel", n=6)
+    graph = _graph_file(tmp_path, g)
+    certs = tmp_path / "certs.txt"
+    certs.write_text(write_certificates(prove_planar(g)).replace(" ", " zz", 1))
+    assert main(["verify", graph, str(certs)]) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+K4_EDGES = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+
+@pytest.mark.parametrize(
+    "rot_lines",
+    [
+        "rot 1: 2 3 4\nrot 2: 1 3 4\nrot 3: 1 2 4\nrot 4: 1 2 3\n",  # genus 1
+        "rot 1: 2 3 4\n",  # rotation for one node only
+    ],
+)
+def test_prove_refuses_a_rotation_that_is_not_planar(tmp_path, capsys, rot_lines):
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_EDGES + rot_lines)
+    assert main(["prove", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "error:" in err and "rotation" in err
 
 
 def test_verify_rejects_multi_round_requests(tmp_path, capsys):

@@ -17,9 +17,11 @@ from planarcert.pls import (
     PHASE_POP,
     PHASE_TREE,
     EdgeCertificate,
+    Field,
     NodeCertificate,
     TreeSub,
     Verdict,
+    certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
     prove_planar,
@@ -28,6 +30,7 @@ from planarcert.pls import (
     verify_spanning_tree_sub,
 )
 from planarcert.pop import PopCertificate
+from planarcert.sim import planarity_verifier
 
 
 def _cycle(n: int):
@@ -255,7 +258,8 @@ def test_rejects_node_count_disagreement(tampering_setup):
 
 
 def test_rejects_junk_own_certificate():
-    v = verify_node_planarity(1, "garbage", {})
+    # Garbage enters as bytes; the decoder turns it into a phase-1 reject.
+    v = planarity_verifier(1, b"garbage", {})
     assert not v.accepted and v.phase == PHASE_COLLECT
 
 
@@ -404,6 +408,106 @@ def test_unpack_rejects_zero_widths():
         unpack_certificate(b"\x00\x04\x00\x00")
 
 
+def _index_fields(fields: tuple[Field, ...]) -> int:
+    return sum(f.name in ("index", "lo", "hi") for f in fields)
+
+
+def test_wire_leaves_out_forced_fields():
+    # Per edge certificate: two ids and a one-bit flag.  A chord then sends
+    # (index, lo, hi) for both of its copies; a tree edge sends them for the
+    # id_x copy of each tour step and (step bit, lo, hi) for the id_y copy
+    # next to it.
+    g = generate("random_maximal_planar", n=25, seed=5)
+    for cert in prove_planar(g).values():
+        fields = certificate_bit_fields(cert)
+        names = [f.name for f in fields]
+        tree = sum(ec.is_tree() for ec in cert.edge_certs)
+        chords = len(cert.edge_certs) - tree
+        assert names.count("second") == len(cert.edge_certs)
+        assert names.count("step") == 2 * tree
+        assert _index_fields(fields) == 10 * tree + 6 * chords
+        assert all(f.lo <= f.value <= f.hi for f in fields)
+
+
+def test_pack_refuses_a_tree_edge_off_the_tour():
+    g = _path(4)
+    cert = next(c for c in prove_planar(g).values() if c.edge_certs)
+    ec = cert.edge_certs[0]
+    far = ec.i + 3 if ec.i + 3 <= 2 * g.n - 1 else ec.i - 3
+    bad = dataclasses.replace(ec, j=far, pop_j=dataclasses.replace(ec.pop_j, rank=far))
+    with pytest.raises(ParameterError):
+        pack_certificate(dataclasses.replace(cert, edge_certs=(bad,) + cert.edge_certs[1:]))
+
+
+def test_unpack_refills_forced_values():
+    g = build_graph([(1, 2), (2, 3), (1, 3)])
+    for cert in prove_planar(g).values():
+        again = unpack_certificate(pack_certificate(cert))
+        for ec in again.edge_certs:
+            for k, pc in ec.bindings():
+                assert (pc.n, pc.rank) == (2 * g.n - 1, k)
+            if not ec.is_tree():
+                assert ec.bindings()[2:] == ec.bindings()[:2]
+
+
+def test_pack_refuses_values_the_layout_forces():
+    g = build_graph([(1, 2), (2, 3), (1, 3)])
+    cert = next(c for c in prove_planar(g).values() if c.edge_certs)
+    ec = cert.edge_certs[0]
+    for bad in (
+        dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, n=ec.pop_i.n + 1)),
+        dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, rank=ec.i + 1)),
+    ):
+        with pytest.raises(ParameterError):
+            pack_certificate(dataclasses.replace(cert, edge_certs=(bad,) + cert.edge_certs[1:]))
+
+
+def test_unpack_rejects_every_out_of_range_field():
+    from planarcert.sim import _set_field
+
+    cert = prove_planar(generate("wheel", n=6))[2]
+    data = pack_certificate(cert)
+    fields = certificate_bit_fields(cert)
+    for target, f in enumerate(fields):
+        for value in range(1 << f.width):
+            if f.lo <= value <= f.hi or f.name in ("count", "has_parent", "second", "step"):
+                continue  # those re-frame the stream; covered by the fuzz test
+            with pytest.raises(FormatError):
+                unpack_certificate(_set_field(data, fields, target, value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_unpack_is_the_single_gate(data):
+    try:
+        cert = unpack_certificate(data)
+    except FormatError:
+        return
+    assert unpack_certificate(pack_certificate(cert)) == cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64), st.lists(st.binary(max_size=64), max_size=4))
+def test_byte_verifier_is_total(own, neighbors):
+    v = planarity_verifier(1, own, {y: b for y, b in enumerate(neighbors, start=2)})
+    assert isinstance(v, Verdict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.binary(min_size=1, max_size=8))
+def test_byte_verifier_is_total_on_near_honest_bytes(seed, junk):
+    # Bytes that mostly decode: an honest certificate with a few bytes
+    # overwritten, so the semantic checks see odd but in-range values.
+    g = generate("random_maximal_planar", n=8, seed=seed % 7)
+    packed = {x: pack_certificate(c) for x, c in prove_planar(g).items()}
+    x = seed % g.n + 1
+    at = seed % max(1, len(packed[x]) - 2) + 2
+    packed[x] = (packed[x][:at] + junk + packed[x][at + len(junk) :])[: len(packed[x])]
+    for y in g.nodes():
+        v = planarity_verifier(y, packed[y], {z: packed[z] for z in g.neighbors(y)})
+        assert isinstance(v, Verdict)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 14), st.integers(0, 10_000))
 def test_pack_round_trip_random_trees(n, seed):
@@ -422,3 +526,14 @@ def test_prove_with_explicit_rotation():
     rot = planar_embed(g)
     certs = prove_planar(g, rot)
     assert _all_accept(g, certs)
+
+
+def test_prove_refuses_a_rotation_that_is_not_planar():
+    from planarcert.embedding import canonical_rotation
+
+    k4 = generate("complete", k=4)
+    genus_one = {v: tuple(u for u in range(1, 5) if u != v) for v in range(1, 5)}
+    with pytest.raises(ParameterError, match="rotation"):
+        prove_planar(k4, canonical_rotation(genus_one))
+    with pytest.raises(ParameterError, match="rotation"):
+        prove_planar(k4, canonical_rotation({1: (2, 3, 4)}))

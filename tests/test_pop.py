@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,9 +19,7 @@ from planarcert.pop import (
     REJECT_RIGHT_CHAIN,
     PopCertificate,
     PopWitness,
-    _pairs_noncrossing_np,
-    _pairs_noncrossing_py,
-    cert_bit_size,
+    _spans_noncrossing,
     find_witness_exhaustive,
     is_path_outerplanar,
     pop_prove,
@@ -36,6 +35,14 @@ from soundness_search import (
 
 CROSSING = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)]  # smallest crossing instance
 FAN = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (1, 4), (1, 5)]
+
+
+def _pairs_noncrossing(spans: list[tuple[int, int]]) -> bool:
+    """The definition, pair by pair: the oracle for the sweep in pop."""
+    for (a, b), (c, d) in itertools.combinations(spans, 2):
+        if not (b <= c or d <= a or (a <= c and d <= b) or (c <= a and b <= d)):
+            return False
+    return True
 
 
 def test_definition_examples():
@@ -69,16 +76,16 @@ def test_definition_requires_permutation():
         max_size=60,
     )
 )
-@settings(max_examples=200)
-def test_vectorized_pair_check_matches_reference(spans):
-    assert _pairs_noncrossing_np(spans) == _pairs_noncrossing_py(spans)
+@settings(max_examples=500)
+def test_sweep_matches_pairwise_oracle(spans):
+    assert _spans_noncrossing(spans) == _pairs_noncrossing(spans)
 
 
 def test_large_instance_uses_same_predicate():
     n = 300
     edges = [(i, i + 1) for i in range(1, n)] + [(1, j) for j in range(3, n + 1)]
     g = build_graph(edges)
-    assert g.m >= 200  # exercises the vectorized path
+    assert g.m >= 200  # a large fan: many spans open at once
     assert is_path_outerplanar(g, tuple(range(1, n + 1)))
     crossed = build_graph(edges + [(2, 4)])
     assert not is_path_outerplanar(crossed, tuple(range(1, n + 1)))
@@ -232,12 +239,6 @@ def test_reason_table_covers_all_codes():
 
     codes = {v for k, v in vars(mod).items() if k.startswith("REJECT_") and isinstance(v, int)}
     assert codes == set(REJECT_REASONS)
-
-
-def test_cert_bit_size():
-    assert cert_bit_size(5) == 4 * 3  # domain {-inf, 0..6, +inf} -> 8 codes
-    assert cert_bit_size(6) == 4 * 4
-    assert cert_bit_size(1) == 4 * 2
 
 
 def test_crossing_instance_is_order_sound_but_graph_satisfiable():

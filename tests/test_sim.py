@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from planarcert.errors import FirewallViolation, ParameterError
 from planarcert.graphs import build_graph, generate
-from planarcert.pls import Verdict
+from planarcert.pls import (
+    Verdict,
+    certificate_bit_fields,
+    pack_certificate,
+    prove_planar,
+    unpack_certificate,
+)
 from planarcert.sim import (
     DEFAULT_STRATEGIES,
     Assignment,
     Origin,
+    _edit_one_field,
     attack,
     attack_report,
     attack_to_csv,
@@ -78,6 +87,35 @@ def test_round_is_deterministic():
     g = generate("random_maximal_planar", n=12, seed=0)
     a = random_assignment(g, seed=5)
     assert run_round(g, a) == run_round(g, a)
+
+
+def test_random_assignment_stays_in_legal_ranges():
+    # Forged fields are drawn from the layout's legal ranges, so every
+    # certificate decodes and the verifier has to judge what it claims.
+    g = generate("random_maximal_planar", n=12, seed=0)
+    for seed in range(20):
+        for data in random_assignment(g, seed=seed).certs.values():
+            unpack_certificate(data)
+
+
+def test_edit_changes_one_field_to_another_legal_value():
+    g = generate("random_maximal_planar", n=12, seed=0)
+    rng = random.Random(4)
+    for cert in prove_planar(g).values():
+        data = pack_certificate(cert)
+        fields = certificate_bit_fields(cert)
+        for _ in range(10):
+            edited = _edit_one_field(cert, data, rng)
+            payload = int.from_bytes(edited[2:], "big")
+            total, offset, changed = 8 * (len(edited) - 2), 0, []
+            for f in fields:
+                offset += f.width
+                value = (payload >> (total - offset)) & ((1 << f.width) - 1)
+                if value != f.value:
+                    changed.append((f, value))
+            assert len(changed) == 1
+            f, value = changed[0]
+            assert f.lo <= value <= f.hi or f.lo >= f.hi
 
 
 def test_verifier_is_total_on_garbage_bytes():
