@@ -35,11 +35,6 @@ class RotationSystem:
     def order_at(self, v: int) -> tuple[int, ...]:
         return self.rotation[v]
 
-    def next_after(self, v: int, u: int) -> int:
-        """Neighbor following u in the counterclockwise order at v."""
-        ring = self.rotation[v]
-        return ring[(ring.index(u) + 1) % len(ring)]
-
     def prev_before(self, v: int, u: int) -> int:
         """Neighbor preceding u in the counterclockwise order at v."""
         ring = self.rotation[v]

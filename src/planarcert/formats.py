@@ -1,9 +1,10 @@
 """Shared text formats: graph files and per-node certificate files.
 
 Graph files: first significant line is ``n m``, followed by ``m`` lines
-``u v``.  Isolated nodes get ``node u`` lines (the edge list cannot mention
-them), counterclockwise orders ride along as ``rot u: v1 v2 ... vd`` lines,
-and ``#`` starts a comment.
+``u v``, one per edge of a simple graph: a self-loop or a repeated edge is a
+format error.  Isolated nodes get ``node u`` lines (the edge list cannot
+mention them), counterclockwise orders ride along as ``rot u: v1 v2 ... vd``
+lines, and ``#`` starts a comment.
 
 Certificate files hold one line per node, ``<id> <hex> #bits=<n>``: the
 node's packed certificate bytes (``pls.pack_certificate``) in hex, and a
@@ -15,7 +16,7 @@ for bytes handed to ``sim.run_round``.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, norm_edge
 from .pls import NodeCertificate, certificate_size_bits, pack_certificate
 
 
@@ -52,7 +53,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
     if len(head) != 2:
         raise FormatError(f"header must be 'n m', got {lines[0]!r}")
     n, m = (_int_or_fail(t, "header") for t in head)
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     isolated: list[int] = []
     rot: dict[int, tuple[int, ...]] = {}
     for line in lines[1:]:
@@ -69,9 +70,12 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
                 raise FormatError(f"duplicate rotation line for node {v}")
             rot[v] = tuple(_int_or_fail(t, "rotation line") for t in parts[2:])
         elif len(parts) == 2:
-            edges.append(
-                (_int_or_fail(parts[0], "edge line"), _int_or_fail(parts[1], "edge line"))
-            )
+            u, v = (_int_or_fail(t, "edge line") for t in parts)
+            if u == v:
+                raise FormatError(f"self-loop {line!r}: the graph must be simple")
+            if norm_edge(u, v) in edges:
+                raise FormatError(f"repeated edge {line!r}: the graph must be simple")
+            edges.add(norm_edge(u, v))
         else:
             raise FormatError(f"unrecognized line {line!r}")
     if len(edges) != m:
@@ -94,7 +98,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
 
 def write_certificates(certs: dict[int, NodeCertificate]) -> str:
     lines = [
-        f"{x} {pack_certificate(c).hex()} #bits={certificate_size_bits(c, c.n)}"
+        f"{x} {pack_certificate(c).hex()} #bits={certificate_size_bits(c)}"
         for x, c in sorted(certs.items())
     ]
     return "\n".join(lines) + "\n"

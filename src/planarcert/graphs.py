@@ -414,14 +414,3 @@ def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
         nodes=[mapping[v] for v in g.adj],
     )
 
-
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist

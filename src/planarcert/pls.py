@@ -155,61 +155,40 @@ def prove_planar(
         induced.virtual_graph(), PopWitness(order=tuple(range(1, nv + 1)))
     )
 
+    # One pass over the tour: each tree edge's two steps, as (copy of the
+    # smaller id, copy of the larger id) in tour order, and each node's depth,
+    # set on its first visit (the tour enters a node from its parent).
     f = fm.f
-    traversals: dict[Edge, list[tuple[int, int]]] = {}
+    steps: dict[Edge, list[tuple[int, int]]] = {}
+    depth = {root: 0}
     for k in range(1, nv):
-        e = norm_edge(f[k], f[k + 1])  # type: ignore[arg-type]
-        traversals.setdefault(e, []).append((k, k + 1))
+        a, b = f[k], f[k + 1]  # real tour positions: never the anchor
+        if b not in depth:
+            depth[b] = depth[a] + 1
+        steps.setdefault(norm_edge(a, b), []).append((k, k + 1) if a < b else (k + 1, k))
 
-    def oriented(pair: tuple[int, int], u: int) -> tuple[int, int]:
-        a, b = pair
-        return (a, b) if f[a] == u else (b, a)
-
-    edge_certs: dict[Edge, EdgeCertificate] = {}
+    # One pass over the edges, in ascending order: each certificate goes to
+    # the endpoint that comes first in the degeneracy order.
+    position = degeneracy_order(g).position()
+    mine: dict[int, list[EdgeCertificate]] = {x: [] for x in g.nodes()}
     for u, v in g.edges():
-        if (u, v) in traversals:
-            first, second = traversals[(u, v)]
-            i, j = oriented(first, u)
-            i2, j2 = oriented(second, u)
+        if (u, v) in steps:
+            (i, j), (i2, j2) = steps[(u, v)]
         else:
             ci, cj = induced.cotree_map[(u, v)]
             i, j = (ci, cj) if f[ci] == u else (cj, ci)
             i2, j2 = i, j
-        edge_certs[(u, v)] = EdgeCertificate(
-            id_x=u,
-            id_y=v,
-            i=i,
-            j=j,
-            i2=i2,
-            j2=j2,
-            pop_i=pop_certs[i],
-            pop_j=pop_certs[j],
-            pop_i2=pop_certs[i2],
-            pop_j2=pop_certs[j2],
-        )
+        ec = EdgeCertificate(u, v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2])
+        mine[u if position[u] < position[v] else v].append(ec)
 
-    position = degeneracy_order(g).position()
-    depth: dict[int, int] = {root: 0}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        for c in t.children_order[v]:
-            depth[c] = depth[v] + 1
-            queue.append(c)
-
-    out: dict[int, NodeCertificate] = {}
-    for x in g.nodes():
-        mine = tuple(
-            edge_certs[e]
-            for e in sorted(edge_certs)
-            if x == (e[0] if position[e[0]] < position[e[1]] else e[1])
-        )
-        out[x] = NodeCertificate(
-            edge_certs=mine,
+    return {
+        x: NodeCertificate(
+            edge_certs=tuple(ecs),
             tree_sub=TreeSub(root_id=root, parent_id=t.parent[x], dist=depth[x]),
             n=g.n,
         )
-    return out
+        for x, ecs in mine.items()
+    }
 
 
 # --- verifier: spanning-tree sub-check ---------------------------------------
@@ -501,7 +480,7 @@ def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
     return tuple(fields)
 
 
-def certificate_size_bits(cert: NodeCertificate, n: int) -> int:
+def certificate_size_bits(cert: NodeCertificate) -> int:
     """Canonical packed length in bits: the fields' widths, padding excluded."""
     return sum(f.width for f in certificate_bit_fields(cert))
 

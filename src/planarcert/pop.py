@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, ResourceError, WitnessError
+from .errors import ParameterError, WitnessError
 from .graphs import Graph
 
 # Reject diagnostics: stable codes matching the verifier's check order.
@@ -112,57 +112,6 @@ def is_path_outerplanar(g: Graph, order) -> bool:
     if any(not g.has_edge(u, v) for u, v in zip(order, order[1:])):
         return False
     return _spans_noncrossing(_edges_in_rank_space(g, order))
-
-
-def find_witness_exhaustive(g: Graph) -> PopWitness | None:
-    """Smallest-lexicographic witness order, or None. Tiny inputs only.
-
-    Depth-first over partial orders; a partial order is extended only by a
-    neighbor of its last node (Hamiltonian path) whose new back-edges do not
-    cross any edge already placed, so the first completed order is both valid
-    and lexicographically least.
-    """
-    if g.n > 10:
-        raise ResourceError(f"exhaustive witness search capped at 10 nodes, got {g.n}")
-    nodes = list(g.nodes())
-    if g.n == 1:
-        return PopWitness(order=(nodes[0],))
-
-    rank: dict[int, int] = {}
-    placed: list[tuple[int, int]] = []  # edges among placed nodes, rank space
-
-    def compatible(a: int, b: int) -> bool:
-        return all(
-            b <= c or d <= a or (a <= c and d <= b) or (c <= a and b <= d)
-            for c, d in placed
-        )
-
-    def extend(order: list[int]) -> tuple[int, ...] | None:
-        if len(order) == g.n:
-            return tuple(order)
-        last = order[-1]
-        for v in nodes:
-            if v in rank or not g.has_edge(last, v):
-                continue
-            i = len(order) + 1
-            new = sorted((rank[u], i) for u in g.neighbors(v) if u in rank)
-            if all(compatible(a, b) for a, b in new):
-                rank[v] = i
-                placed.extend(new)
-                got = extend(order + [v])
-                if got is not None:
-                    return got
-                del rank[v]
-                del placed[len(placed) - len(new) :]
-        return None
-
-    for start in nodes:
-        rank[start] = 1
-        got = extend([start])
-        if got is not None:
-            return PopWitness(order=got)
-        rank.clear()
-    return None
 
 
 def shortest_covering_interval(spans, x: int, n: int) -> tuple[int, int]:

@@ -463,7 +463,7 @@ def size_sweep(kind: str, sizes: Iterable[int], seed: int = 0) -> tuple[SweepRow
     for n in sizes:
         g = _sweep_graph(kind, n, seed)
         certs = prove_planar(g)
-        worst = max(certificate_size_bits(c, g.n) for c in certs.values())
+        worst = max(certificate_size_bits(c) for c in certs.values())
         rows.append(SweepRow(n=g.n, max_bits=worst, ratio=worst / math.log2(g.n)))
     return tuple(rows)
 

@@ -19,9 +19,6 @@ from .embedding import RotationSystem
 from .errors import ParameterError, StructuralError
 from .graphs import Edge, Graph, build_graph, contract_edges, norm_edge, relabel
 
-#: Token used for the virtual anchor in text dumps of a tour.
-ANCHOR_TOKEN = "r'"
-
 
 @dataclass(frozen=True)
 class RootedTree:
@@ -80,13 +77,6 @@ class DfsMapping:
 
     def last_copy(self, v: int) -> int:
         return self.copies[v][-1]
-
-    def dump(self) -> str:
-        """Debug form: ``f: r' 1 2 ... r'`` with anchor tokens at the ends."""
-        body = " ".join(
-            ANCHOR_TOKEN if x is None else str(x) for x in self.f
-        )
-        return f"f: {body}"
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,14 @@ def test_prove_refuses_a_rotation_that_is_not_planar(tmp_path, capsys, rot_lines
     assert "error:" in err and "rotation" in err
 
 
+@pytest.mark.parametrize("text", ["2 2\n1 2\n1 1\n", "2 2\n1 2\n2 1\n"])
+def test_prove_refuses_a_graph_file_that_is_not_simple(tmp_path, capsys, text):
+    path = tmp_path / "multi.txt"
+    path.write_text(text)
+    assert main(["prove", str(path)]) == 64
+    assert "must be simple" in capsys.readouterr().err
+
+
 def test_verify_rejects_multi_round_requests(tmp_path, capsys):
     g = generate("wheel", n=6)
     graph = _graph_file(tmp_path, g)

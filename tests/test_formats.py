@@ -61,6 +61,9 @@ def test_graph_comments_and_blank_lines_ignored():
         "3 2\n1 2\n2 3\nrot 7: 1\n",  # rotation for unknown node
         "3 2\n1 2\n2 3 4\n",  # unrecognized line shape
         "2 1\nnode\n1 2\n",  # malformed node line
+        "2 2\n1 2\n1 1\n",  # self-loop
+        "2 2\n1 2\n1 2\n",  # repeated edge
+        "3 3\n1 2\n2 3\n2 1\n",  # repeated edge, other orientation
     ],
 )
 def test_graph_parse_rejects(text):
@@ -89,7 +92,7 @@ def test_certificate_lines_state_canonical_bits():
         assert " #bits=" in line
         x, data = line.split()[:2]
         bits = int(line.rpartition(" #bits=")[2])
-        assert bits == certificate_size_bits(certs[int(x)], g.n) > 0
+        assert bits == certificate_size_bits(certs[int(x)]) > 0
         assert bytes.fromhex(data) == pack_certificate(certs[int(x)])
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,12 +207,22 @@ def test_contract_requires_graph_edges():
         contract_edges(g, [(1, 3)])
 
 
+def _bfs_distances(g, source: int) -> dict[int, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def test_contract_spanning_tree_collapses_to_point():
     g = generate("random_maximal_planar", n=16, seed=2)
     # any spanning tree: take BFS tree edges
-    from planarcert.graphs import bfs_distances
-
-    dist = bfs_distances(g, 1)
+    dist = _bfs_distances(g, 1)
     tree = []
     for v in g.nodes():
         if v == 1:

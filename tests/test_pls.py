@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarcert.errors import FormatError, NonPlanarError, ParameterError
-from planarcert.graphs import build_graph, degeneracy_order, generate, norm_edge
+from planarcert.graphs import build_graph, degeneracy_order, generate, norm_edge, relabel
 from planarcert.pls import (
     MAX_EDGE_CERTS,
     PHASE_COLLECT,
@@ -117,19 +117,29 @@ def test_path_is_all_tree_edges_with_full_intervals():
 
 
 def test_edge_cert_assignment_respects_degeneracy_bound():
-    g = generate("random_maximal_planar", n=100, seed=5)
-    certs = prove_planar(g)
-    position = degeneracy_order(g).position()
-    seen: dict[tuple[int, int], int] = {}
-    for x, cert in certs.items():
-        assert len(cert.edge_certs) <= MAX_EDGE_CERTS
-        for ec in cert.edge_certs:
-            e = norm_edge(ec.id_x, ec.id_y)
-            assert x in e
-            assert position[x] == min(position[e[0]], position[e[1]])
-            assert e not in seen, "edge certified at both endpoints"
-            seen[e] = x
-    assert set(seen) == set(g.edges())
+    base = generate("random_maximal_planar", n=60, seed=4)
+    graphs = [
+        generate("grid", w=9, h=7),
+        generate("tree", n=80, seed=3),
+        *(generate("random_maximal_planar", n=n, seed=s) for n, s in ((100, 5), (64, 11), (200, 12))),
+        relabel(base, {v: 3 * v + 7 for v in base.nodes()}),  # ids with gaps
+    ]
+    for g in graphs:
+        certs = prove_planar(g)
+        position = degeneracy_order(g).position()
+        seen: dict[tuple[int, int], int] = {}
+        for x, cert in certs.items():
+            assert len(cert.edge_certs) <= MAX_EDGE_CERTS
+            held = [(ec.id_x, ec.id_y) for ec in cert.edge_certs]
+            assert held == sorted(held), "edge certificates out of (id_x, id_y) order"
+            for ec in cert.edge_certs:
+                e = norm_edge(ec.id_x, ec.id_y)
+                assert e == (ec.id_x, ec.id_y)
+                assert x in e
+                assert position[x] == min(position[e[0]], position[e[1]])
+                assert e not in seen, "edge certified at both endpoints"
+                seen[e] = x
+        assert set(seen) == set(g.edges())
 
 
 def test_parent_rule_matches_prover_tree():
@@ -351,7 +361,7 @@ def test_size_formula_matches_packed_length():
         certs = prove_planar(g)
         for cert in certs.values():
             packed_bits = (len(pack_certificate(cert)) - 2) * 8
-            stated = certificate_size_bits(cert, g.n)
+            stated = certificate_size_bits(cert)
             assert stated <= packed_bits < stated + 8
 
 
@@ -360,7 +370,7 @@ def test_size_within_log_bound_on_small_graphs():
         if g.n < 2:
             continue
         certs = prove_planar(g)
-        worst = max(certificate_size_bits(c, g.n) for c in certs.values())
+        worst = max(certificate_size_bits(c) for c in certs.values())
         assert worst <= 150 * math.log2(g.n)
 
 
@@ -369,7 +379,7 @@ def test_size_grows_logarithmically_on_grids():
     for side in (4, 8, 16, 32):
         g = generate("grid", w=side, h=side)
         certs = prove_planar(g)
-        worst = max(certificate_size_bits(c, g.n) for c in certs.values())
+        worst = max(certificate_size_bits(c) for c in certs.values())
         ratios.append(worst / math.log2(g.n))
     assert ratios == sorted(ratios, reverse=True), "bits per log2(n) crept up"
     assert ratios[0] <= 75

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarcert.errors import ParameterError, ResourceError, WitnessError
-from planarcert.graphs import build_graph, generate
+from planarcert.graphs import Graph, build_graph, generate
 from planarcert.pop import (
     REJECT_LEFT_BOUNDARY,
     REJECT_LEFT_CHAIN,
@@ -20,7 +20,6 @@ from planarcert.pop import (
     PopCertificate,
     PopWitness,
     _spans_noncrossing,
-    find_witness_exhaustive,
     is_path_outerplanar,
     pop_prove,
     pop_verify_all,
@@ -43,6 +42,57 @@ def _pairs_noncrossing(spans: list[tuple[int, int]]) -> bool:
         if not (b <= c or d <= a or (a <= c and d <= b) or (c <= a and b <= d)):
             return False
     return True
+
+
+def find_witness_exhaustive(g: Graph) -> PopWitness | None:
+    """Smallest-lexicographic witness order, or None. Tiny inputs only.
+
+    Depth-first over partial orders; a partial order is extended only by a
+    neighbor of its last node (Hamiltonian path) whose new back-edges do not
+    cross any edge already placed, so the first completed order is both valid
+    and lexicographically least.
+    """
+    if g.n > 10:
+        raise ResourceError(f"exhaustive witness search capped at 10 nodes, got {g.n}")
+    nodes = list(g.nodes())
+    if g.n == 1:
+        return PopWitness(order=(nodes[0],))
+
+    rank: dict[int, int] = {}
+    placed: list[tuple[int, int]] = []  # edges among placed nodes, rank space
+
+    def compatible(a: int, b: int) -> bool:
+        return all(
+            b <= c or d <= a or (a <= c and d <= b) or (c <= a and b <= d)
+            for c, d in placed
+        )
+
+    def extend(order: list[int]) -> tuple[int, ...] | None:
+        if len(order) == g.n:
+            return tuple(order)
+        last = order[-1]
+        for v in nodes:
+            if v in rank or not g.has_edge(last, v):
+                continue
+            i = len(order) + 1
+            new = sorted((rank[u], i) for u in g.neighbors(v) if u in rank)
+            if all(compatible(a, b) for a, b in new):
+                rank[v] = i
+                placed.extend(new)
+                got = extend(order + [v])
+                if got is not None:
+                    return got
+                del rank[v]
+                del placed[len(placed) - len(new) :]
+        return None
+
+    for start in nodes:
+        rank[start] = 1
+        got = extend([start])
+        if got is not None:
+            return PopWitness(order=got)
+        rank.clear()
+    return None
 
 
 def test_definition_examples():

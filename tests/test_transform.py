@@ -20,6 +20,15 @@ from planarcert.transform import (
 )
 
 
+#: Token for the virtual anchor in text dumps of a tour.
+ANCHOR_TOKEN = "r'"
+
+
+def _dump(fm: DfsMapping) -> str:
+    """Debug form of a tour: ``f: r' 1 2 ... r'``, anchor tokens at the ends."""
+    return "f: " + " ".join(ANCHOR_TOKEN if x is None else str(x) for x in fm.f)
+
+
 def _cycle(n: int) -> Graph:
     return build_graph([(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -116,7 +125,7 @@ def test_tour_of_a_path():
     fm = dfs_mapping(spanning_tree_dfs(g, rot, 1))
     assert fm.f == (None, 1, 2, 3, 2, 1, None)
     assert fm.copies == {1: (1, 5), 2: (2, 4), 3: (3,)}
-    assert fm.dump() == "f: r' 1 2 3 2 1 r'"
+    assert _dump(fm) == "f: r' 1 2 3 2 1 r'"
 
 
 def test_tour_of_a_star():
