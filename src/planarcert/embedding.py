@@ -91,8 +91,16 @@ def _witness_from_subgraph(sub: nx.Graph) -> NonPlanarWitness:
     return NonPlanarWitness(kind=kind, branch_nodes=tuple(branch), paths=tuple(paths))
 
 
-def planar_embed(g: Graph) -> RotationSystem | NonPlanarWitness:
+def planar_embed(
+    g: Graph, counterexample: bool = True
+) -> RotationSystem | NonPlanarWitness | None:
     """Compute a counterclockwise rotation system, or a forbidden subdivision.
+
+    With ``counterexample=False`` a non-planar graph gives None and no
+    subdivision is searched for.  That search deletes one edge at a time and
+    reruns the planarity test, O(m) tests in all, so callers that read only
+    the verdict skip it.  A planar graph gives the same rotation system
+    either way.
 
     Deterministic for a fixed input graph: nodes and edges are handed to the
     planarity test in sorted order.
@@ -102,9 +110,9 @@ def planar_embed(g: Graph) -> RotationSystem | NonPlanarWitness:
     ng = nx.Graph()
     ng.add_nodes_from(g.nodes())
     ng.add_edges_from(g.edges())
-    is_planar, result = nx.check_planarity(ng, counterexample=True)
+    is_planar, result = nx.check_planarity(ng, counterexample=counterexample)
     if not is_planar:
-        return _witness_from_subgraph(result)
+        return _witness_from_subgraph(result) if counterexample else None
     data = result.get_data()  # clockwise per networkx; reverse for ccw
     return canonical_rotation({v: list(reversed(ring)) for v, ring in data.items()})
 

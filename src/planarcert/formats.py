@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .graphs import Graph, build_graph, norm_edge
-from .pls import NodeCertificate, certificate_size_bits, pack_certificate
+from .pls import NodeCertificate, pack_certificate_with_bits
 
 
 def write_graph(g: Graph, rot: dict[int, tuple[int, ...]] | None = None) -> str:
@@ -97,10 +97,10 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
 
 
 def write_certificates(certs: dict[int, NodeCertificate]) -> str:
-    lines = [
-        f"{x} {pack_certificate(c).hex()} #bits={certificate_size_bits(c)}"
-        for x, c in sorted(certs.items())
-    ]
+    lines = []
+    for x, c in sorted(certs.items()):
+        data, bits = pack_certificate_with_bits(c)
+        lines.append(f"{x} {data.hex()} #bits={bits}")
     return "\n".join(lines) + "\n"
 
 

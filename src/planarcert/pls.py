@@ -487,11 +487,11 @@ def certificate_size_bits(cert: NodeCertificate) -> int:
 
 def encode_fields(
     choose, id_bits: int, idx_bits: int, cert: NodeCertificate | None = None
-) -> tuple[bytes, NodeCertificate]:
+) -> tuple[bytes, NodeCertificate, int]:
     """Pack the values ``choose(name, width, lo, hi, value)`` picks per field.
 
-    Returns the bytes, two width bytes up front, and the certificate they
-    decode to.
+    Returns the bytes, two width bytes up front, the certificate they decode
+    to, and the fields' total width in bits, padding excluded.
     """
     acc = nbits = 0
 
@@ -505,7 +505,7 @@ def encode_fields(
     decoded = _walk(put, id_bits, idx_bits, cert)
     pad = -nbits % 8
     payload = (acc << pad).to_bytes((nbits + pad) // 8, "big")
-    return bytes((id_bits, idx_bits)) + payload, decoded
+    return bytes((id_bits, idx_bits)) + payload, decoded, nbits
 
 
 def _in_range(name, width, lo, hi, value):
@@ -514,15 +514,20 @@ def _in_range(name, width, lo, hi, value):
     return value
 
 
-def pack_certificate(cert: NodeCertificate) -> bytes:
-    """Serialize to the canonical layout; unrepresentable certificates raise."""
+def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
+    """``pack_certificate``'s bytes and ``certificate_size_bits``, in one walk."""
     id_bits, idx_bits = _widths(cert)
     if id_bits > 255 or idx_bits > 255:
         raise ParameterError("identifiers too large to pack")
-    data, decoded = encode_fields(_in_range, id_bits, idx_bits, cert)
+    data, decoded, nbits = encode_fields(_in_range, id_bits, idx_bits, cert)
     if decoded != cert:
         raise ParameterError("certificate holds a value the layout leaves out and forces")
-    return data
+    return data, nbits
+
+
+def pack_certificate(cert: NodeCertificate) -> bytes:
+    """Serialize to the canonical layout; unrepresentable certificates raise."""
+    return pack_certificate_with_bits(cert)[0]
 
 
 def unpack_certificate(data: bytes) -> NodeCertificate:

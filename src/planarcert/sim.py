@@ -22,7 +22,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .embedding import NonPlanarWitness, planar_embed
+from .embedding import planar_embed
 from .errors import FirewallViolation, FormatError, ParameterError
 from .graphs import Graph, build_graph, generate, relabel
 from .pls import (
@@ -209,9 +209,14 @@ def random_assignment(g: Graph, seed: int | str) -> Assignment:
     return Assignment(certs=certs, origin=Origin("random"))
 
 
-def _planar_template(g: Graph, seed: int | str) -> tuple[dict[int, NodeCertificate], str]:
-    """Honest certificates for g itself, or for a maximal planar subgraph."""
-    if not isinstance(planar_embed(g), NonPlanarWitness):
+def _planar_template(
+    g: Graph, seed: int | str, planar: bool
+) -> tuple[dict[int, NodeCertificate], str]:
+    """Honest certificates for g itself, or for a maximal planar subgraph.
+
+    ``planar`` is g's planarity verdict, which the caller already holds.
+    """
+    if planar:
         return prove_planar(g), "honest-template"
     rng = random.Random(seed)
     nodes = g.nodes()
@@ -227,11 +232,17 @@ def _planar_template(g: Graph, seed: int | str) -> tuple[dict[int, NodeCertifica
                 seen.add(u)
                 kept.append((min(u, v), max(u, v)))
                 frontier.append(u)
-    rest = [e for e in g.edges() if e not in set(kept)]
+    tree = set(kept)
+    rest = [e for e in g.edges() if e not in tree]
     rng.shuffle(rest)
+    # A planar graph on n >= 3 nodes has at most 3n - 6 edges (Euler), so
+    # once kept holds that many every later candidate would fail the test.
+    most = 3 * g.n - 6
     for e in rest:
+        if len(kept) == most:
+            break
         candidate = build_graph(kept + [e], nodes=nodes)
-        if not isinstance(planar_embed(candidate), NonPlanarWitness):
+        if planar_embed(candidate, counterexample=False) is not None:
             kept.append(e)
     sub = build_graph(kept, nodes=nodes)
     return prove_planar(sub), "planar-subgraph-template"
@@ -320,8 +331,10 @@ def attack(
         raise ParameterError(f"unknown strategies {bad}; pick from {sorted(known)}")
     if trials < 1:
         raise ParameterError("trials must be positive")
+    if not g.connected:
+        raise ParameterError("attack requires a connected graph")
 
-    planar = not isinstance(planar_embed(g), NonPlanarWitness)
+    planar = planar_embed(g, counterexample=False) is not None
     if "honest" in chosen and not planar:
         raise ParameterError("the honest control arm needs a planar graph")
 
@@ -329,7 +342,7 @@ def attack(
     template_bytes: dict[int, bytes] | None = None
     template_kind = ""
     if {"template-edits", "swap"} & set(chosen):
-        template_objs, template_kind = _planar_template(g, f"{seed}/template")
+        template_objs, template_kind = _planar_template(g, f"{seed}/template", planar)
         template_bytes = {x: pack_certificate(c) for x, c in template_objs.items()}
 
     nodes = g.nodes()

@@ -6,7 +6,7 @@ import pytest
 
 from planarcert.cli import main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
-from planarcert.graphs import generate
+from planarcert.graphs import build_graph, generate
 from planarcert.pls import certificate_bit_fields, pack_certificate, prove_planar
 from planarcert.sim import _set_field, honest_assignment, run_round
 
@@ -203,6 +203,12 @@ def test_attack_csv_format(tmp_path, capsys):
     assert code == 0
     assert "strategy,trials,accepts" in out
     assert "accepted: 0" in out
+
+
+def test_attack_refuses_a_disconnected_graph(tmp_path, capsys):
+    graph = _graph_file(tmp_path, build_graph([(1, 2), (2, 3), (4, 5)]))
+    assert main(["attack", graph, "--trials", "5"]) == 64
+    assert "requires a connected graph" in capsys.readouterr().err
 
 
 # --- gen ----------------------------------------------------------------------

@@ -170,15 +170,20 @@ def test_witness_contracts_to_forbidden_graph():
         _check_witness_shape(w)
 
 
-def test_embed_verdict_matches_minor_oracle():
+def _random_connected_graphs():
+    """The connected ones of 60 random graphs on 4..12 nodes."""
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(4, 12)
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         m = rng.randint(n - 1, min(len(pairs), 3 * n - 4))
         g = build_graph(rng.sample(pairs, m), nodes=range(1, n + 1))
-        if not g.connected:
-            continue
+        if g.connected:
+            yield g
+
+
+def test_embed_verdict_matches_minor_oracle():
+    for g in _random_connected_graphs():
         result = planar_embed(g)
         planar_by_minors = not has_clique_minor(g, 5) and not has_biclique_minor(g, 3, 3)
         assert isinstance(result, RotationSystem) == planar_by_minors
@@ -186,3 +191,26 @@ def test_embed_verdict_matches_minor_oracle():
             assert validate_rotation(g, result)
         else:
             _check_witness_shape(w := result)
+
+
+def test_verdict_without_counterexample_matches_the_full_embed():
+    corpus = [
+        *_random_connected_graphs(),
+        generate("complete", k=5),
+        generate("complete", k=6),
+        generate("complete_bipartite", p=3, q=3),
+        generate("petersen"),
+        generate("grid", w=4, h=4),
+        generate("random_maximal_planar", n=30, seed=1),
+        generate("random_maximal_planar", n=50, seed=2),
+    ]
+    kinds = set()
+    for g in corpus:
+        full = planar_embed(g)
+        bare = planar_embed(g, counterexample=False)
+        kinds.add(type(full))
+        if isinstance(full, NonPlanarWitness):
+            assert bare is None
+        else:
+            assert isinstance(full, RotationSystem) and bare == full
+    assert kinds == {NonPlanarWitness, RotationSystem}

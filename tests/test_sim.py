@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from planarcert.embedding import RotationSystem, planar_embed
 from planarcert.errors import FirewallViolation, ParameterError
 from planarcert.graphs import build_graph, generate
 from planarcert.pls import (
@@ -20,6 +21,7 @@ from planarcert.sim import (
     Assignment,
     Origin,
     _edit_one_field,
+    _planar_template,
     attack,
     attack_report,
     attack_to_csv,
@@ -183,12 +185,67 @@ def test_attack_control_arm_accepts_on_planar():
     assert swap.accepts == 0
 
 
-def test_attack_never_mutates_the_template_in_place():
-    g = generate("complete", k=5)
-    before = {x: bytes(b) for x, b in honest_assignment(_grid33()).certs.items()}
-    attack(g, trials=40, seed=1)
-    after = {x: bytes(b) for x, b in honest_assignment(_grid33()).certs.items()}
-    assert before == after  # honest proving is stable and unmodified
+def _maximal_planar_plus_one_edge(n: int, seed: int):
+    base = generate("random_maximal_planar", n=n, seed=seed)
+    nodes = base.nodes()
+    missing = [(u, v) for u in nodes for v in nodes if u < v and not base.has_edge(u, v)]
+    return build_graph(base.edges() + [random.Random(seed).choice(missing)], nodes=nodes)
+
+
+def test_attack_template_is_a_maximal_planar_spanning_subgraph():
+    # The forgeries of template-edits and swap start from honest
+    # certificates of a planar subgraph grown edge by edge; growth stops at
+    # 3n - 6 edges, where Euler's bound leaves no room for another.
+    seed = 1
+    for g in (
+        generate("complete", k=5),
+        generate("complete_bipartite", p=3, q=3),
+        generate("petersen"),
+        _maximal_planar_plus_one_edge(28, seed=3),
+    ):
+        certs, kind = _planar_template(g, f"{seed}/template", planar=False)
+        assert kind == "planar-subgraph-template"
+        kept = sorted({(ec.id_x, ec.id_y) for c in certs.values() for ec in c.edge_certs})
+        assert set(kept) < set(g.edges())
+        sub = build_graph(kept, nodes=g.nodes())
+        assert sub.connected and isinstance(planar_embed(sub), RotationSystem)
+        for e in set(g.edges()) - set(kept):
+            extended = build_graph(kept + [e], nodes=g.nodes())
+            assert planar_embed(extended, counterexample=False) is None
+        packed = {x: pack_certificate(c) for x, c in certs.items()}
+        assert run_round(sub, Assignment(packed, Origin("honest"))).accepted
+
+
+# Every template-edits and swap forgery derives from the template, so a
+# change in how the template is grown that changes it shows up here.
+_PINNED_CSV = {
+    "K33": """\
+# nodes=6 edges=9 planar=False
+# seed=11 trials=40 strategies=random-fields,template-edits,swap,replay
+strategy,trials,accepts,phase1,phase2,phase3
+random-fields,40,0,40,0,0
+template-edits,40,0,30,6,4
+swap,40,0,36,4,0
+replay,40,0,40,0,0
+""",
+    "petersen": """\
+# nodes=10 edges=15 planar=False
+# seed=11 trials=40 strategies=random-fields,template-edits,swap,replay
+strategy,trials,accepts,phase1,phase2,phase3
+random-fields,40,0,40,0,0
+template-edits,40,0,34,2,4
+swap,40,0,35,5,0
+replay,40,0,39,0,1
+""",
+}
+
+
+def test_attack_outcomes_are_pinned():
+    for name, g in (
+        ("K33", generate("complete_bipartite", p=3, q=3)),
+        ("petersen", generate("petersen")),
+    ):
+        assert attack_to_csv(attack(g, trials=40, seed=11)) == _PINNED_CSV[name]
 
 
 def test_attack_is_deterministic():
@@ -204,6 +261,8 @@ def test_attack_rejects_bad_parameters():
         attack(g, strategies=["honest"], trials=5, seed=0)  # non-planar control
     with pytest.raises(ParameterError):
         attack(g, trials=0, seed=0)
+    with pytest.raises(ParameterError, match="requires a connected graph"):
+        attack(build_graph([(1, 2), (3, 4)]), trials=5, seed=0)
 
 
 def test_replayed_certificates_from_other_graph_reject():
