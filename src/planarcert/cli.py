@@ -96,11 +96,6 @@ def _witness_report(w: NonPlanarWitness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_single_round(radius: int) -> None:
-    if radius != 1:
-        raise ParameterError("the scheme is one-round; only --radius 1 is supported")
-
-
 def _rotation_dict(g: Graph, rot: RotationSystem) -> dict[int, tuple[int, ...]]:
     return {v: tuple(rot.order_at(v)) for v in g.nodes()}
 
@@ -121,12 +116,7 @@ def _cmd_embed(args) -> int:
 def _cmd_prove(args) -> int:
     g, file_rot = parse_graph(_read(args.graph))
     rot = canonical_rotation(file_rot) if file_rot else None
-    try:
-        certs = prove_planar(g, rot)
-    except NonPlanarError as exc:
-        sys.stdout.write(_witness_report(exc.witness))
-        return EXIT_WITNESS
-    _emit(write_certificates(certs), args.out)
+    _emit(write_certificates(prove_planar(g, rot)), args.out)
     return EXIT_ACCEPT
 
 
@@ -143,7 +133,6 @@ def verdicts_from_files(graph_text: str, cert_text: str) -> dict[int, Verdict]:
 
 
 def _cmd_verify(args) -> int:
-    _require_single_round(args.radius)
     try:
         per_node = verdicts_from_files(_read(args.graph), _read(args.certs))
     except ParameterError as exc:
@@ -161,7 +150,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _require_single_round(args.radius)
     g, _ = parse_graph(_read(args.graph))
     summary = attack(g, trials=args.trials, seed=args.seed)
     text = attack_to_csv(summary) if args.format == "csv" else attack_report(summary)
@@ -318,14 +306,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the one-round verifier at every node")
     p.add_argument("graph")
     p.add_argument("certs")
-    p.add_argument("--radius", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("attack", help="run adversarial certificate campaigns")
     p.add_argument("graph")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=int, default=1)
     p.add_argument("--format", choices=("csv", "human"), default="human")
     p.set_defaults(func=_cmd_attack)
 

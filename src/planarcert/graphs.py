@@ -331,10 +331,6 @@ class DegeneracyOrder:
     order: tuple[int, ...]
     forward_degree: dict[int, int] = field(compare=False)
 
-    @property
-    def max_forward_degree(self) -> int:
-        return max(self.forward_degree.values()) if self.forward_degree else 0
-
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 

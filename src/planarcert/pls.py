@@ -16,7 +16,9 @@ forging and field edits.  Decoding is the gate: a field outside its legal
 range raises FormatError, so the verifier sees only well-formed
 certificates and judges what they claim.  No value the verifier would force
 is sent: a chord sends its one tour index pair once, and a flag bit tells it
-from a tree edge, which sends two tour steps.
+from a tree edge, which sends two tour steps.  Nor is an id the view already
+holds: an edge certificate names only its far endpoint, and no parent is
+sent, as the verifier reads it off the tree-edge certificates.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ MAX_EDGE_CERTS = 5
 
 @dataclass(frozen=True)
 class TreeSub:
-    """Classic spanning-tree sub-certificate: root identity, parent, depth."""
+    """Classic spanning-tree sub-certificate: root identity and depth."""
 
     root_id: int
-    parent_id: int | None
     dist: int
 
 
@@ -60,12 +61,13 @@ class EdgeCertificate:
     A tree edge is traversed twice by the tour and owns two distinct virtual
     path edges; a non-tree edge owns a single chord, repeated in both slots
     here and sent once on the wire.
-    Indices ``i``/``i2`` are copies of ``id_x`` and ``j``/``j2`` copies of
-    ``id_y``; each index comes with the interval certificate of that copy.
+    The certificate belongs to one endpoint of the edge, its holder, and
+    names only the other one, ``far``.  Indices ``i``/``i2`` are copies of
+    the holder and ``j``/``j2`` copies of ``far``; each index comes with the
+    interval certificate of that copy.
     """
 
-    id_x: int
-    id_y: int
+    far: int
     i: int
     j: int
     i2: int
@@ -77,13 +79,6 @@ class EdgeCertificate:
 
     def is_tree(self) -> bool:
         return {self.i, self.j} != {self.i2, self.j2}
-
-    def side_indices(self, node: int) -> tuple[int, int]:
-        if node == self.id_x:
-            return (self.i, self.i2)
-        if node == self.id_y:
-            return (self.j, self.j2)
-        raise ParameterError(f"{node} is not an endpoint of this certificate")
 
     def bindings(self) -> tuple[tuple[int, PopCertificate], ...]:
         return (
@@ -168,7 +163,8 @@ def prove_planar(
         steps.setdefault(norm_edge(a, b), []).append((k, k + 1) if a < b else (k + 1, k))
 
     # One pass over the edges, in ascending order: each certificate goes to
-    # the endpoint that comes first in the degeneracy order.
+    # the endpoint that comes first in the degeneracy order, oriented to it.
+    # Every node's certificates thus come in ascending order of ``far``.
     position = degeneracy_order(g).position()
     mine: dict[int, list[EdgeCertificate]] = {x: [] for x in g.nodes()}
     for u, v in g.edges():
@@ -178,14 +174,14 @@ def prove_planar(
             ci, cj = induced.cotree_map[(u, v)]
             i, j = (ci, cj) if f[ci] == u else (cj, ci)
             i2, j2 = i, j
-        ec = EdgeCertificate(u, v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2])
-        mine[u if position[u] < position[v] else v].append(ec)
+        if position[v] < position[u]:
+            u, v, i, j, i2, j2 = v, u, j, i, j2, i2
+        ec = EdgeCertificate(v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2])
+        mine[u].append(ec)
 
     return {
         x: NodeCertificate(
-            edge_certs=tuple(ecs),
-            tree_sub=TreeSub(root_id=root, parent_id=t.parent[x], dist=depth[x]),
-            n=g.n,
+            edge_certs=tuple(ecs), tree_sub=TreeSub(root_id=root, dist=depth[x]), n=g.n
         )
         for x, ecs in mine.items()
     }
@@ -200,7 +196,7 @@ def verify_spanning_tree_sub(
     neighbor_subs: dict[int, TreeSub],
     parent_id: int | None,
 ) -> str | None:
-    """Classic root/parent/distance consistency; None means accept.
+    """Classic root/distance consistency; None means accept.
 
     ``parent_id`` is the parent derived from the edge certificates (None for
     a node claiming to be the root).
@@ -213,11 +209,8 @@ def verify_spanning_tree_sub(
             return "node without a parent is not the claimed root"
         if own.dist != 0:
             return "claimed root has nonzero distance"
-    else:
-        if own.parent_id != parent_id:
-            return "parent pointer disagrees with the edge certificates"
-        if own.dist != neighbor_subs[parent_id].dist + 1:
-            return "distance is not one more than the parent's"
+    elif own.dist != neighbor_subs[parent_id].dist + 1:
+        return "distance is not one more than the parent's"
     for y, sub in neighbor_subs.items():
         if sub.dist == 0 and sub.root_id != y:
             return "a neighbor claims distance zero without being the root"
@@ -248,29 +241,31 @@ def verify_node_planarity(
     n = own.n
     nv = 2 * n - 1
 
-    holders: dict[Edge, list[int]] = {}
-    found: dict[Edge, EdgeCertificate] = {}
+    # Each certificate of the edge (x, other), keyed by other, with the
+    # copies of x and those of other: x's own certificates concern the edge
+    # to their far end, a neighbor's only those whose far end is x.
+    found: dict[int, tuple[EdgeCertificate, tuple[int, int], tuple[int, int]]] = {}
     for holder, cert in [(x, own)] + sorted(neighbor_certs.items()):
         for ec in cert.edge_certs:
-            e = norm_edge(ec.id_x, ec.id_y)
-            if x not in e:
+            if holder == x:
+                other, xs, ys = ec.far, (ec.i, ec.i2), (ec.j, ec.j2)
+                if other not in neighbor_certs:
+                    e = norm_edge(x, other)
+                    return _reject(PHASE_COLLECT, f"certified edge {e} is not in the graph")
+            elif ec.far == x:
+                other, xs, ys = holder, (ec.j, ec.j2), (ec.i, ec.i2)
+            else:
                 continue  # someone else's edge; not locally checkable
-            other = e[0] if e[1] == x else e[1]
-            if other not in neighbor_certs:
-                return _reject(PHASE_COLLECT, f"certified edge {e} is not in the graph")
-            if holder not in e:
-                return _reject(PHASE_COLLECT, f"edge {e} certified away from its endpoints")
-            holders.setdefault(e, []).append(holder)
-            found[e] = ec
-    for e, who in holders.items():
-        if len(who) > 1:
-            return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
+            if other in found:
+                e = norm_edge(x, other)
+                return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
+            found[other] = (ec, xs, ys)
     for y in neighbor_certs:
-        if norm_edge(x, y) not in found:
+        if y not in found:
             return _reject(PHASE_COLLECT, f"edge {norm_edge(x, y)} has no certificate")
 
     pop_table: dict[int, PopCertificate] = {}
-    for ec in found.values():
+    for ec, _, _ in found.values():
         for k, pc in ec.bindings():
             held = pop_table.get(k)
             if held is not None and held != pc:
@@ -280,15 +275,12 @@ def verify_node_planarity(
     parent_nbr: int | None = None
     parent_sides: tuple[int, int] | None = None
     child_spans: list[tuple[int, int]] = []
-    chord_certs: list[EdgeCertificate] = []
+    chords: list[tuple[int, int]] = []  # (copy of x, copy of the other end)
     side_count: dict[int, int] = {}
-    for e, ec in sorted(found.items()):
-        other = e[0] if e[1] == x else e[1]
+    for other, (ec, xs, ys) in sorted(found.items()):
         if not ec.is_tree():
-            chord_certs.append(ec)
+            chords.append((xs[0], ys[0]))
             continue
-        xs = ec.side_indices(x)
-        ys = ec.side_indices(other)
         for k in xs:
             side_count[k] = side_count.get(k, 0) + 1
         if min(ys) < min(xs):
@@ -316,9 +308,7 @@ def verify_node_planarity(
 
     copy_set = set(copies)
     chord_at: dict[int, list[int]] = {}
-    for ec in chord_certs:
-        mine = ec.i if ec.id_x == x else ec.j
-        partner = ec.j if ec.id_x == x else ec.i
+    for mine, partner in chords:
         if mine not in copy_set:
             return _reject(
                 PHASE_COLLECT, f"chord attached to foreign copy {mine}"
@@ -402,8 +392,12 @@ def _walk(
     - each interval certificate's instance size (2n - 1) and rank (its copy
       index);
     - a chord's second slot pair, which repeats its first;
-    - in a tree edge, the copy at the far end of each tour step, which is
+    - in a tree edge, the copy at the other end of each tour step, which is
       next to the near one: a step bit says whether it comes after it.
+
+    Nor are two ids the verifier reads off its view: an edge certificate's
+    holder, so it sends one id (``far``), and the tree parent.  So decoding
+    does not depend on which node holds the certificate.
 
     Node ids take ``id_bits``; the node count, distance, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -415,15 +409,12 @@ def _walk(
     count = field("count", 3, 0, MAX_EDGE_CERTS, cert and len(cert.edge_certs))
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, cert and cert.n)
     nv = 2 * n - 1
-    has_parent = field("has_parent", 1, 0, 1, ts and int(ts.parent_id is not None))
     root_id = field("root_id", id_bits, *any_id, ts and ts.root_id)
-    parent_id = field("parent_id", id_bits, *any_id, ts and ts.parent_id) if has_parent else None
     dist = field("dist", idx_bits, 0, n - 1, ts and ts.dist)
     edge_certs = []
     for e in range(count):
         ec = cert.edge_certs[e] if cert else None
-        id_x = field("id_x", id_bits, *any_id, ec and ec.id_x)
-        id_y = field("id_y", id_bits, *any_id, ec and ec.id_y)
+        far = field("far", id_bits, *any_id, ec and ec.far)
         held = ec.bindings() if ec else (None,) * 4
         # 0: the certificate is one chord, whose single slot pair fills both
         # slots; 1: a second pair follows (a tree edge's second tour step),
@@ -444,11 +435,9 @@ def _walk(
         if not second:
             slots *= 2
         (i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2) = slots
-        edge_certs.append(EdgeCertificate(id_x, id_y, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
+        edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
     return NodeCertificate(
-        edge_certs=tuple(edge_certs),
-        tree_sub=TreeSub(root_id=root_id, parent_id=parent_id, dist=dist),
-        n=n,
+        edge_certs=tuple(edge_certs), tree_sub=TreeSub(root_id=root_id, dist=dist), n=n
     )
 
 
@@ -457,12 +446,8 @@ def _width_for_codes(codes: int) -> int:
 
 
 def _widths(cert: NodeCertificate) -> tuple[int, int]:
-    ids = [cert.tree_sub.root_id]
-    if cert.tree_sub.parent_id is not None:
-        ids.append(cert.tree_sub.parent_id)
-    for ec in cert.edge_certs:
-        ids.extend((ec.id_x, ec.id_y))
-    return _width_for_codes(max(ids) + 1), _width_for_codes(2 * cert.n + 3)
+    top_id = max([cert.tree_sub.root_id] + [ec.far for ec in cert.edge_certs])
+    return _width_for_codes(top_id + 1), _width_for_codes(2 * cert.n + 3)
 
 
 def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:

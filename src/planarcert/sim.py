@@ -151,14 +151,8 @@ def _cached_verdict(x: int, own: bytes, items: tuple[tuple[int, bytes], ...]) ->
     return planarity_verifier(x, own, dict(items))
 
 
-def run_round(g: Graph, a: Assignment, verifier=planarity_verifier, radius: int = 1) -> RunReport:
-    """Evaluate one synchronous verification round and aggregate verdicts.
-
-    The scheme is one-round by construction; ``radius`` exists in the API
-    for symmetry with multi-round models but only 1 is supported.
-    """
-    if radius != 1:
-        raise ParameterError("only one-round verification is supported")
+def run_round(g: Graph, a: Assignment, verifier=planarity_verifier) -> RunReport:
+    """Evaluate one synchronous verification round and aggregate verdicts."""
     nodes = g.nodes()
     missing = [v for v in nodes if v not in a.certs]
     if missing:

@@ -44,10 +44,6 @@ class RootedTree:
             norm_edge(v, p) for v, p in self.parent.items() if p is not None
         }
 
-    def tree_degree(self, v: int) -> int:
-        extra = 0 if v == self.root else 1
-        return len(self.children_order[v]) + extra
-
 
 @dataclass(frozen=True)
 class DfsMapping:
@@ -71,12 +67,6 @@ class DfsMapping:
     @property
     def n_virtual(self) -> int:
         return len(self.f) - 2
-
-    def first_copy(self, v: int) -> int:
-        return self.copies[v][0]
-
-    def last_copy(self, v: int) -> int:
-        return self.copies[v][-1]
 
 
 @dataclass(frozen=True)

@@ -176,15 +176,6 @@ def test_prove_refuses_a_graph_file_that_is_not_simple(tmp_path, capsys, text):
     assert "must be simple" in capsys.readouterr().err
 
 
-def test_verify_rejects_multi_round_requests(tmp_path, capsys):
-    g = generate("wheel", n=6)
-    graph = _graph_file(tmp_path, g)
-    certs = str(tmp_path / "certs.txt")
-    assert main(["prove", graph, "--out", certs]) == 0
-    capsys.readouterr()
-    assert main(["verify", graph, certs, "--radius", "2"]) == 64
-
-
 # --- attack -------------------------------------------------------------------
 
 

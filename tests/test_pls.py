@@ -29,8 +29,10 @@ from planarcert.pls import (
     verify_node_planarity,
     verify_spanning_tree_sub,
 )
+from planarcert.embedding import planar_embed
 from planarcert.pop import PopCertificate
 from planarcert.sim import planarity_verifier
+from planarcert.transform import dfs_mapping, spanning_tree_dfs
 
 
 def _cycle(n: int):
@@ -130,13 +132,12 @@ def test_edge_cert_assignment_respects_degeneracy_bound():
         seen: dict[tuple[int, int], int] = {}
         for x, cert in certs.items():
             assert len(cert.edge_certs) <= MAX_EDGE_CERTS
-            held = [(ec.id_x, ec.id_y) for ec in cert.edge_certs]
-            assert held == sorted(held), "edge certificates out of (id_x, id_y) order"
+            held = [ec.far for ec in cert.edge_certs]
+            assert held == sorted(held), "edge certificates out of far-endpoint order"
             for ec in cert.edge_certs:
-                e = norm_edge(ec.id_x, ec.id_y)
-                assert e == (ec.id_x, ec.id_y)
-                assert x in e
-                assert position[x] == min(position[e[0]], position[e[1]])
+                assert g.has_edge(x, ec.far)
+                e = norm_edge(x, ec.far)
+                assert position[x] < position[ec.far]
                 assert e not in seen, "edge certified at both endpoints"
                 seen[e] = x
         assert set(seen) == set(g.edges())
@@ -146,27 +147,35 @@ def test_parent_rule_matches_prover_tree():
     g = generate("random_maximal_planar", n=30, seed=3)
     certs = prove_planar(g)
     root = min(g.nodes())
+    t = spanning_tree_dfs(g, planar_embed(g), root)
+    f = dfs_mapping(t).f
+    for holder, cert in certs.items():
+        for ec in cert.edge_certs:
+            # oriented to the holder: i/i2 copy the holder, j/j2 the far end
+            assert f[ec.i] == f[ec.i2] == holder
+            assert f[ec.j] == f[ec.j2] == ec.far
     for x, cert in certs.items():
-        ts = cert.tree_sub
-        assert ts.root_id == root
-        assert (ts.parent_id is None) == (x == root)
-        if ts.parent_id is None:
-            continue
+        assert cert.tree_sub.root_id == root
         # recover the parent the way the verifier does: among tree-edge
-        # certificates incident to x, the neighbor whose copies start earlier
-        incident = [
-            ec
-            for c in certs.values()
-            for ec in c.edge_certs
-            if ec.is_tree() and x in (ec.id_x, ec.id_y)
-        ]
+        # certificates of x's edges, the far end whose copies start earlier
         parents = []
-        for ec in incident:
-            other = ec.id_y if ec.id_x == x else ec.id_x
-            if min(ec.side_indices(other)) < min(ec.side_indices(x)):
-                parents.append(other)
-        assert parents == [ts.parent_id]
-        assert certs[x].tree_sub.dist == certs[ts.parent_id].tree_sub.dist + 1
+        for holder, c in certs.items():
+            for ec in c.edge_certs:
+                if not ec.is_tree():
+                    continue
+                if holder == x:
+                    other, xs, ys = ec.far, (ec.i, ec.i2), (ec.j, ec.j2)
+                elif ec.far == x:
+                    other, xs, ys = holder, (ec.j, ec.j2), (ec.i, ec.i2)
+                else:
+                    continue
+                if min(ys) < min(xs):
+                    parents.append(other)
+        if x == root:
+            assert parents == [] and cert.tree_sub.dist == 0
+        else:
+            assert parents == [t.parent[x]]
+            assert cert.tree_sub.dist == certs[t.parent[x]].tree_sub.dist + 1
 
 
 def test_node_with_no_assigned_certs_still_verifies():
@@ -230,12 +239,32 @@ def test_rejects_edge_cert_stored_at_both_endpoints(tampering_setup):
     g, honest = tampering_setup
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
     ec = honest[holder].edge_certs[0]
-    other = ec.id_y if ec.id_x == holder else ec.id_x
-    certs = dict(honest)
-    certs[other] = dataclasses.replace(
-        honest[other], edge_certs=honest[other].edge_certs + (ec,)
+    # the same certificate, oriented to its far end
+    copy = EdgeCertificate(
+        holder, ec.j, ec.i, ec.j2, ec.i2, ec.pop_j, ec.pop_i, ec.pop_j2, ec.pop_i2
     )
-    assert _rejectors(g, certs)
+    certs = dict(honest)
+    certs[ec.far] = dataclasses.replace(
+        honest[ec.far], edge_certs=honest[ec.far].edge_certs + (copy,)
+    )
+    rej = _rejectors(g, certs)
+    assert rej and all(v.phase == PHASE_COLLECT for v in rej.values())
+    assert "certified more than once" in rej[holder].reason
+
+
+def test_rejects_edge_cert_naming_a_non_neighbor_at_its_holder(tampering_setup):
+    g, honest = tampering_setup
+    holder = next(x for x in g.nodes() if honest[x].edge_certs)
+    stranger = next(z for z in g.nodes() if z != holder and not g.has_edge(holder, z))
+    for far in (stranger, holder):
+        ec = dataclasses.replace(honest[holder].edge_certs[0], far=far)
+        certs = dict(honest)
+        certs[holder] = dataclasses.replace(
+            honest[holder], edge_certs=(ec,) + honest[holder].edge_certs[1:]
+        )
+        v = _verdicts(g, certs)[holder]
+        assert not v.accepted and v.phase == PHASE_COLLECT
+        assert "is not in the graph" in v.reason
 
 
 def test_rejects_corrupted_distance(tampering_setup):
@@ -244,7 +273,7 @@ def test_rejects_corrupted_distance(tampering_setup):
     ts = honest[x].tree_sub
     certs = dict(honest)
     certs[x] = dataclasses.replace(
-        honest[x], tree_sub=TreeSub(ts.root_id, ts.parent_id, ts.dist + 1)
+        honest[x], tree_sub=TreeSub(ts.root_id, ts.dist + 1)
     )
     rej = _rejectors(g, certs)
     assert rej and any(v.phase == PHASE_TREE for v in rej.values())
@@ -254,7 +283,7 @@ def test_rejects_zeroed_certificate(tampering_setup):
     g, honest = tampering_setup
     x = max(g.nodes())
     certs = dict(honest)
-    certs[x] = NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, None, 0), n=g.n)
+    certs[x] = NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, 0), n=g.n)
     assert _rejectors(g, certs)
 
 
@@ -308,7 +337,7 @@ def test_interval_corruption_reaching_interval_phase():
 
 def test_tree_sub_accepts_honest_path():
     # path 1-2-3-4-5 rooted at 1
-    subs = {k: TreeSub(1, k - 1 if k > 1 else None, k - 1) for k in range(1, 6)}
+    subs = {k: TreeSub(1, k - 1) for k in range(1, 6)}
     for x in range(1, 6):
         nbrs = {y: subs[y] for y in (x - 1, x + 1) if 1 <= y <= 5}
         parent = x - 1 if x > 1 else None
@@ -316,25 +345,25 @@ def test_tree_sub_accepts_honest_path():
 
 
 def test_tree_sub_rejects_root_identity_conflict():
-    own = TreeSub(1, None, 0)
-    nbr = {2: TreeSub(2, None, 0)}
+    own = TreeSub(1, 0)
+    nbr = {2: TreeSub(2, 0)}
     assert verify_spanning_tree_sub(1, own, nbr, None) is not None
 
 
 def test_tree_sub_rejects_false_root_claim():
-    assert verify_spanning_tree_sub(3, TreeSub(1, None, 0), {}, None) is not None
-    assert verify_spanning_tree_sub(1, TreeSub(1, None, 2), {}, None) is not None
+    assert verify_spanning_tree_sub(3, TreeSub(1, 0), {}, None) is not None
+    assert verify_spanning_tree_sub(1, TreeSub(1, 2), {}, None) is not None
 
 
 def test_tree_sub_rejects_impostor_at_distance_zero():
-    own = TreeSub(1, 2, 1)
-    nbrs = {2: TreeSub(1, None, 0)}
+    own = TreeSub(1, 1)
+    nbrs = {2: TreeSub(1, 0)}
     # neighbor 2 claims distance zero but the root is node 1
     assert verify_spanning_tree_sub(3, own, nbrs, 2) is not None
 
 
 def test_parent_cycle_has_no_consistent_distances():
-    # Four nodes in a cycle, each naming the next as parent: whatever
+    # Four nodes in a cycle, each deriving the next as parent: whatever
     # distances are claimed, someone's is not one more than its parent's.
     n = 4
     ring = {1: 2, 2: 3, 3: 4, 4: 1}
@@ -342,9 +371,9 @@ def test_parent_cycle_has_no_consistent_distances():
         dists = [(bits // n**k) % n for k in range(n)]
         ok = True
         for x in range(1, 5):
-            own = TreeSub(1, ring[x], dists[x - 1])
+            own = TreeSub(1, dists[x - 1])
             nbrs = {
-                y: TreeSub(1, ring[y], dists[y - 1])
+                y: TreeSub(1, dists[y - 1])
                 for y in (ring[x], [k for k, v in ring.items() if v == x][0])
             }
             if verify_spanning_tree_sub(x, own, nbrs, ring[x]) is not None:
@@ -399,7 +428,7 @@ def test_pack_round_trip_on_corpus():
 
 def test_pack_rejects_malformed():
     with pytest.raises(ParameterError):
-        pack_certificate(NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, None, 5), n=2))
+        pack_certificate(NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, 5), n=2))
 
 
 def test_unpack_rejects_truncation_and_trailing_junk():
@@ -423,17 +452,21 @@ def _index_fields(fields: tuple[Field, ...]) -> int:
 
 
 def test_wire_leaves_out_forced_fields():
-    # Per edge certificate: two ids and a one-bit flag.  A chord then sends
+    # Per certificate: the root's id but no parent.  Per edge certificate:
+    # one id, its far end's, and a one-bit flag.  A chord then sends
     # (index, lo, hi) for both of its copies; a tree edge sends them for the
-    # id_x copy of each tour step and (step bit, lo, hi) for the id_y copy
-    # next to it.
+    # holder's copy of each tour step and (step bit, lo, hi) for the far
+    # end's copy next to it.
     g = generate("random_maximal_planar", n=25, seed=5)
+    layout = {"count", "n", "root_id", "dist", "far", "second", "index", "step", "lo", "hi"}
     for cert in prove_planar(g).values():
         fields = certificate_bit_fields(cert)
         names = [f.name for f in fields]
         tree = sum(ec.is_tree() for ec in cert.edge_certs)
         chords = len(cert.edge_certs) - tree
-        assert names.count("second") == len(cert.edge_certs)
+        assert set(names) <= layout
+        assert names.count("root_id") == 1
+        assert names.count("far") == names.count("second") == len(cert.edge_certs)
         assert names.count("step") == 2 * tree
         assert _index_fields(fields) == 10 * tree + 6 * chords
         assert all(f.lo <= f.value <= f.hi for f in fields)
@@ -480,7 +513,7 @@ def test_unpack_rejects_every_out_of_range_field():
     fields = certificate_bit_fields(cert)
     for target, f in enumerate(fields):
         for value in range(1 << f.width):
-            if f.lo <= value <= f.hi or f.name in ("count", "has_parent", "second", "step"):
+            if f.lo <= value <= f.hi or f.name in ("count", "second", "step"):
                 continue  # those re-frame the stream; covered by the fuzz test
             with pytest.raises(FormatError):
                 unpack_certificate(_set_field(data, fields, target, value))

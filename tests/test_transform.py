@@ -29,6 +29,11 @@ def _dump(fm: DfsMapping) -> str:
     return "f: " + " ".join(ANCHOR_TOKEN if x is None else str(x) for x in fm.f)
 
 
+def _tree_degree(t, v: int) -> int:
+    """Tree edges at v: one per child, plus the parent edge unless v is the root."""
+    return len(t.children_order[v]) + (0 if v == t.root else 1)
+
+
 def _cycle(n: int) -> Graph:
     return build_graph([(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -142,7 +147,7 @@ def test_tour_matches_recursive_reference_and_copy_degrees():
         assert list(fm.f[1:-1]) == _recursive_tour(t)
         assert fm.f[1] == t.root
         for v in g.nodes():
-            want = t.tree_degree(v) + (1 if v == t.root else 0)
+            want = _tree_degree(t, v) + (1 if v == t.root else 0)
             assert len(fm.copies[v]) == want
 
 
@@ -173,7 +178,7 @@ def test_copy_blocks_contain_only_descendants():
 
         fill(t.root)
         for v in g.nodes():
-            first, last = fm.first_copy(v), fm.last_copy(v)
+            first, last = fm.copies[v][0], fm.copies[v][-1]
             assert all(fm.f[k] in below[v] for k in range(first, last + 1))
 
 
