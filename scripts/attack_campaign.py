@@ -6,6 +6,10 @@ and prints one report per target.  Any accepting run is a soundness bug.
 
 Usage:
     python3 scripts/attack_campaign.py [trials] [seed]
+
+Exit codes follow the CLI: 0 when nothing is accepted, 1 on any accepting
+run, 64 on bad arguments (trials must be a positive integer, seed an
+integer).
 """
 
 import sys
@@ -31,7 +35,22 @@ def run(trials: int, seed: int) -> int:
     return 0 if total == 0 else 1
 
 
+USAGE = "usage: attack_campaign.py [trials] [seed]  (trials >= 1, seed an integer)"
+
+
+def main(argv: list[str]) -> int:
+    try:
+        if len(argv) > 2:
+            raise ValueError
+        trials = int(argv[0]) if argv else 1000
+        seed = int(argv[1]) if len(argv) > 1 else 0
+        if trials < 1:
+            raise ValueError
+    except ValueError:
+        print(USAGE, file=sys.stderr)
+        return 64
+    return run(trials, seed)
+
+
 if __name__ == "__main__":
-    trials = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
-    sys.exit(run(trials, seed))
+    sys.exit(main(sys.argv[1:]))

@@ -170,30 +170,23 @@ def _gen_tree(n: int, seed: int) -> Graph:
     return build_graph(edges)
 
 
-def _gen_random_maximal_planar(n: int, seed: int) -> Graph:
-    """Random triangulation: stack vertices into faces, then flip diagonals.
+def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
+    """Random triangulation on n >= 4 nodes, with its oriented faces.
 
-    The face list is maintained as a map edge -> opposite vertices, which keeps
-    both the stacking step and the flip step O(1).
+    Vertices are stacked into faces, then diagonals are flipped.  The faces
+    are kept as one oriented map, ``apex[(u, v)] = w`` iff ``(u, v, w)`` is
+    a counterclockwise face, which makes both steps O(1).
     """
-    if n < 3:
-        raise ParameterError("maximal planar generator needs n >= 3")
-    if n == 3:
-        return build_graph([(1, 2), (2, 3), (1, 3)])
     rng = random.Random(seed)
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    apex: dict[Edge, int] = {}
 
-    def add_edge(u: int, v: int) -> None:
-        adj[u].add(v)
-        adj[v].add(u)
+    def add_face(a: int, b: int, c: int) -> None:
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
 
-    # opposite[e] = the (at most two) vertices forming a triangle with edge e
-    opposite: dict[Edge, set[int]] = {}
-    faces: list[tuple[int, int, int]] = []
-    for a in range(1, 5):
-        for b in range(a + 1, 5):
-            add_edge(a, b)
-            opposite[(a, b)] = {c for c in range(1, 5) if c not in (a, b)}
+    # K4: node 4 inside the triangle 1, 2, 3
+    for face in ((1, 2, 4), (2, 3, 4), (3, 1, 4), (1, 3, 2)):
+        add_face(*face)
+    adj = {a: {b for b in range(1, 5) if b != a} for a in range(1, 5)}
     faces = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     for w in range(5, n + 1):
@@ -203,46 +196,63 @@ def _gen_random_maximal_planar(n: int, seed: int) -> Graph:
         faces[idx] = (a, b, w)
         faces.append((a, c, w))
         faces.append((b, c, w))
-        for u, v, gone in ((a, b, c), (a, c, b), (b, c, a)):
-            opp = opposite[norm_edge(u, v)]
-            opp.discard(gone)
-            opp.add(w)
-        opposite[norm_edge(a, w)] = {b, c}
-        opposite[norm_edge(b, w)] = {a, c}
-        opposite[norm_edge(c, w)] = {a, b}
-        add_edge(a, w)
-        add_edge(b, w)
-        add_edge(c, w)
+        if apex[(a, b)] != c:
+            a, b = b, a  # now (a, b, c) is counterclockwise
+        add_face(a, b, w)
+        add_face(b, c, w)
+        add_face(c, a, w)
+        for u in (a, b, c):
+            adj[u].add(w)
+        adj[w] = {a, b, c}
 
     # Diagonal flips for variety; each flip preserves the triangulation.
-    edge_list = sorted(opposite)
+    edge_list = sorted(e for e in apex if e[0] < e[1])
     for _ in range(3 * n):
         u, v = edge_list[rng.randrange(len(edge_list))]
-        if norm_edge(u, v) not in opposite:
+        if (u, v) not in apex:
             continue
-        opp = opposite[norm_edge(u, v)]
-        if len(opp) != 2:
-            continue
-        a, b = sorted(opp)
+        x, y = apex[(u, v)], apex[(v, u)]
+        a, b = sorted((x, y))
         if b in adj[a]:
             continue
-        # flip: replace edge {u,v} by {a,b}
-        del opposite[norm_edge(u, v)]
+        # flip: replace edge {u,v} by {x,y}
+        del apex[(u, v)], apex[(v, u)]
         adj[u].discard(v)
         adj[v].discard(u)
-        add_edge(a, b)
-        opposite[norm_edge(a, b)] = {u, v}
-        for x, old, new in ((u, v, b), (v, u, b)):
-            s = opposite[norm_edge(x, a)]
-            s.discard(old)
-            s.add(new)
-        for x, old, new in ((u, v, a), (v, u, a)):
-            s = opposite[norm_edge(x, b)]
-            s.discard(old)
-            s.add(new)
+        adj[a].add(b)
+        adj[b].add(a)
+        add_face(x, u, y)
+        add_face(y, v, x)
         edge_list.append((a, b))
 
-    return build_graph([(u, v) for u in adj for v in adj[u] if u < v])
+    return build_graph([(u, v) for u in adj for v in adj[u] if u < v]), apex
+
+
+def _gen_random_maximal_planar(n: int, seed: int) -> Graph:
+    """Random triangulation: stack vertices into faces, then flip diagonals."""
+    if n < 3:
+        raise ParameterError("maximal planar generator needs n >= 3")
+    if n == 3:
+        return build_graph([(1, 2), (2, 3), (1, 3)])
+    return _triangulate(n, seed)[0]
+
+
+def _embedded_random_maximal_planar(
+    n: int, seed: int
+) -> tuple[Graph, dict[int, list[int]]]:
+    """``generate("random_maximal_planar", n=n, seed=seed)`` for n >= 4, with
+    the counterclockwise ring of every node in the generator's own embedding.
+
+    The ring at v follows the oriented faces: the neighbor after u is the
+    apex of the face on the left of (v, u).
+    """
+    g, apex = _triangulate(n, seed)
+    rings: dict[int, list[int]] = {}
+    for v, nbrs in g.adj.items():
+        ring = rings[v] = [nbrs[0]]
+        while (u := apex[(v, ring[-1])]) != nbrs[0]:
+            ring.append(u)
+    return g, rings
 
 
 def _gen_complete(k: int) -> Graph:

@@ -379,15 +379,20 @@ class Field(NamedTuple):
 
 
 def _walk(
-    field, id_bits: int, idx_bits: int, cert: NodeCertificate | None = None
-) -> NodeCertificate:
+    field,
+    id_bits: int,
+    idx_bits: int,
+    cert: NodeCertificate | None = None,
+    build: bool = True,
+) -> NodeCertificate | None:
     """The wire layout, stated once: every field in order, with its legal range.
 
     ``field(name, width, lo, hi, value)`` is called once per field and returns
     the value the field takes; ``value`` is the field's value in ``cert``, or
     None when there is no certificate to read it from.  The walk rebuilds a
-    certificate from the returned values and refills what the wire leaves
-    out, all values the verifier would force anyway:
+    certificate from the returned values, or returns None with
+    ``build=False``, and refills what the wire leaves out, all values the
+    verifier would force anyway:
 
     - each interval certificate's instance size (2n - 1) and rank (its copy
       index);
@@ -431,11 +436,14 @@ def _walk(
                 k = field("index", idx_bits, 1, nv, b and b[0])
             lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
             hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
-            slots.append((k, PopCertificate(n=nv, rank=k, lo=lo, hi=hi)))
-        if not second:
-            slots *= 2
-        (i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2) = slots
-        edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
+            slots.append((k, PopCertificate(n=nv, rank=k, lo=lo, hi=hi) if build else None))
+        if build:
+            if not second:
+                slots *= 2
+            (i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2) = slots
+            edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
+    if not build:
+        return None
     return NodeCertificate(
         edge_certs=tuple(edge_certs), tree_sub=TreeSub(root_id=root_id, dist=dist), n=n
     )
@@ -471,12 +479,17 @@ def certificate_size_bits(cert: NodeCertificate) -> int:
 
 
 def encode_fields(
-    choose, id_bits: int, idx_bits: int, cert: NodeCertificate | None = None
-) -> tuple[bytes, NodeCertificate, int]:
+    choose,
+    id_bits: int,
+    idx_bits: int,
+    cert: NodeCertificate | None = None,
+    build: bool = True,
+) -> tuple[bytes, NodeCertificate | None, int]:
     """Pack the values ``choose(name, width, lo, hi, value)`` picks per field.
 
     Returns the bytes, two width bytes up front, the certificate they decode
-    to, and the fields' total width in bits, padding excluded.
+    to (None with ``build=False``, which skips building it), and the fields'
+    total width in bits, padding excluded.
     """
     acc = nbits = 0
 
@@ -487,7 +500,7 @@ def encode_fields(
         nbits += width
         return value
 
-    decoded = _walk(put, id_bits, idx_bits, cert)
+    decoded = _walk(put, id_bits, idx_bits, cert, build)
     pad = -nbits % 8
     payload = (acc << pad).to_bytes((nbits + pad) // 8, "big")
     return bytes((id_bits, idx_bits)) + payload, decoded, nbits

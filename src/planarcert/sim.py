@@ -5,13 +5,18 @@ neighbors' certificates — nothing else.  The neighbor view is a read-only
 mapping that raises on any access outside the one-round horizon, so a buggy
 or cheating verifier cannot silently peek further.  Node evaluations are
 independent of each other; they are run in ascending node order so reports
-are reproducible byte for byte.
+are reproducible byte for byte.  A round may stop at its first rejecting
+node, since the global decision, the first rejector and its verdict are
+then already known.
 
 ``attack`` drives dishonest certificate assignments against the verifier:
 uniformly random field values, honest templates with a few corrupted fields,
 certificates swapped between nodes, and honest certificates replayed from a
 different planar graph.  Every assignment is freshly built per trial; the
-template itself is never modified.
+template itself is never modified.  A trial reads only the decision and the
+first rejector's phase, so its round stops at the first rejector.  Replay
+donors are random maximal planar graphs, proved on the embedding their
+generator built rather than re-embedded.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .embedding import planar_embed
+from .embedding import RotationSystem, canonical_rotation, planar_embed
 from .errors import FirewallViolation, FormatError, ParameterError
-from .graphs import Graph, build_graph, generate, relabel
+from .graphs import Graph, _embedded_random_maximal_planar, build_graph, generate, relabel
 from .pls import (
     PHASE_COLLECT,
     NodeCertificate,
@@ -76,6 +81,13 @@ class SizeStats:
 
 @dataclass(frozen=True)
 class RunReport:
+    """One round's verdicts.
+
+    ``per_node`` holds every node's verdict, or, for a round stopped at its
+    first rejector, those of the nodes evaluated up to and including it.
+    The other fields are the full round's either way.
+    """
+
     per_node: dict[int, Verdict]
     global_decision: str  # "accept" iff every node accepted
     first_rejector: int | None
@@ -151,8 +163,20 @@ def _cached_verdict(x: int, own: bytes, items: tuple[tuple[int, bytes], ...]) ->
     return planarity_verifier(x, own, dict(items))
 
 
-def run_round(g: Graph, a: Assignment, verifier=planarity_verifier) -> RunReport:
-    """Evaluate one synchronous verification round and aggregate verdicts."""
+def run_round(
+    g: Graph,
+    a: Assignment,
+    verifier=planarity_verifier,
+    *,
+    stop_at_first_reject: bool = False,
+) -> RunReport:
+    """Evaluate one synchronous verification round and aggregate verdicts.
+
+    Nodes are evaluated in ``g.nodes()`` order.  With
+    ``stop_at_first_reject`` the round ends at the first rejecting node:
+    the decision, ``first_rejector``, its verdict and ``stats`` are the full
+    round's, and ``per_node`` holds the evaluated prefix only.
+    """
     nodes = g.nodes()
     missing = [v for v in nodes if v not in a.certs]
     if missing:
@@ -161,22 +185,27 @@ def run_round(g: Graph, a: Assignment, verifier=planarity_verifier) -> RunReport
     if extra:
         raise ParameterError(f"assignment has certificates for non-nodes {sorted(extra)}")
     per_node: dict[int, Verdict] = {}
+    first_rejector = None
     for x in nodes:
         if verifier is planarity_verifier:
             # identical view ⇒ identical verdict (determinism guarantee), so
             # the built-in verifier's verdicts are safe to memoize
-            per_node[x] = _cached_verdict(
+            verdict = _cached_verdict(
                 x, a.certs[x], tuple((y, a.certs[y]) for y in g.neighbors(x))
             )
         else:
             view = _NeighborView(a.certs, frozenset(g.neighbors(x)))
-            per_node[x] = verifier(x, a.certs[x], view)
-    rejectors = [x for x in nodes if not per_node[x].accepted]
+            verdict = verifier(x, a.certs[x], view)
+        per_node[x] = verdict
+        if first_rejector is None and not verdict.accepted:
+            first_rejector = x
+            if stop_at_first_reject:
+                break
     sizes = [8 * len(a.certs[x]) for x in nodes]
     return RunReport(
         per_node=per_node,
-        global_decision="reject" if rejectors else "accept",
-        first_rejector=rejectors[0] if rejectors else None,
+        global_decision="accept" if first_rejector is None else "reject",
+        first_rejector=first_rejector,
         stats=SizeStats(max_bits=max(sizes), mean_bits=sum(sizes) / len(sizes)),
     )
 
@@ -199,7 +228,7 @@ def random_assignment(g: Graph, seed: int | str) -> Assignment:
     def draw(name, width, lo, hi, value):
         return rng.randint(lo, hi)
 
-    certs = {x: encode_fields(draw, id_bits, idx_bits)[0] for x in g.nodes()}
+    certs = {x: encode_fields(draw, id_bits, idx_bits, build=False)[0] for x in g.nodes()}
     return Assignment(certs=certs, origin=Origin("random"))
 
 
@@ -265,16 +294,20 @@ def _edit_one_field(cert: NodeCertificate, data: bytes, rng: random.Random) -> b
     return _set_field(data, fields, target, new + (new >= f.value))
 
 
-def _replay_graph(g: Graph, seed: int) -> Graph:
-    """A planar graph over exactly g's node ids, structurally unrelated."""
+def _replay_graph(g: Graph, seed: int) -> tuple[Graph, RotationSystem | None]:
+    """A planar graph over exactly g's node ids, structurally unrelated.
+
+    A random maximal planar donor (n >= 4) comes with the rotation system of
+    its generator's embedding; a tree donor comes with None.
+    """
     ids = g.nodes()
     n = len(ids)
-    donor = (
-        generate("random_maximal_planar", n=n, seed=seed)
-        if n >= 4
-        else generate("tree", n=n, seed=seed)
-    )
-    return relabel(donor, {k + 1: ids[k] for k in range(n)})
+    label = {k + 1: ids[k] for k in range(n)}
+    if n < 4:
+        return relabel(generate("tree", n=n, seed=seed), label), None
+    donor, rings = _embedded_random_maximal_planar(n, seed)
+    rot = canonical_rotation({label[v]: [label[u] for u in ring] for v, ring in rings.items()})
+    return relabel(donor, label), rot
 
 
 # --- attack harness -----------------------------------------------------------
@@ -327,6 +360,8 @@ def attack(
         raise ParameterError("trials must be positive")
     if not g.connected:
         raise ParameterError("attack requires a connected graph")
+    if "swap" in chosen and g.n < 2:
+        raise ParameterError("the swap strategy needs a graph with at least two nodes")
 
     planar = planar_embed(g, counterexample=False) is not None
     if "honest" in chosen and not planar:
@@ -367,12 +402,12 @@ def attack(
             else:  # replay, drawing from a pool of distinct planar donors
                 idx = t % min(trials, _REPLAY_POOL)
                 if idx not in replay_pool:
-                    donor = _replay_graph(g, random.Random(f"{seed}/replay/{idx}").randrange(2**32))
+                    donor, rot = _replay_graph(g, random.Random(f"{seed}/replay/{idx}").randrange(2**32))
                     replay_pool[idx] = {
-                        x: pack_certificate(c) for x, c in prove_planar(donor).items()
+                        x: pack_certificate(c) for x, c in prove_planar(donor, rot).items()
                     }
                 a = Assignment(dict(replay_pool[idx]), Origin("external", base="replayed-planar-proof"))
-            report = run_round(g, a)
+            report = run_round(g, a, stop_at_first_reject=True)
             if report.accepted:
                 accepts += 1
             else:

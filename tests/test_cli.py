@@ -202,6 +202,12 @@ def test_attack_refuses_a_disconnected_graph(tmp_path, capsys):
     assert "requires a connected graph" in capsys.readouterr().err
 
 
+def test_attack_refuses_swap_on_a_one_node_graph(tmp_path, capsys):
+    graph = _graph_file(tmp_path, build_graph([], nodes=[1]))
+    assert main(["attack", graph, "--trials", "5"]) == 64
+    assert "swap strategy needs a graph with at least two nodes" in capsys.readouterr().err
+
+
 # --- gen ----------------------------------------------------------------------
 
 

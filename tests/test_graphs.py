@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 
 import pytest
@@ -107,6 +108,30 @@ def test_random_maximal_planar_edge_count():
     for n in (4, 7, 30, 64):
         g = generate("random_maximal_planar", n=n, seed=3)
         assert g.m == 3 * n - 6 and g.connected
+
+
+# sha256 (first 16 hex digits) of repr(generate(...).edges()) at seeds 0, 1, 2,
+# computed when the generator still kept each edge's two opposite vertices as
+# an unoriented set.  Its oriented face map must draw the same graphs.
+_PINNED_TRIANGULATIONS = {
+    4: ("c67e52e000632cfc", "c67e52e000632cfc", "c67e52e000632cfc"),
+    5: ("b1de164952d569a5", "8373d21c4f8dd3d7", "c40676226c3125cc"),
+    6: ("bfa70ed41cfcf841", "1f8885db7ac6a2ca", "4239db8761d14eb4"),
+    28: ("0d04c959afcddb02", "73aa4c3eadb29bed", "13194cd3cdc88f5d"),
+    100: ("8fbb3f8e7b59107c", "c69167fda3d5b5a9", "778564f2fdaff5dd"),
+    1024: ("d5c97eaf9b37ff0b", "49baca8d4cf60ab4", "19189a6f6af23be7"),
+}
+
+
+def test_random_maximal_planar_is_pinned():
+    for n, digests in _PINNED_TRIANGULATIONS.items():
+        got = tuple(
+            hashlib.sha256(
+                repr(generate("random_maximal_planar", n=n, seed=seed).edges()).encode()
+            ).hexdigest()[:16]
+            for seed in (0, 1, 2)
+        )
+        assert got == digests, n
 
 
 def test_random_kinds_deterministic():

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from planarcert.embedding import RotationSystem, planar_embed
+from planarcert.embedding import (
+    RotationSystem,
+    canonical_rotation,
+    planar_embed,
+    validate_rotation,
+)
 from planarcert.errors import FirewallViolation, ParameterError
-from planarcert.graphs import build_graph, generate, norm_edge
+from planarcert.graphs import build_graph, generate, norm_edge, relabel
 from planarcert.pls import (
     Verdict,
     certificate_bit_fields,
@@ -22,6 +28,7 @@ from planarcert.sim import (
     Origin,
     _edit_one_field,
     _planar_template,
+    _replay_graph,
     attack,
     attack_report,
     attack_to_csv,
@@ -36,6 +43,51 @@ from planarcert.sim import (
 
 def _grid33():
     return generate("grid", w=3, h=3)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _maximal_planar_plus_one_edge(n: int, seed: int):
+    base = generate("random_maximal_planar", n=n, seed=seed)
+    nodes = base.nodes()
+    missing = [(u, v) for u in nodes for v in nodes if u < v and not base.has_edge(u, v)]
+    return build_graph(base.edges() + [random.Random(seed).choice(missing)], nodes=nodes)
+
+
+def _forgery_cases():
+    """(graph, assignments) with honest (template), random-fields,
+    template-edit and swap assignments on three small graphs."""
+    for g in (
+        _grid33(),
+        generate("random_maximal_planar", n=15, seed=8),
+        generate("complete_bipartite", p=3, q=3),
+    ):
+        planar = planar_embed(g, counterexample=False) is not None
+        template, kind = _planar_template(g, "differential", planar)
+        packed = {x: pack_certificate(c) for x, c in template.items()}
+        nodes = g.nodes()
+        rng = random.Random(5)
+        assignments = [Assignment(packed, Origin(kind))]
+        for seed in range(3):
+            assignments.append(random_assignment(g, seed=seed))
+        for _ in range(6):
+            edited = dict(packed)
+            for _ in range(rng.choice((1, 2, 4))):
+                x = rng.choice(nodes)
+                edited[x] = _edit_one_field(template[x], edited[x], rng)
+            assignments.append(Assignment(edited, Origin("mutated", base=kind)))
+            swapped = dict(packed)
+            x, y = rng.sample(nodes, 2)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            assignments.append(Assignment(swapped, Origin("mutated", base=kind, edits=2)))
+        yield g, assignments
+
+
+def _firewalled(x, own, view):
+    # the built-in verifier, passed in as a callable: it runs behind the firewall
+    return planarity_verifier(x, own, view)
 
 
 # --- run_round ----------------------------------------------------------------
@@ -83,6 +135,46 @@ def test_round_is_deterministic():
     g = generate("random_maximal_planar", n=12, seed=0)
     a = random_assignment(g, seed=5)
     assert run_round(g, a) == run_round(g, a)
+
+
+# Digests of random_assignment(g, f"7/random/{t}").certs for t = 0..9, computed
+# when forging still built (and discarded) each decoded certificate.
+_PINNED_FORGERIES = {
+    "K33": "4370ddb4d413aed2",
+    "petersen": "f8507273e00bcbac",
+    "n28": "124934fbb815448b",
+}
+
+
+def test_random_assignment_draws_are_pinned():
+    for name, g in (
+        ("K33", generate("complete_bipartite", p=3, q=3)),
+        ("petersen", generate("petersen")),
+        ("n28", _maximal_planar_plus_one_edge(28, seed=3)),
+    ):
+        forged = [sorted(random_assignment(g, f"7/random/{t}").certs.items()) for t in range(10)]
+        assert _digest(forged) == _PINNED_FORGERIES[name], name
+
+
+def test_early_stop_round_matches_the_full_round():
+    # attack reads only the decision and the first rejector's verdict, so its
+    # rounds stop at the first rejector; all they report is the full round's.
+    mid_round_stops = 0
+    for g, assignments in _forgery_cases():
+        nodes = g.nodes()
+        for a in assignments:
+            for verifier in (planarity_verifier, _firewalled):
+                full = run_round(g, a, verifier)
+                early = run_round(g, a, verifier, stop_at_first_reject=True)
+                assert early.global_decision == full.global_decision
+                assert early.first_rejector == full.first_rejector
+                assert early.stats == full.stats
+                stop = full.first_rejector
+                prefix = nodes if stop is None else nodes[: nodes.index(stop) + 1]
+                assert early.per_node == {x: full.per_node[x] for x in prefix}
+                assert list(early.per_node) == prefix
+                mid_round_stops += stop not in (None, nodes[0])
+    assert mid_round_stops > 0
 
 
 def test_random_assignment_stays_in_legal_ranges():
@@ -155,35 +247,10 @@ def test_memoized_verdicts_match_the_firewalled_path():
     # The built-in verifier's verdicts are memoized on plain tuples, so it
     # never meets the firewall; the same verifier passed in as a callable
     # runs behind it.  Both paths must give the same verdict at every node.
-    def firewalled(x, own, view):
-        return planarity_verifier(x, own, view)
-
-    for g in (
-        _grid33(),
-        generate("random_maximal_planar", n=15, seed=8),
-        generate("complete_bipartite", p=3, q=3),
-    ):
-        planar = planar_embed(g, counterexample=False) is not None
-        template, kind = _planar_template(g, "differential", planar)
-        packed = {x: pack_certificate(c) for x, c in template.items()}
-        nodes = g.nodes()
-        rng = random.Random(5)
-        assignments = [Assignment(packed, Origin(kind))]
-        for seed in range(3):
-            assignments.append(random_assignment(g, seed=seed))
-        for _ in range(6):
-            edited = dict(packed)
-            for _ in range(rng.choice((1, 2, 4))):
-                x = rng.choice(nodes)
-                edited[x] = _edit_one_field(template[x], edited[x], rng)
-            assignments.append(Assignment(edited, Origin("mutated", base=kind)))
-            swapped = dict(packed)
-            x, y = rng.sample(nodes, 2)
-            swapped[x], swapped[y] = swapped[y], swapped[x]
-            assignments.append(Assignment(swapped, Origin("mutated", base=kind, edits=2)))
+    for g, assignments in _forgery_cases():
         for a in assignments:
             memoized = run_round(g, a).per_node
-            assert run_round(g, a, verifier=firewalled).per_node == memoized
+            assert run_round(g, a, verifier=_firewalled).per_node == memoized
 
 
 # --- attack harness -------------------------------------------------------------
@@ -206,13 +273,6 @@ def test_attack_control_arm_accepts_on_planar():
     assert honest.accepts == 25
     swap = next(o for o in summary.outcomes if o.strategy == "swap")
     assert swap.accepts == 0
-
-
-def _maximal_planar_plus_one_edge(n: int, seed: int):
-    base = generate("random_maximal_planar", n=n, seed=seed)
-    nodes = base.nodes()
-    missing = [(u, v) for u in nodes for v in nodes if u < v and not base.has_edge(u, v)]
-    return build_graph(base.edges() + [random.Random(seed).choice(missing)], nodes=nodes)
 
 
 def test_attack_template_is_a_maximal_planar_spanning_subgraph():
@@ -304,6 +364,32 @@ def test_attack_rejects_bad_parameters():
         attack(g, trials=0, seed=0)
     with pytest.raises(ParameterError, match="requires a connected graph"):
         attack(build_graph([(1, 2), (3, 4)]), trials=5, seed=0)
+    with pytest.raises(ParameterError, match="at least two nodes"):
+        attack(build_graph([], nodes=[1]), trials=5, seed=0)  # swap is a default
+
+
+def test_replay_donor_rotation_is_the_generators_embedding():
+    # The replay arm proves each donor on its generator's own embedding.  A
+    # maximal planar graph on n >= 4 nodes is 3-connected, so by Whitney's
+    # theorem that embedding is the embedder's, up to a mirror image.
+    grid = _grid33()
+    for g in (
+        generate("complete", k=5),
+        generate("petersen"),
+        _maximal_planar_plus_one_edge(28, seed=3),
+        relabel(grid, {v: 3 * v + 7 for v in grid.nodes()}),
+    ):
+        label = dict(enumerate(g.nodes(), start=1))
+        for seed in range(4):
+            donor, rot = _replay_graph(g, seed)
+            expected = generate("random_maximal_planar", n=g.n, seed=seed)
+            assert donor == relabel(expected, label)
+            assert validate_rotation(donor, rot)
+            ref = planar_embed(donor)
+            mirror = canonical_rotation({v: ring[::-1] for v, ring in ref.rotation.items()})
+            assert rot in (ref, mirror)
+    donor, rot = _replay_graph(build_graph([(4, 9), (9, 11)]), seed=1)
+    assert donor.nodes() == [4, 9, 11] and rot is None
 
 
 def test_replayed_certificates_from_other_graph_reject():
