@@ -14,7 +14,10 @@ Certificates travel as packed bits in one layout, stated once in ``_walk``:
 it drives packing, unpacking, the size count and the attack harness's
 forging and field edits.  Decoding is the gate: a field outside its legal
 range raises FormatError, so the verifier sees only well-formed
-certificates and judges what they claim.  No value the verifier would force
+certificates and judges what they claim.  Decoding is also the only walk
+that builds certificate objects; packing writes the fields in one walk and
+checks, as it writes them, that the certificate holds each value the layout
+forces, raising ParameterError otherwise.  No value the verifier would force
 is sent: a chord sends its one tour index pair once, and a flag bit tells it
 from a tree edge, which sends two tour steps.  Nor is an id the view already
 holds: an edge certificate names only its far endpoint, and no parent is
@@ -383,16 +386,14 @@ def _walk(
     id_bits: int,
     idx_bits: int,
     cert: NodeCertificate | None = None,
-    build: bool = True,
+    build: bool = False,
 ) -> NodeCertificate | None:
     """The wire layout, stated once: every field in order, with its legal range.
 
     ``field(name, width, lo, hi, value)`` is called once per field and returns
     the value the field takes; ``value`` is the field's value in ``cert``, or
-    None when there is no certificate to read it from.  The walk rebuilds a
-    certificate from the returned values, or returns None with
-    ``build=False``, and refills what the wire leaves out, all values the
-    verifier would force anyway:
+    None when there is no certificate to read it from.  The wire leaves out
+    every value the verifier would force anyway:
 
     - each interval certificate's instance size (2n - 1) and rank (its copy
       index);
@@ -403,6 +404,14 @@ def _walk(
     Nor are two ids the verifier reads off its view: an edge certificate's
     holder, so it sends one id (``far``), and the tree parent.  So decoding
     does not depend on which node holds the certificate.
+
+    Given a certificate, the walk checks the forced values as it goes and
+    raises ParameterError on one the layout cannot carry: a slot whose copy
+    index is not the one written or derived from the step bit, or whose
+    interval certificate's size or rank is not the forced one.  With
+    ``build=True`` it rebuilds a certificate from the returned values,
+    refilling what the wire leaves out; otherwise it returns None.  Only
+    decoding builds.
 
     Node ids take ``id_bits``; the node count, distance, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -436,6 +445,11 @@ def _walk(
                 k = field("index", idx_bits, 1, nv, b and b[0])
             lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
             hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
+            if b and (b[0] != k or b[1].n != nv or b[1].rank != k):
+                raise ParameterError(
+                    f"cannot pack copy {b[0]} with interval size {b[1].n} and rank "
+                    f"{b[1].rank}: the layout forces copy {k}, size {nv} and rank {k}"
+                )
             slots.append((k, PopCertificate(n=nv, rank=k, lo=lo, hi=hi) if build else None))
         if build:
             if not second:
@@ -462,6 +476,8 @@ def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
     """The fields pack_certificate writes, in order, two width bytes excluded.
 
     The attack harness corrupts an encoded certificate through these windows.
+    A certificate holding a value the layout forces otherwise raises
+    ParameterError, as it does in pack_certificate.
     """
     fields: list[Field] = []
 
@@ -483,13 +499,12 @@ def encode_fields(
     id_bits: int,
     idx_bits: int,
     cert: NodeCertificate | None = None,
-    build: bool = True,
-) -> tuple[bytes, NodeCertificate | None, int]:
+) -> tuple[bytes, int]:
     """Pack the values ``choose(name, width, lo, hi, value)`` picks per field.
 
-    Returns the bytes, two width bytes up front, the certificate they decode
-    to (None with ``build=False``, which skips building it), and the fields'
-    total width in bits, padding excluded.
+    Returns the bytes, two width bytes up front, and the fields' total width
+    in bits, padding excluded.  No certificate object is built; given one,
+    the walk checks its forced values as it writes.
     """
     acc = nbits = 0
 
@@ -500,10 +515,10 @@ def encode_fields(
         nbits += width
         return value
 
-    decoded = _walk(put, id_bits, idx_bits, cert, build)
+    _walk(put, id_bits, idx_bits, cert)
     pad = -nbits % 8
     payload = (acc << pad).to_bytes((nbits + pad) // 8, "big")
-    return bytes((id_bits, idx_bits)) + payload, decoded, nbits
+    return bytes((id_bits, idx_bits)) + payload, nbits
 
 
 def _in_range(name, width, lo, hi, value):
@@ -513,14 +528,15 @@ def _in_range(name, width, lo, hi, value):
 
 
 def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
-    """``pack_certificate``'s bytes and ``certificate_size_bits``, in one walk."""
+    """``pack_certificate``'s bytes and ``certificate_size_bits``, in one walk.
+
+    The walk checks each field's range and each value the layout forces as
+    it writes; it builds no certificate object.
+    """
     id_bits, idx_bits = _widths(cert)
     if id_bits > 255 or idx_bits > 255:
         raise ParameterError("identifiers too large to pack")
-    data, decoded, nbits = encode_fields(_in_range, id_bits, idx_bits, cert)
-    if decoded != cert:
-        raise ParameterError("certificate holds a value the layout leaves out and forces")
-    return data, nbits
+    return encode_fields(_in_range, id_bits, idx_bits, cert)
 
 
 def pack_certificate(cert: NodeCertificate) -> bytes:
@@ -549,7 +565,7 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
             raise FormatError(f"{name} = {got} is outside {lo}..{hi}")
         return got
 
-    cert = _walk(take, id_bits, idx_bits)
+    cert = _walk(take, id_bits, idx_bits, build=True)
     tail = total - pos
     if tail >= 8 or stream & ((1 << tail) - 1):
         raise FormatError("certificate bitstream has trailing data")

@@ -88,14 +88,14 @@ def _edges_in_rank_space(g: Graph, order: tuple[int, ...]) -> list[tuple[int, in
 
 
 def _spans_noncrossing(spans: list[tuple[int, int]]) -> bool:
-    """True iff every two spans are disjoint (up to touching) or nested.
+    """True iff every two spans, given in sweep order (start ascending, then
+    end descending), are disjoint (up to touching) or nested.
 
-    Sweep in (start, -end) order with the ends of the open spans on a stack:
-    those are nested, so a new span crosses one of them iff it ends past the
-    innermost one still open.
+    The ends of the open spans wait on a stack: those are nested, so a new
+    span crosses one of them iff it ends past the innermost one still open.
     """
     stack: list[int] = []
-    for a, b in sorted(spans, key=lambda s: (s[0], -s[1])):
+    for a, b in spans:
         while stack and stack[-1] <= a:
             stack.pop()
         if stack and b > stack[-1]:
@@ -104,14 +104,22 @@ def _spans_noncrossing(spans: list[tuple[int, int]]) -> bool:
     return True
 
 
-def is_path_outerplanar(g: Graph, order) -> bool:
-    """True iff order is a Hamiltonian path of g along which no edges cross."""
+def is_path_outerplanar(g: Graph, order, *, sweep: list | None = None) -> bool:
+    """True iff order is a Hamiltonian path of g along which no edges cross.
+
+    A list passed as ``sweep`` receives g's edges as rank spans in sweep
+    order, the list the crossing check ran on, once order is a path of g;
+    ``pop_prove`` reads its certificates off that list.
+    """
     order = tuple(order)
     if sorted(order) != list(g.nodes()):
         raise ParameterError("order is not a permutation of the graph's nodes")
     if any(not g.has_edge(u, v) for u, v in zip(order, order[1:])):
         return False
-    return _spans_noncrossing(_edges_in_rank_space(g, order))
+    spans = sorted(_edges_in_rank_space(g, order), key=lambda s: (s[0], -s[1]))
+    if sweep is not None:
+        sweep[:] = spans
+    return _spans_noncrossing(spans)
 
 
 def shortest_covering_interval(spans, x: int, n: int) -> tuple[int, int]:
@@ -134,10 +142,10 @@ def pop_prove(g: Graph, w: PopWitness) -> dict[int, PopCertificate]:
     pushed on a stack; valid witnesses have laminar spans, so the innermost
     live span — the certificate interval — is always on top.
     """
-    if not is_path_outerplanar(g, w.order):
+    spans: list[tuple[int, int]] = []
+    if not is_path_outerplanar(g, w.order, sweep=spans):
         raise WitnessError("order is not a path-outerplanarity witness for this graph")
     n = g.n
-    spans = sorted(_edges_in_rank_space(g, w.order), key=lambda e: (e[0], -e[1]))
     certs: dict[int, PopCertificate] = {}
     stack: list[tuple[int, int]] = []
     next_span = 0

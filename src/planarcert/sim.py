@@ -228,7 +228,7 @@ def random_assignment(g: Graph, seed: int | str) -> Assignment:
     def draw(name, width, lo, hi, value):
         return rng.randint(lo, hi)
 
-    certs = {x: encode_fields(draw, id_bits, idx_bits, build=False)[0] for x in g.nodes()}
+    certs = {x: encode_fields(draw, id_bits, idx_bits)[0] for x in g.nodes()}
     return Assignment(certs=certs, origin=Origin("random"))
 
 

@@ -214,3 +214,45 @@ def test_verdict_without_counterexample_matches_the_full_embed():
         else:
             assert isinstance(full, RotationSystem) and bare == full
     assert kinds == {NonPlanarWitness, RotationSystem}
+
+
+def _faces_by_rescanning(g: Graph, rot: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
+    """Reference tracer: start each face at the least directed edge left and
+    find each step's predecessor by searching the ring.  Quadratic."""
+    remaining = {(u, v) for u, v in g.edges()} | {(v, u) for u, v in g.edges()}
+    out = []
+    while remaining:
+        start = min(remaining)
+        face = []
+        cur = start
+        while True:
+            face.append(cur)
+            remaining.discard(cur)
+            u, v = cur
+            ring = rot.rotation[v]
+            cur = (v, ring[(ring.index(u) - 1) % len(ring)])
+            if cur == start:
+                break
+        out.append(tuple(face))
+    return out
+
+
+def test_faces_match_the_rescanning_tracer():
+    rng = random.Random(31)
+    corpus = [generate("grid", w=7, h=5), generate("complete", k=4)]
+    corpus += [
+        generate("random_maximal_planar", n=n, seed=seed)
+        for n in (4, 9, 40, 120, 300)
+        for seed in (0, 1, 2)
+    ]
+    for g in corpus:
+        rot = _embed_ok(g)
+        assert faces(g, rot) == _faces_by_rescanning(g, rot)
+        # Scrambled rings are still neighbor permutations, mostly not planar.
+        scrambled = canonical_rotation(
+            {v: rng.sample(ring, len(ring)) for v, ring in rot.rotation.items()}
+        )
+        assert faces(g, scrambled) == _faces_by_rescanning(g, scrambled)
+        assert validate_rotation(g, scrambled) == (
+            g.n - g.m + len(_faces_by_rescanning(g, scrambled)) == 2
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -21,6 +22,9 @@ from planarcert.pls import (
     NodeCertificate,
     TreeSub,
     Verdict,
+    _in_range,
+    _walk,
+    _widths,
     certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
@@ -493,16 +497,95 @@ def test_unpack_refills_forced_values():
                 assert ec.bindings()[2:] == ec.bindings()[:2]
 
 
+def _old_pack_refuses(cert: NodeCertificate) -> bool:
+    """Reference check: write each field the layout reads off ``cert``, each
+    in its legal range, decode what was written into a new certificate, and
+    refuse unless it equals ``cert``."""
+    values = [len(cert.edge_certs), cert.n, cert.tree_sub.root_id, cert.tree_sub.dist]
+    for ec in cert.edge_certs:
+        held = ec.bindings()
+        second = held[2:] != held[:2]
+        values += [ec.far, int(second)]
+        for s, (k, pc) in enumerate(held[: 4 if second else 2]):
+            near = int(k > held[s - 1][0]) if second and s % 2 else k
+            values += [near, pc.lo + 1, pc.hi + 1]
+    feed = iter(values)
+    try:
+        rebuilt = _walk(
+            lambda name, width, lo, hi, value: _in_range(name, width, lo, hi, next(feed)),
+            *_widths(cert),
+            build=True,
+        )
+    except ParameterError:
+        return True
+    return rebuilt != cert
+
+
+def _forced_value_edits(ec: EdgeCertificate):
+    """One edit per forced value of ``ec``: each interval certificate's size
+    and rank, each tour step's far copy moved by two (alone and with its
+    rank), and a chord's second slot pair made different from its first."""
+    for slot in ("pop_i", "pop_j", "pop_i2", "pop_j2"):
+        pc = getattr(ec, slot)
+        yield dataclasses.replace(ec, **{slot: dataclasses.replace(pc, n=pc.n + 1)})
+        yield dataclasses.replace(ec, **{slot: dataclasses.replace(pc, rank=pc.rank + 1)})
+    if ec.is_tree():
+        for copy, slot in (("j", "pop_j"), ("j2", "pop_j2")):
+            for delta in (2, -2):
+                k = getattr(ec, copy) + delta
+                pc = getattr(ec, slot)
+                yield dataclasses.replace(ec, **{copy: k})
+                yield dataclasses.replace(ec, **{copy: k, slot: dataclasses.replace(pc, rank=k)})
+    else:
+        yield dataclasses.replace(ec, i2=ec.j, j2=ec.i, pop_i2=ec.pop_j, pop_j2=ec.pop_i)
+        k = ec.i2 + 1
+        yield dataclasses.replace(ec, j2=k, pop_j2=dataclasses.replace(ec.pop_j2, rank=k))
+
+
+#: sha256 of each honest certificate's packed bytes, in node order.
+_PACKED_PINS = {
+    "grid": "1ef035b9dd7abecf",
+    "random_maximal_planar": "7d2555a7f87cddae",
+    "tree": "80d2bf0f51eb382b",
+    "complete": "38fd629667067f35",
+}
+
+
 def test_pack_refuses_values_the_layout_forces():
-    g = build_graph([(1, 2), (2, 3), (1, 3)])
-    cert = next(c for c in prove_planar(g).values() if c.edge_certs)
+    graphs = {
+        "grid": generate("grid", w=6, h=5),
+        "random_maximal_planar": generate("random_maximal_planar", n=40, seed=3),
+        "tree": generate("tree", n=30, seed=4),
+        "complete": generate("complete", k=4),
+    }
+    outcomes = set()
+    for kind, g in graphs.items():
+        digest = hashlib.sha256()
+        for x, cert in sorted(prove_planar(g).items()):
+            assert not _old_pack_refuses(cert)
+            digest.update(pack_certificate(cert))
+            for e, ec in enumerate(cert.edge_certs):
+                for bad_ec in _forced_value_edits(ec):
+                    edge_certs = cert.edge_certs[:e] + (bad_ec,) + cert.edge_certs[e + 1 :]
+                    bad = dataclasses.replace(cert, edge_certs=edge_certs)
+                    refused = _old_pack_refuses(bad)
+                    outcomes.add(refused)
+                    if refused:
+                        with pytest.raises(ParameterError):
+                            pack_certificate(bad)
+                    else:
+                        assert unpack_certificate(pack_certificate(bad)) == bad
+        assert digest.hexdigest()[:16] == _PACKED_PINS[kind], kind
+    assert outcomes == {True, False}
+    # Sizing walks the same layout, so it refuses a forced value too.
+    cert = next(c for c in prove_planar(graphs["complete"]).values() if c.edge_certs)
     ec = cert.edge_certs[0]
-    for bad in (
-        dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, n=ec.pop_i.n + 1)),
-        dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, rank=ec.i + 1)),
-    ):
-        with pytest.raises(ParameterError):
-            pack_certificate(dataclasses.replace(cert, edge_certs=(bad,) + cert.edge_certs[1:]))
+    bad_ec = dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, n=ec.pop_i.n + 1))
+    bad = dataclasses.replace(cert, edge_certs=(bad_ec,) + cert.edge_certs[1:])
+    with pytest.raises(ParameterError):
+        certificate_size_bits(bad)
+    with pytest.raises(ParameterError):
+        certificate_bit_fields(bad)
 
 
 def test_unpack_rejects_every_out_of_range_field():
