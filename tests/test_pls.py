@@ -542,7 +542,8 @@ def _forced_value_edits(ec: EdgeCertificate):
         yield dataclasses.replace(ec, j2=k, pop_j2=dataclasses.replace(ec.pop_j2, rank=k))
 
 
-#: sha256 of each honest certificate's packed bytes, in node order.
+#: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
+#: concatenated in node order.
 _PACKED_PINS = {
     "grid": "1ef035b9dd7abecf",
     "random_maximal_planar": "7d2555a7f87cddae",
