@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ParameterError, StructuralError
@@ -332,14 +332,13 @@ def generate(kind: str, **params) -> Graph:
 
 @dataclass(frozen=True)
 class DegeneracyOrder:
-    """Removal order of minimum-degree peeling, with per-node forward degree.
+    """Removal order of minimum-degree peeling.
 
-    ``forward_degree[v]`` counts the neighbors of v that appear later in
-    ``order``; its maximum over all nodes is the graph's degeneracy.
+    Every node has at most as many neighbors later in ``order`` as the
+    graph's degeneracy.
     """
 
     order: tuple[int, ...]
-    forward_degree: dict[int, int] = field(compare=False)
 
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
@@ -352,19 +351,17 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     heapq.heapify(heap)
     removed: set[int] = set()
     order: list[int] = []
-    forward: dict[int, int] = {}
     while heap:
         d, v = heapq.heappop(heap)
         if v in removed or d != deg[v]:
             continue
         removed.add(v)
         order.append(v)
-        forward[v] = deg[v]
         for w in g.adj[v]:
             if w not in removed:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return DegeneracyOrder(order=tuple(order), forward_degree=forward)
+    return DegeneracyOrder(order=tuple(order))
 
 
 # --- contraction ----------------------------------------------------------

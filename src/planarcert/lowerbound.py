@@ -237,9 +237,6 @@ class ClaimReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[ClaimCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
     def render(self) -> str:
         lines = []
         for c in self.checks:

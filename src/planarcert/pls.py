@@ -333,11 +333,10 @@ def verify_node_planarity(
         return _reject(
             PHASE_TREE, "parent edge does not bracket the first and last visits"
         )
+    # A childless node has one copy already: phase 1 rejects a parent edge
+    # naming two copies, and the root check a root claim without tree edges.
     child_spans.sort()
-    if not child_spans:
-        if len(copies) != 1:
-            return _reject(PHASE_TREE, "childless node visited more than once")
-    else:
+    if child_spans:
         for (_, a_max), (b_min, _) in zip(child_spans, child_spans[1:]):
             if b_min != a_max + 2:
                 return _reject(PHASE_TREE, "children subtours are not contiguous")
@@ -463,13 +462,24 @@ def _walk(
     )
 
 
-def _width_for_codes(codes: int) -> int:
-    return max(1, (codes - 1).bit_length())
+def _field_widths(top_id: int, n: int) -> tuple[int, int]:
+    """``id_bits`` for ids up to ``top_id``, ``idx_bits`` for node count ``n``."""
+    return max(1, top_id.bit_length()), max(1, (2 * n + 2).bit_length())
 
 
 def _widths(cert: NodeCertificate) -> tuple[int, int]:
     top_id = max([cert.tree_sub.root_id] + [ec.far for ec in cert.edge_certs])
-    return _width_for_codes(top_id + 1), _width_for_codes(2 * cert.n + 3)
+    return _field_widths(top_id, cert.n)
+
+
+def _set_field(data: bytes, fields, target: int, value: int) -> bytes:
+    """Overwrite the window of ``fields[target]`` in packed bytes, width header kept."""
+    offset = sum(f.width for f in fields[:target])
+    width = fields[target].width
+    payload = data[2:]
+    shift = 8 * len(payload) - offset - width
+    as_int = int.from_bytes(payload, "big") & ~(((1 << width) - 1) << shift)
+    return data[:2] + (as_int | (value << shift)).to_bytes(len(payload), "big")
 
 
 def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:

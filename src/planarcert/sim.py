@@ -34,6 +34,8 @@ from .pls import (
     PHASE_COLLECT,
     NodeCertificate,
     Verdict,
+    _field_widths,
+    _set_field,
     certificate_bit_fields,
     certificate_size_bits,
     encode_fields,
@@ -222,13 +224,12 @@ def honest_assignment(g: Graph) -> Assignment:
 def random_assignment(g: Graph, seed: int | str) -> Assignment:
     """Uniform random values, each in its field's legal range, in the layout."""
     rng = random.Random(seed)
-    id_bits = max(1, max(g.nodes()).bit_length())
-    idx_bits = max(1, (2 * g.n + 2).bit_length())
+    widths = _field_widths(max(g.nodes()), g.n)
 
     def draw(name, width, lo, hi, value):
         return rng.randint(lo, hi)
 
-    certs = {x: encode_fields(draw, id_bits, idx_bits)[0] for x in g.nodes()}
+    certs = {x: encode_fields(draw, *widths)[0] for x in g.nodes()}
     return Assignment(certs=certs, origin=Origin("random"))
 
 
@@ -269,16 +270,6 @@ def _planar_template(
             kept.append(e)
     sub = build_graph(kept, nodes=nodes)
     return prove_planar(sub), "planar-subgraph-template"
-
-
-def _set_field(data: bytes, fields, target: int, value: int) -> bytes:
-    """Overwrite the window of ``fields[target]`` in the packed bytes."""
-    offset = sum(f.width for f in fields[:target])
-    width = fields[target].width
-    payload = data[2:]
-    shift = 8 * len(payload) - offset - width
-    as_int = int.from_bytes(payload, "big") & ~(((1 << width) - 1) << shift)
-    return data[:2] + (as_int | (value << shift)).to_bytes(len(payload), "big")
 
 
 def _edit_one_field(cert: NodeCertificate, data: bytes, rng: random.Random) -> bytes:

@@ -4,11 +4,13 @@ A depth-first spanning tree is grown so that every node scans its neighbors
 in counterclockwise rotation order, starting just after the edge it was
 entered through.  Unrolling the tree's Euler tour yields a path on ``2n - 1``
 virtual copies of the original nodes; every non-tree edge then reappears as a
-chord between two uniquely determined copies (found by walking the rotation
-at each endpoint to the nearest tree edge).  For a planar rotation the
-resulting graph is path-outerplanar in the identity order, and contracting
-consecutive copies of the same node recovers the input graph exactly.  Those
-two facts are what the certificate layers build on.
+chord between two uniquely determined copies: at each endpoint, the copy
+that departs along the nearest tree edge counterclockwise in the rotation.
+One backward pass over each rotation ring reads all of a node's chord ends
+off the tour, so the unfolding is linear in the edge count.  For a planar
+rotation the resulting graph is path-outerplanar in the identity order, and
+contracting consecutive copies of the same node recovers the input graph
+exactly.  Those two facts are what the certificate layers build on.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ class RootedTree:
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    def tree_edges(self) -> set[Edge]:
-        return {
-            norm_edge(v, p) for v, p in self.parent.items() if p is not None
-        }
 
 
 @dataclass(frozen=True)
@@ -171,62 +168,43 @@ def dfs_mapping(t: RootedTree) -> DfsMapping:
     )
 
 
-def _departure_map(fm: DfsMapping) -> dict[tuple[int, int | None], int]:
-    """Map each directed tree step ``(from, to)`` to its tour position.
-
-    The final step of the tour leaves the root toward the anchor and is keyed
-    ``(root, None)``; it belongs to the last root copy.
-    """
-    dep: dict[tuple[int, int | None], int] = {}
-    for i in range(1, len(fm.f) - 1):
-        u = fm.f[i]
-        assert u is not None
-        dep[(u, fm.f[i + 1])] = i
-    return dep
-
-
 def induce_graph(
     g: Graph, rot: RotationSystem, t: RootedTree, fm: DfsMapping
 ) -> InducedGraph:
     """Build the virtual path graph: tour path plus one chord per non-tree edge.
 
     The copy of ``u`` that hosts the chord for a non-tree edge ``{u, v}`` is
-    found by walking counterclockwise in the rotation at ``u``, starting from
-    ``v``'s position, until the first tree edge; the chord attaches to the
-    copy that departs along that tree edge.  At the root the virtual anchor
-    (owned by the last root copy) counts as a tree edge and sits between the
-    last and first rotation entries.
+    the one that departs along the first tree edge met walking
+    counterclockwise in the rotation at ``u`` from ``v``.  At the root the
+    virtual anchor, owned by the last root copy, counts as a tree edge and
+    sits between the last and first rotation entries.  So one backward pass
+    over each node's scan order finds all its chord ends: it starts at the
+    last copy, which departs toward the parent (or the anchor), and each
+    child ``w`` it passes moves it to the copy just before ``w``'s first
+    visit, the one that steps down to ``w``.
     """
     if t.n != g.n or fm.n != g.n:
         raise ParameterError("graph, tree, and tour disagree on node count")
-    dep = _departure_map(fm)
-    tree = t.tree_edges()
-    n_virtual = fm.n_virtual
-
-    def chord_end(u: int, v: int) -> int:
-        ring = rot.order_at(u)
-        idx = ring.index(v)
-        size = len(ring)
-        for offset in range(1, size + 1):
-            pos = idx + offset
-            if u == t.root and pos == size:
-                return dep[(u, None)]
-            w = ring[pos % size]
-            if (u, w) in dep:
-                return dep[(u, w)]
-        raise StructuralError(f"no tree edge found in rotation at {u}")
+    ends: dict[tuple[int, int], int] = {}
+    for u in g.nodes():
+        at = fm.copies[u][-1]
+        for v in reversed(_scan_order(g, rot, u, t.parent[u])):
+            if t.parent[v] == u:  # a child
+                at = fm.copies[v][0] - 1
+            else:
+                ends[(u, v)] = at
 
     cotree_map: dict[Edge, Edge] = {}
     seen: set[Edge] = set()
     for u, v in g.edges():
-        if (u, v) in tree:
-            continue
-        chord = norm_edge(chord_end(u, v), chord_end(v, u))
+        if (u, v) not in ends:
+            continue  # a tree edge
+        chord = norm_edge(ends[(u, v)], ends[(v, u)])
         if chord in seen:
             raise StructuralError(f"two non-tree edges map to chord {chord}")
         seen.add(chord)
         cotree_map[(u, v)] = chord
-    return InducedGraph(n_virtual=n_virtual, cotree_map=cotree_map)
+    return InducedGraph(n_virtual=fm.n_virtual, cotree_map=cotree_map)
 
 
 def contract_check(g: Graph, induced: InducedGraph, fm: DfsMapping) -> bool:

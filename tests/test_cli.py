@@ -7,8 +7,8 @@ import pytest
 from planarcert.cli import main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
 from planarcert.graphs import build_graph, generate
-from planarcert.pls import certificate_bit_fields, pack_certificate, prove_planar
-from planarcert.sim import _set_field, honest_assignment, run_round
+from planarcert.pls import _set_field, certificate_bit_fields, pack_certificate, prove_planar
+from planarcert.sim import honest_assignment, run_round
 
 
 def _graph_file(tmp_path, g, name="graph.txt", rot=None):

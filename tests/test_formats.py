@@ -15,13 +15,13 @@ from planarcert.formats import (
 )
 from planarcert.graphs import build_graph, generate
 from planarcert.pls import (
+    _set_field,
     certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
     prove_planar,
     unpack_certificate,
 )
-from planarcert.sim import _set_field
 
 
 def test_graph_round_trip_plain():

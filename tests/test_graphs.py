@@ -172,36 +172,46 @@ def test_unknown_kind():
 # --- degeneracy ------------------------------------------------------------
 
 
-def _max_forward_degree(d) -> int:
+def _forward_degrees(g, d) -> dict[int, int]:
+    """Each node's neighbors that come later in the order."""
+    pos = d.position()
+    return {v: sum(1 for w in g.neighbors(v) if pos[w] > pos[v]) for v in g.nodes()}
+
+
+def _max_forward_degree(g, d) -> int:
     """The graph's degeneracy: the largest forward degree of the order."""
-    return max(d.forward_degree.values()) if d.forward_degree else 0
+    return max(_forward_degrees(g, d).values(), default=0)
 
 
 def test_degeneracy_triangle():
     g = generate("complete", k=3)
     d = degeneracy_order(g)
-    assert _max_forward_degree(d) == 2
+    assert _max_forward_degree(g, d) == 2
     assert sorted(d.order) == [1, 2, 3]
 
 
 def test_degeneracy_k4():
-    d = degeneracy_order(generate("complete", k=4))
-    assert _max_forward_degree(d) == 3
+    g = generate("complete", k=4)
+    assert _max_forward_degree(g, degeneracy_order(g)) == 3
 
 
 def test_degeneracy_planar_bound():
     g = generate("random_maximal_planar", n=50, seed=7)
     d = degeneracy_order(g)
-    assert _max_forward_degree(d) <= 5
+    assert _max_forward_degree(g, d) <= 5
 
 
 def test_degeneracy_forward_counts_match_order():
+    # Each node leaves with the least degree among the nodes still there,
+    # ties going to the smallest id.
     g = generate("random_maximal_planar", n=30, seed=11)
     d = degeneracy_order(g)
     pos = d.position()
-    for v in g.nodes():
-        later = sum(1 for w in g.neighbors(v) if pos[w] > pos[v])
-        assert later == d.forward_degree[v]
+    forward = _forward_degrees(g, d)
+    for i, v in enumerate(d.order):
+        left = {w: sum(1 for u in g.neighbors(w) if pos[u] >= i) for w in d.order[i:]}
+        assert forward[v] == left[v]
+        assert (left[v], v) == min((k, w) for w, k in left.items())
 
 
 def test_degeneracy_tie_break_smallest_id():

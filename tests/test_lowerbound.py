@@ -217,7 +217,7 @@ def test_glued_explicit_partition_checked():
 def test_validate_lowerbound_claims_passes():
     report = validate_lowerbound_claims(k_range=[4], p_range=[2], q_range=[2])
     assert report.all_ok
-    assert report.failures() == ()
+    assert [c for c in report.checks if not c.ok] == []
     text = report.render()
     assert "[ok ]" in text and "BUG" not in text
     kinds = {c.construction for c in report.checks}
@@ -232,5 +232,5 @@ def test_validate_report_flags_failures():
 
     bad = ClaimReport(checks=report.checks + (ClaimCheck("x", "y", "z", False),))
     assert not bad.all_ok
-    assert len(bad.failures()) == 1
+    assert [c for c in bad.checks if not c.ok] == [bad.checks[-1]]
     assert "BUG" in bad.render()

@@ -23,6 +23,7 @@ from planarcert.pls import (
     TreeSub,
     Verdict,
     _in_range,
+    _set_field,
     _walk,
     _widths,
     certificate_bit_fields,
@@ -318,6 +319,31 @@ def test_rejects_oversized_edge_cert_list(tampering_setup):
     assert _rejectors(g, certs)
 
 
+def test_leaf_visited_twice_is_rejected_in_phase_one():
+    # A leaf's one tree edge names its copy in both tour steps.  Naming two
+    # copies leaves each with one step, so phase 1 rejects before any tree
+    # check could see a childless node with two copies.
+    g = generate("tree", n=12, seed=4)
+    honest = prove_planar(g)
+    leaves = [x for x in g.nodes() if g.degree(x) == 1 and x != min(g.nodes())]
+    assert leaves
+    for leaf in leaves:
+        (parent,) = g.neighbors(leaf)
+        holder = leaf if any(ec.far == parent for ec in honest[leaf].edge_certs) else parent
+        ecs = list(honest[holder].edge_certs)
+        at = next(s for s, ec in enumerate(ecs) if ec.far in (leaf, parent))
+        ec = ecs[at]
+        slot = "i2" if holder == leaf else "j2"
+        k = next(k for k in range(1, 2 * g.n) if k not in (ec.i, ec.j, ec.i2, ec.j2))
+        pc = getattr(ec, "pop_" + slot)
+        ecs[at] = dataclasses.replace(ec, **{slot: k, "pop_" + slot: dataclasses.replace(pc, rank=k)})
+        certs = dict(honest)
+        certs[holder] = dataclasses.replace(honest[holder], edge_certs=tuple(ecs))
+        v = _verdicts(g, certs)[leaf]
+        assert not v.accepted and v.phase == PHASE_COLLECT
+        assert "lacks a certified tour step" in v.reason
+
+
 def test_interval_corruption_reaching_interval_phase():
     # On a path no copy is bound twice, so a flipped interval survives the
     # consistency checks and must be caught by the interval check itself.
@@ -590,7 +616,6 @@ def test_pack_refuses_values_the_layout_forces():
 
 
 def test_unpack_rejects_every_out_of_range_field():
-    from planarcert.sim import _set_field
 
     cert = prove_planar(generate("wheel", n=6))[2]
     data = pack_certificate(cert)

@@ -9,6 +9,7 @@ import pytest
 from planarcert.embedding import canonical_rotation, planar_embed
 from planarcert.errors import ParameterError
 from planarcert.graphs import Graph, build_graph, generate, norm_edge
+from planarcert.lowerbound import BlockInstance, gen_block_instance
 from planarcert.pop import is_path_outerplanar
 from planarcert.transform import (
     DfsMapping,
@@ -27,6 +28,10 @@ ANCHOR_TOKEN = "r'"
 def _dump(fm: DfsMapping) -> str:
     """Debug form of a tour: ``f: r' 1 2 ... r'``, anchor tokens at the ends."""
     return "f: " + " ".join(ANCHOR_TOKEN if x is None else str(x) for x in fm.f)
+
+
+def _tree_edges(t) -> set[tuple[int, int]]:
+    return {norm_edge(v, p) for v, p in t.parent.items() if p is not None}
 
 
 def _tree_degree(t, v: int) -> int:
@@ -100,8 +105,8 @@ def test_four_cycle_tree_is_a_path_with_one_leftover_edge():
     g = _cycle(4)
     rot = _embed(g)
     t = spanning_tree_dfs(g, rot, 1)
-    assert t.tree_edges() == {(1, 2), (2, 3), (3, 4)}
-    leftover = [e for e in g.edges() if e not in t.tree_edges()]
+    assert _tree_edges(t) == {(1, 2), (2, 3), (3, 4)}
+    leftover = [e for e in g.edges() if e not in _tree_edges(t)]
     assert leftover == [(1, 4)]
 
 
@@ -109,10 +114,10 @@ def test_spanning_tree_shape_on_random_planar():
     g = generate("random_maximal_planar", n=30, seed=3)
     t = spanning_tree_dfs(g, _embed(g), 1)
     assert t.n == 30
-    assert len(t.tree_edges()) == 29
-    assert t.tree_edges() <= set(g.edges())
+    assert len(_tree_edges(t)) == 29
+    assert _tree_edges(t) <= set(g.edges())
     assert g.m == 3 * 30 - 6
-    assert g.m - len(t.tree_edges()) == 55
+    assert g.m - len(_tree_edges(t)) == 55
 
 
 def test_spanning_tree_rejects_bad_root():
@@ -158,7 +163,7 @@ def test_every_tree_edge_appears_twice_in_the_tour():
     pairs = [
         norm_edge(fm.f[i], fm.f[i + 1]) for i in range(1, len(fm.f) - 2)
     ]
-    for e in t.tree_edges():
+    for e in _tree_edges(t):
         assert pairs.count(e) == 2
     assert len(pairs) == 2 * (g.n - 1)
 
@@ -223,10 +228,71 @@ def test_chord_images_are_the_original_edges():
     for (u, v), (i, j) in induced.cotree_map.items():
         assert {fm.f[i], fm.f[j]} == {u, v}
     assert set(induced.cotree_map) == {
-        e for e in g.edges() if e not in t.tree_edges()
+        e for e in g.edges() if e not in _tree_edges(t)
     }
     chords = list(induced.cotree_map.values())
     assert len(set(chords)) == len(chords)
+
+
+def _cotree_map_by_rescanning(g: Graph, rot, t, fm) -> dict:
+    """Reference chord finder: for each end of each non-tree edge, find the
+    edge in the ring and walk on to the next tree edge.  Quadratic in degree."""
+    dep = {}
+    for i in range(1, len(fm.f) - 1):
+        dep[(fm.f[i], fm.f[i + 1])] = i
+
+    def chord_end(u: int, v: int) -> int:
+        ring = rot.order_at(u)
+        idx = ring.index(v)
+        for offset in range(1, len(ring) + 1):
+            pos = idx + offset
+            if u == t.root and pos == len(ring):
+                return dep[(u, None)]
+            w = ring[pos % len(ring)]
+            if (u, w) in dep:
+                return dep[(u, w)]
+        raise AssertionError(f"no tree edge in the ring at {u}")
+
+    tree = _tree_edges(t)
+    return {
+        (u, v): norm_edge(chord_end(u, v), chord_end(v, u))
+        for u, v in g.edges()
+        if (u, v) not in tree
+    }
+
+
+def test_chords_match_the_rescanning_finder():
+    rng = random.Random(17)
+    corpus = [
+        generate("grid", w=6, h=4),
+        generate("wheel", n=9),
+        generate("wheel", n=40),
+        generate("tree", n=30, seed=3),
+        gen_block_instance(BlockInstance.path(5, 4)),
+        gen_block_instance(BlockInstance.path(4, 6, (3, 1, 6, 2, 5, 4))),
+    ]
+    corpus += [
+        generate("random_maximal_planar", n=n, seed=seed)
+        for n in (4, 12, 60, 150)
+        for seed in (0, 1)
+    ]
+    for g in corpus:
+        nodes = g.nodes()
+        hub = max(nodes, key=g.degree)  # a wheel's hub, say
+        roots = {nodes[0], nodes[len(nodes) // 2], nodes[-1], hub}
+        rot = _embed(g)
+        # Scrambled rings are still neighbor permutations, mostly not planar.
+        # A chord's ends are copies of its edge's endpoints, so no two edges
+        # share a chord there either, and both finders return a map.
+        scrambled = canonical_rotation(
+            {v: rng.sample(ring, len(ring)) for v, ring in rot.rotation.items()}
+        )
+        for r in (rot, scrambled):
+            for root in roots:
+                t = spanning_tree_dfs(g, r, root)
+                fm = dfs_mapping(t)
+                want = _cotree_map_by_rescanning(g, r, t, fm)
+                assert induce_graph(g, r, t, fm).cotree_map == want
 
 
 # --- contraction round-trip ------------------------------------------------
