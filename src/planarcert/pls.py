@@ -22,11 +22,18 @@ is sent: a chord sends its one tour index pair once, and a flag bit tells it
 from a tree edge, which sends two tour steps.  Nor is an id the view already
 holds: an edge certificate names only its far endpoint, and no parent is
 sent, as the verifier reads it off the tree-edge certificates.
+
+Certificates and verdicts are immutable named tuples (``TreeSub``,
+``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
+certificate ``pop.PopCertificate``).  The simulator hands one decoded object
+to every node and round that sees the same bytes, which is sound only
+because no field can be set.  As tuples they compare equal to plain tuples
+of the same values and iterate over their fields; ``._replace`` makes an
+edited copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .embedding import NonPlanarWitness, RotationSystem, planar_embed, validate_rotation
@@ -49,16 +56,14 @@ PHASE_POP = 3  # interval checks per owned copy
 MAX_EDGE_CERTS = 5
 
 
-@dataclass(frozen=True)
-class TreeSub:
+class TreeSub(NamedTuple):
     """Classic spanning-tree sub-certificate: root identity and depth."""
 
     root_id: int
     dist: int
 
 
-@dataclass(frozen=True)
-class EdgeCertificate:
+class EdgeCertificate(NamedTuple):
     """Everything one graph edge contributes to the virtual path graph.
 
     A tree edge is traversed twice by the tour and owns two distinct virtual
@@ -81,7 +86,8 @@ class EdgeCertificate:
     pop_j2: PopCertificate
 
     def is_tree(self) -> bool:
-        return {self.i, self.j} != {self.i2, self.j2}
+        # a chord names one slot pair twice, in either orientation
+        return (self.i2, self.j2) not in ((self.i, self.j), (self.j, self.i))
 
     def bindings(self) -> tuple[tuple[int, PopCertificate], ...]:
         return (
@@ -92,8 +98,7 @@ class EdgeCertificate:
         )
 
 
-@dataclass(frozen=True)
-class NodeCertificate:
+class NodeCertificate(NamedTuple):
     """What one node receives: its assigned edge certificates plus tree data."""
 
     edge_certs: tuple[EdgeCertificate, ...]
@@ -101,8 +106,9 @@ class NodeCertificate:
     n: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """One node's decision, the check that decided it, and that check's phase."""
+
     decision: str  # "accept" | "reject"
     reason: str
     phase: int
@@ -113,11 +119,11 @@ class Verdict:
 
 
 def _accept() -> Verdict:
-    return Verdict(decision="accept", reason="", phase=PHASE_POP)
+    return Verdict("accept", "", PHASE_POP)
 
 
 def _reject(phase: int, reason: str) -> Verdict:
-    return Verdict(decision="reject", reason=reason, phase=phase)
+    return Verdict("reject", reason, phase)
 
 
 # --- honest prover ----------------------------------------------------------
@@ -238,50 +244,53 @@ def verify_node_planarity(
     # Phase 1: recover the local virtual-graph slice.  Once the node counts
     # agree, every tour index lies in 1..2n-1, and the layout already put
     # both copies of each tree-edge tour step next to each other.
-    for cert in neighbor_certs.values():
-        if cert.n != own.n:
-            return _reject(PHASE_COLLECT, "node-count claims disagree")
     n = own.n
+    for cert in neighbor_certs.values():
+        if cert.n != n:
+            return _reject(PHASE_COLLECT, "node-count claims disagree")
     nv = 2 * n - 1
 
     # Each certificate of the edge (x, other), keyed by other, with the
     # copies of x and those of other: x's own certificates concern the edge
-    # to their far end, a neighbor's only those whose far end is x.
+    # to their far end, a neighbor's only those whose far end is x.  Own
+    # certificates come first, then the neighbors' in ascending id order.
     found: dict[int, tuple[EdgeCertificate, tuple[int, int], tuple[int, int]]] = {}
-    for holder, cert in [(x, own)] + sorted(neighbor_certs.items()):
-        for ec in cert.edge_certs:
-            if holder == x:
-                other, xs, ys = ec.far, (ec.i, ec.i2), (ec.j, ec.j2)
-                if other not in neighbor_certs:
-                    e = norm_edge(x, other)
-                    return _reject(PHASE_COLLECT, f"certified edge {e} is not in the graph")
-            elif ec.far == x:
-                other, xs, ys = holder, (ec.j, ec.j2), (ec.i, ec.i2)
-            else:
+    for ec in own.edge_certs:
+        other = ec.far
+        if other not in neighbor_certs:
+            e = norm_edge(x, other)
+            return _reject(PHASE_COLLECT, f"certified edge {e} is not in the graph")
+        if other in found:
+            e = norm_edge(x, other)
+            return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
+        found[other] = (ec, (ec.i, ec.i2), (ec.j, ec.j2))
+    for other in sorted(neighbor_certs):
+        for ec in neighbor_certs[other].edge_certs:
+            if ec.far != x:
                 continue  # someone else's edge; not locally checkable
             if other in found:
                 e = norm_edge(x, other)
                 return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
-            found[other] = (ec, xs, ys)
+            found[other] = (ec, (ec.j, ec.j2), (ec.i, ec.i2))
     for y in neighbor_certs:
         if y not in found:
             return _reject(PHASE_COLLECT, f"edge {norm_edge(x, y)} has no certificate")
 
     pop_table: dict[int, PopCertificate] = {}
     for ec, _, _ in found.values():
-        for k, pc in ec.bindings():
-            held = pop_table.get(k)
-            if held is not None and held != pc:
+        _, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = ec
+        for k, pc in ((i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2)):
+            if pop_table.setdefault(k, pc) != pc:
                 return _reject(PHASE_COLLECT, f"conflicting certificates for copy {k}")
-            pop_table[k] = pc
 
     parent_nbr: int | None = None
     parent_sides: tuple[int, int] | None = None
     child_spans: list[tuple[int, int]] = []
     chords: list[tuple[int, int]] = []  # (copy of x, copy of the other end)
     side_count: dict[int, int] = {}
-    for other, (ec, xs, ys) in sorted(found.items()):
-        if not ec.is_tree():
+    for other in sorted(found):
+        ec, xs, ys = found[other]
+        if (ec.i2, ec.j2) in ((ec.i, ec.j), (ec.j, ec.i)):  # not ec.is_tree()
             chords.append((xs[0], ys[0]))
             continue
         for k in xs:
@@ -449,7 +458,7 @@ def _walk(
                     f"cannot pack copy {b[0]} with interval size {b[1].n} and rank "
                     f"{b[1].rank}: the layout forces copy {k}, size {nv} and rank {k}"
                 )
-            slots.append((k, PopCertificate(n=nv, rank=k, lo=lo, hi=hi) if build else None))
+            slots.append((k, PopCertificate(nv, k, lo, hi) if build else None))
         if build:
             if not second:
                 slots *= 2
@@ -457,9 +466,7 @@ def _walk(
             edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
     if not build:
         return None
-    return NodeCertificate(
-        edge_certs=tuple(edge_certs), tree_sub=TreeSub(root_id=root_id, dist=dist), n=n
-    )
+    return NodeCertificate(tuple(edge_certs), TreeSub(root_id, dist), n)
 
 
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:

@@ -13,12 +13,16 @@ which pins the certificates at the two ends of the line.
 
 Certificates use plain integers: the interval bound "minus infinity" is
 stored as -1 and "plus infinity" as n+2, so all checks are ordinary
-comparisons.
+comparisons.  A ``PopCertificate`` is an immutable named tuple: it compares
+equal to the plain tuple ``(n, rank, lo, hi)``, and ``._replace`` makes an
+edited copy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, WitnessError
 from .graphs import Graph
@@ -59,8 +63,7 @@ class PopWitness:
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PopCertificate:
+class PopCertificate(NamedTuple):
     """What one node holds: instance size, own rank, covering interval."""
 
     n: int
@@ -174,18 +177,20 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
     # own interval strictly covers the rank; neighbors stay inside it
     if not (NEG_INF <= lo < x < hi <= top):
         return REJECT_INTERVAL_BOUNDS
-    right = sorted(r for r in nbrs if r > x)
-    left = sorted((r for r in nbrs if r < x), reverse=True)
+    ranks = sorted(nbrs)
+    split = bisect_left(ranks, x)
+    right = ranks[split:]
+    left = ranks[:split][::-1]
     if right and right[-1] > hi:
         return REJECT_INTERVAL_BOUNDS
     if left and left[-1] < lo:
         return REJECT_INTERVAL_BOUNDS
     # chains: consecutive same-side neighbors pin each other's intervals
-    for i in range(len(right) - 1):
-        if nbrs[right[i]].interval != (x, right[i + 1]):
+    for r, nxt in zip(right, right[1:]):
+        if nbrs[r].interval != (x, nxt):
             return REJECT_RIGHT_CHAIN
-    for i in range(len(left) - 1):
-        if nbrs[left[i]].interval != (left[i + 1], x):
+    for r, nxt in zip(left, left[1:]):
+        if nbrs[r].interval != (nxt, x):
             return REJECT_LEFT_CHAIN
     # boundaries: the outermost same-side neighbor strictly inside [lo, hi]
     # must carry [lo, hi] itself
@@ -193,13 +198,20 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
         return REJECT_RIGHT_BOUNDARY
     if left and left[-1] > lo and nbrs[left[-1]].interval != (lo, hi):
         return REJECT_LEFT_BOUNDARY
-    # neighbor intervals ending exactly here: far end adjacent, strictly nested
-    for r, c in nbrs.items():
-        for far in ((c.hi,) if c.lo == x else ()) + ((c.lo,) if c.hi == x else ()):
-            if far not in nbrs:
-                return REJECT_ENDPOINT_ADJACENCY
-            if not (lo <= c.lo and c.hi <= hi and (lo < c.lo or c.hi < hi)):
-                return REJECT_ENDPOINT_NESTING
+    # neighbor intervals ending exactly here: far end adjacent, strictly
+    # nested (an interval ending here at both ends has its far end at x,
+    # which is no neighbor)
+    for c in nbrs.values():
+        if c.lo == x:
+            far = c.hi
+        elif c.hi == x:
+            far = c.lo
+        else:
+            continue
+        if far not in nbrs:
+            return REJECT_ENDPOINT_ADJACENCY
+        if not (lo <= c.lo and c.hi <= hi and (lo < c.lo or c.hi < hi)):
+            return REJECT_ENDPOINT_NESTING
     return None
 
 
@@ -216,13 +228,14 @@ def pop_verify_node(
     n = own.n
     if own.rank != rank or not (1 <= rank <= n):
         return REJECT_PATH_STRUCTURE
-    if any(not (1 <= r <= n) for r in neighbor_certs):
-        return REJECT_PATH_STRUCTURE
-    certs = dict(neighbor_certs)
+    for r in neighbor_certs:
+        if not 1 <= r <= n:
+            return REJECT_PATH_STRUCTURE
+    certs = neighbor_certs
     if rank == 1:
-        certs[0] = virtual_certificate(n, 0)
+        certs = {**certs, 0: virtual_certificate(n, 0)}
     if rank == n:
-        certs[n + 1] = virtual_certificate(n, n + 1)
+        certs = {**certs, n + 1: virtual_certificate(n, n + 1)}
     code = _verify_at(rank, own, certs, n)
     if code is not None:
         return code

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -111,6 +111,13 @@ def test_triangle_edge_classification():
     assert len(tree) == 2
     chord = next(ec for ec in all_ecs if not ec.is_tree())
     assert (chord.i, chord.j) == (chord.i2, chord.j2)
+
+
+def test_is_tree_compares_slot_pairs_as_sets():
+    pc = PopCertificate(n=7, rank=1, lo=0, hi=8)
+    for i, j, i2, j2 in itertools.product(range(1, 5), repeat=4):
+        ec = EdgeCertificate(2, i, j, i2, j2, pc, pc, pc, pc)
+        assert ec.is_tree() == ({i, j} != {i2, j2}), (i, j, i2, j2)
 
 
 def test_path_is_all_tree_edges_with_full_intervals():
@@ -221,23 +228,28 @@ def test_rejects_flipped_interval(tampering_setup):
     g, honest = tampering_setup
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
     ec = honest[holder].edge_certs[0]
-    bad = dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, hi=ec.pop_i.lo))
+    bad = ec._replace(pop_i=ec.pop_i._replace(hi=ec.pop_i.lo))
     certs = dict(honest)
-    certs[holder] = dataclasses.replace(
-        honest[holder], edge_certs=(bad,) + honest[holder].edge_certs[1:]
+    certs[holder] = honest[holder]._replace(
+        edge_certs=(bad,) + honest[holder].edge_certs[1:]
     )
-    assert _rejectors(g, certs)
+    # Every copy of the holder is bound by two tour steps, so the holder
+    # also holds the honest interval of copy ec.i.
+    reason = f"conflicting certificates for copy {ec.i}"
+    assert _rejectors(g, certs)[holder] == Verdict("reject", reason, PHASE_COLLECT)
 
 
 def test_rejects_deleted_edge_cert(tampering_setup):
     g, honest = tampering_setup
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
+    far = honest[holder].edge_certs[0].far
     certs = dict(honest)
-    certs[holder] = dataclasses.replace(
-        honest[holder], edge_certs=honest[holder].edge_certs[1:]
-    )
-    rej = _rejectors(g, certs)
-    assert rej and all(v.phase == PHASE_COLLECT for v in rej.values())
+    certs[holder] = honest[holder]._replace(edge_certs=honest[holder].edge_certs[1:])
+    reason = f"edge {norm_edge(holder, far)} has no certificate"
+    assert _rejectors(g, certs) == {
+        holder: Verdict("reject", reason, PHASE_COLLECT),
+        far: Verdict("reject", reason, PHASE_COLLECT),
+    }
 
 
 def test_rejects_edge_cert_stored_at_both_endpoints(tampering_setup):
@@ -249,8 +261,8 @@ def test_rejects_edge_cert_stored_at_both_endpoints(tampering_setup):
         holder, ec.j, ec.i, ec.j2, ec.i2, ec.pop_j, ec.pop_i, ec.pop_j2, ec.pop_i2
     )
     certs = dict(honest)
-    certs[ec.far] = dataclasses.replace(
-        honest[ec.far], edge_certs=honest[ec.far].edge_certs + (copy,)
+    certs[ec.far] = honest[ec.far]._replace(
+        edge_certs=honest[ec.far].edge_certs + (copy,)
     )
     rej = _rejectors(g, certs)
     assert rej and all(v.phase == PHASE_COLLECT for v in rej.values())
@@ -262,10 +274,10 @@ def test_rejects_edge_cert_naming_a_non_neighbor_at_its_holder(tampering_setup):
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
     stranger = next(z for z in g.nodes() if z != holder and not g.has_edge(holder, z))
     for far in (stranger, holder):
-        ec = dataclasses.replace(honest[holder].edge_certs[0], far=far)
+        ec = honest[holder].edge_certs[0]._replace(far=far)
         certs = dict(honest)
-        certs[holder] = dataclasses.replace(
-            honest[holder], edge_certs=(ec,) + honest[holder].edge_certs[1:]
+        certs[holder] = honest[holder]._replace(
+            edge_certs=(ec,) + honest[holder].edge_certs[1:]
         )
         v = _verdicts(g, certs)[holder]
         assert not v.accepted and v.phase == PHASE_COLLECT
@@ -277,9 +289,7 @@ def test_rejects_corrupted_distance(tampering_setup):
     x = max(g.nodes())
     ts = honest[x].tree_sub
     certs = dict(honest)
-    certs[x] = dataclasses.replace(
-        honest[x], tree_sub=TreeSub(ts.root_id, ts.dist + 1)
-    )
+    certs[x] = honest[x]._replace(tree_sub=TreeSub(ts.root_id, ts.dist + 1))
     rej = _rejectors(g, certs)
     assert rej and any(v.phase == PHASE_TREE for v in rej.values())
 
@@ -296,9 +306,10 @@ def test_rejects_node_count_disagreement(tampering_setup):
     g, honest = tampering_setup
     x = max(g.nodes())
     certs = dict(honest)
-    certs[x] = dataclasses.replace(honest[x], n=g.n + 1)
+    certs[x] = honest[x]._replace(n=g.n + 1)
     rej = _rejectors(g, certs)
-    assert rej and all(v.phase == PHASE_COLLECT for v in rej.values())
+    assert set(rej) == {x, *g.neighbors(x)}
+    assert set(rej.values()) == {Verdict("reject", "node-count claims disagree", PHASE_COLLECT)}
 
 
 def test_rejects_junk_own_certificate():
@@ -312,8 +323,7 @@ def test_rejects_oversized_edge_cert_list(tampering_setup):
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
     ec = honest[holder].edge_certs[0]
     certs = dict(honest)
-    certs[holder] = dataclasses.replace(
-        honest[holder],
+    certs[holder] = honest[holder]._replace(
         edge_certs=honest[holder].edge_certs + (ec,) * (MAX_EDGE_CERTS + 1),
     )
     assert _rejectors(g, certs)
@@ -336,9 +346,9 @@ def test_leaf_visited_twice_is_rejected_in_phase_one():
         slot = "i2" if holder == leaf else "j2"
         k = next(k for k in range(1, 2 * g.n) if k not in (ec.i, ec.j, ec.i2, ec.j2))
         pc = getattr(ec, "pop_" + slot)
-        ecs[at] = dataclasses.replace(ec, **{slot: k, "pop_" + slot: dataclasses.replace(pc, rank=k)})
+        ecs[at] = ec._replace(**{slot: k, "pop_" + slot: pc._replace(rank=k)})
         certs = dict(honest)
-        certs[holder] = dataclasses.replace(honest[holder], edge_certs=tuple(ecs))
+        certs[holder] = honest[holder]._replace(edge_certs=tuple(ecs))
         v = _verdicts(g, certs)[leaf]
         assert not v.accepted and v.phase == PHASE_COLLECT
         assert "lacks a certified tour step" in v.reason
@@ -351,15 +361,58 @@ def test_interval_corruption_reaching_interval_phase():
     honest = prove_planar(g)
     holder = next(x for x in g.nodes() if honest[x].edge_certs)
     ec = honest[holder].edge_certs[0]
-    bad = dataclasses.replace(
-        ec, pop_j=dataclasses.replace(ec.pop_j, lo=3, hi=4)
-    )
+    bad = ec._replace(pop_j=ec.pop_j._replace(lo=3, hi=4))
     certs = dict(honest)
-    certs[holder] = dataclasses.replace(
-        honest[holder], edge_certs=(bad,) + honest[holder].edge_certs[1:]
+    certs[holder] = honest[holder]._replace(
+        edge_certs=(bad,) + honest[holder].edge_certs[1:]
     )
     rej = _rejectors(g, certs)
     assert rej and any(v.phase == PHASE_POP for v in rej.values())
+
+
+def _full_interval_edge(nv: int, far: int, i: int, j: int, i2: int, j2: int) -> EdgeCertificate:
+    """An edge certificate whose four copies all carry the full interval."""
+    pc = {k: PopCertificate(n=nv, rank=k, lo=0, hi=nv + 1) for k in (i, j, i2, j2)}
+    return EdgeCertificate(far, i, j, i2, j2, pc[i], pc[j], pc[i2], pc[j2])
+
+
+#: One view per reject site that the forging strategies rarely or never
+#: reach: node 1 holds every edge certificate, as (far, i, j, i2, j2), and
+#: its neighbors hold none.  Tree steps name adjacent copies, so every view
+#: packs and decodes unchanged.
+_CRAFTED_VIEWS = [
+    (3, [(2, 2, 1, 2, 3), (3, 2, 1, 2, 3)], PHASE_COLLECT,
+     "more than one neighbor claims parenthood"),
+    (3, [(2, 1, 2, 1, 2)], PHASE_COLLECT, "chord attached to foreign copy 1"),
+    (3, [(2, 2, 3, 3, 4), (3, 2, 3, 3, 4)], PHASE_TREE, "root does not own the tour endpoints"),
+    (4, [(2, 1, 2, 2, 3), (3, 1, 2, 2, 3), (4, 3, 2, 3, 4)], PHASE_TREE,
+     "parent edge does not bracket the first and last visits"),
+    (3, [(2, 1, 2, 2, 3), (3, 2, 3, 5, 4)], PHASE_TREE, "children subtours are not contiguous"),
+    (3, [(2, 2, 1, 3, 2), (3, 2, 3, 3, 4)], PHASE_TREE,
+     "visits do not interleave the children subtours"),
+    (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], PHASE_POP, "no certificate for tour neighbor 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, edges, phase, reason", _CRAFTED_VIEWS, ids=[v[3] for v in _CRAFTED_VIEWS]
+)
+def test_crafted_view_reaches_its_reject_site(n, edges, phase, reason):
+    nv = 2 * n - 1
+    ecs = tuple(_full_interval_edge(nv, *e) for e in edges)
+    # The tree data pass the spanning-tree check: the claimed parent, if
+    # any, is the root, and every other neighbor is one level below node 1.
+    parent = next((ec.far for ec in ecs if min(ec.j, ec.j2) < min(ec.i, ec.i2)), None)
+    root = parent or 1
+    own = NodeCertificate(edge_certs=ecs, tree_sub=TreeSub(root, int(parent is not None)), n=n)
+    below = own.tree_sub.dist + 1
+    view = {
+        ec.far: NodeCertificate((), TreeSub(root, 0 if ec.far == parent else below), n)
+        for ec in ecs
+    }
+    for cert in (own, *view.values()):
+        assert unpack_certificate(pack_certificate(cert)) == cert
+    assert verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
 
 
 # --- spanning-tree sub-check in isolation ------------------------------------
@@ -507,9 +560,9 @@ def test_pack_refuses_a_tree_edge_off_the_tour():
     cert = next(c for c in prove_planar(g).values() if c.edge_certs)
     ec = cert.edge_certs[0]
     far = ec.i + 3 if ec.i + 3 <= 2 * g.n - 1 else ec.i - 3
-    bad = dataclasses.replace(ec, j=far, pop_j=dataclasses.replace(ec.pop_j, rank=far))
+    bad = ec._replace(j=far, pop_j=ec.pop_j._replace(rank=far))
     with pytest.raises(ParameterError):
-        pack_certificate(dataclasses.replace(cert, edge_certs=(bad,) + cert.edge_certs[1:]))
+        pack_certificate(cert._replace(edge_certs=(bad,) + cert.edge_certs[1:]))
 
 
 def test_unpack_refills_forced_values():
@@ -553,19 +606,19 @@ def _forced_value_edits(ec: EdgeCertificate):
     rank), and a chord's second slot pair made different from its first."""
     for slot in ("pop_i", "pop_j", "pop_i2", "pop_j2"):
         pc = getattr(ec, slot)
-        yield dataclasses.replace(ec, **{slot: dataclasses.replace(pc, n=pc.n + 1)})
-        yield dataclasses.replace(ec, **{slot: dataclasses.replace(pc, rank=pc.rank + 1)})
+        yield ec._replace(**{slot: pc._replace(n=pc.n + 1)})
+        yield ec._replace(**{slot: pc._replace(rank=pc.rank + 1)})
     if ec.is_tree():
         for copy, slot in (("j", "pop_j"), ("j2", "pop_j2")):
             for delta in (2, -2):
                 k = getattr(ec, copy) + delta
                 pc = getattr(ec, slot)
-                yield dataclasses.replace(ec, **{copy: k})
-                yield dataclasses.replace(ec, **{copy: k, slot: dataclasses.replace(pc, rank=k)})
+                yield ec._replace(**{copy: k})
+                yield ec._replace(**{copy: k, slot: pc._replace(rank=k)})
     else:
-        yield dataclasses.replace(ec, i2=ec.j, j2=ec.i, pop_i2=ec.pop_j, pop_j2=ec.pop_i)
+        yield ec._replace(i2=ec.j, j2=ec.i, pop_i2=ec.pop_j, pop_j2=ec.pop_i)
         k = ec.i2 + 1
-        yield dataclasses.replace(ec, j2=k, pop_j2=dataclasses.replace(ec.pop_j2, rank=k))
+        yield ec._replace(j2=k, pop_j2=ec.pop_j2._replace(rank=k))
 
 
 #: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
@@ -594,7 +647,7 @@ def test_pack_refuses_values_the_layout_forces():
             for e, ec in enumerate(cert.edge_certs):
                 for bad_ec in _forced_value_edits(ec):
                     edge_certs = cert.edge_certs[:e] + (bad_ec,) + cert.edge_certs[e + 1 :]
-                    bad = dataclasses.replace(cert, edge_certs=edge_certs)
+                    bad = cert._replace(edge_certs=edge_certs)
                     refused = _old_pack_refuses(bad)
                     outcomes.add(refused)
                     if refused:
@@ -607,8 +660,8 @@ def test_pack_refuses_values_the_layout_forces():
     # Sizing walks the same layout, so it refuses a forced value too.
     cert = next(c for c in prove_planar(graphs["complete"]).values() if c.edge_certs)
     ec = cert.edge_certs[0]
-    bad_ec = dataclasses.replace(ec, pop_i=dataclasses.replace(ec.pop_i, n=ec.pop_i.n + 1))
-    bad = dataclasses.replace(cert, edge_certs=(bad_ec,) + cert.edge_certs[1:])
+    bad_ec = ec._replace(pop_i=ec.pop_i._replace(n=ec.pop_i.n + 1))
+    bad = cert._replace(edge_certs=(bad_ec,) + cert.edge_certs[1:])
     with pytest.raises(ParameterError):
         certificate_size_bits(bad)
     with pytest.raises(ParameterError):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from planarcert.cli import EXIT_ACCEPT, main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,3 +38,21 @@ def test_attack_campaign_bad_arguments_exit_64(args):
     assert done.returncode == 64
     assert done.stderr.startswith("usage: attack_campaign.py")
     assert "Traceback" not in done.stderr
+
+
+def test_build_corpus_files_prove_and_verify(tmp_path):
+    done = _run_script("build_corpus.py", str(tmp_path / "corpus"))
+    assert done.returncode == 0, done.stderr
+    graph = tmp_path / "corpus" / "wheel-16.txt"
+    assert f"wrote {graph} " in done.stdout
+    certs = tmp_path / "wheel-16.certs"
+    assert main(["prove", str(graph), "--out", str(certs)]) == EXIT_ACCEPT
+    assert main(["verify", str(graph), str(certs)]) == EXIT_ACCEPT
+
+
+def test_size_sweep_prints_a_csv():
+    done = _run_script("size_sweep.py", "--kind", "grid", "--sizes", "16,64")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "n,max_bits,max_bits_per_log2_n"
+    assert [line.split(",")[0] for line in lines[1:]] == ["16", "64"]

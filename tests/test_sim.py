@@ -26,6 +26,8 @@ from planarcert.sim import (
     DEFAULT_STRATEGIES,
     Assignment,
     Origin,
+    _cached_verdict,
+    _decode,
     _edit_one_field,
     _planar_template,
     _replay_graph,
@@ -251,6 +253,26 @@ def test_memoized_verdicts_match_the_firewalled_path():
         for a in assignments:
             memoized = run_round(g, a).per_node
             assert run_round(g, a, verifier=_firewalled).per_node == memoized
+
+
+def test_decoded_records_are_shared_and_immutable():
+    # _decode and _cached_verdict hand one object to every node and round
+    # that sees the same bytes; that is sound only if no field can be set.
+    g = generate("random_maximal_planar", n=12, seed=0)
+    certs = honest_assignment(g).certs
+    fresh = {x: bytes(bytearray(b)) for x, b in certs.items()}  # equal bytes, other objects
+    x = next(x for x in g.nodes() if _decode(certs[x]).edge_certs)
+    cert = _decode(certs[x])
+    assert _decode(fresh[x]) is cert
+    verdict = _cached_verdict(x, certs[x], tuple((y, certs[y]) for y in g.neighbors(x)))
+    assert _cached_verdict(x, fresh[x], tuple((y, fresh[y]) for y in g.neighbors(x))) is verdict
+    ec = cert.edge_certs[0]
+    for record in (cert, cert.tree_sub, ec, ec.pop_i, verdict):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.note = "extra"
 
 
 # --- attack harness -------------------------------------------------------------
