@@ -201,12 +201,11 @@ def gen_glued_instance(
     return build_graph(edges)
 
 
-def glued_contracts_to_biclique(g: Graph, n: int, q: int, id_partition="contiguous", seed: int = 0) -> bool:
-    """Check by explicit contraction that the glued instance is K_{q,q} over its paths."""
+def glued_contracts_to_biclique(g: Graph, n: int, q: int) -> bool:
+    """Check by explicit contraction that the glued instance is K_{q,q} over its
+    paths, whose ids run contiguously, as ``gen_glued_instance``'s default."""
     n_a, n_b = n // 2, n - n // 2
     sizes = [n_a] * q + [n_b] * q
-    if id_partition != "contiguous":
-        raise ParameterError("contraction check only supports contiguous ids")
     paths = []
     at = 0
     for size in sizes:

@@ -7,8 +7,19 @@ virtual endpoints together with their interval certificates; the certificate
 is stored at the endpoint that comes first in a degeneracy order, so no node
 holds more than five of them.  The verifier reassembles its local slice of
 the virtual graph from its own and its neighbors' certificates, replays the
-interval checks for every tour copy it owns, and runs standard spanning-tree
-consistency checks on the side.
+interval checks for every tour copy it owns, and checks the spanning tree
+and the tour around it.
+
+No certificate carries a tree depth, because the tour checks already make
+parent pointers acyclic.  Let x be an accepting node with parent p, where
+the parent is the tree-edge neighbor whose copy on the shared edge comes
+first.  The bracket check makes x's copies on that edge its first and last
+copies, so p's copy on the edge comes before x's first copy.  p reads the
+same certificate and counts that copy among its own, so
+first(p) < first(x).  First copies strictly fall along every parent chain,
+so no chain cycles, and each one ends at a parentless node.  Such a node
+must be the root it claims, and root identities agree across every edge of
+a connected graph, so when every node accepts there is exactly one root.
 
 Certificates travel as packed bits in one layout, stated once in ``_walk``:
 it drives packing, unpacking, the size count and the attack harness's
@@ -57,10 +68,9 @@ MAX_EDGE_CERTS = 5
 
 
 class TreeSub(NamedTuple):
-    """Classic spanning-tree sub-certificate: root identity and depth."""
+    """Spanning-tree sub-certificate: the claimed root's id, and no depth."""
 
     root_id: int
-    dist: int
 
 
 class EdgeCertificate(NamedTuple):
@@ -160,15 +170,11 @@ def prove_planar(
     )
 
     # One pass over the tour: each tree edge's two steps, as (copy of the
-    # smaller id, copy of the larger id) in tour order, and each node's depth,
-    # set on its first visit (the tour enters a node from its parent).
+    # smaller id, copy of the larger id) in tour order.
     f = fm.f
     steps: dict[Edge, list[tuple[int, int]]] = {}
-    depth = {root: 0}
     for k in range(1, nv):
         a, b = f[k], f[k + 1]  # real tour positions: never the anchor
-        if b not in depth:
-            depth[b] = depth[a] + 1
         steps.setdefault(norm_edge(a, b), []).append((k, k + 1) if a < b else (k + 1, k))
 
     # One pass over the edges, in ascending order: each certificate goes to
@@ -188,10 +194,9 @@ def prove_planar(
         ec = EdgeCertificate(v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2])
         mine[u].append(ec)
 
+    tree_sub = TreeSub(root_id=root)
     return {
-        x: NodeCertificate(
-            edge_certs=tuple(ecs), tree_sub=TreeSub(root_id=root, dist=depth[x]), n=g.n
-        )
+        x: NodeCertificate(edge_certs=tuple(ecs), tree_sub=tree_sub, n=g.n)
         for x, ecs in mine.items()
     }
 
@@ -205,24 +210,17 @@ def verify_spanning_tree_sub(
     neighbor_subs: dict[int, TreeSub],
     parent_id: int | None,
 ) -> str | None:
-    """Classic root/distance consistency; None means accept.
+    """Root agreement, and only the root goes parentless; None means accept.
 
     ``parent_id`` is the parent derived from the edge certificates (None for
-    a node claiming to be the root).
+    a node claiming to be the root).  Parent chains need no check here: the
+    tour checks already make them acyclic (see the module docstring).
     """
     for sub in neighbor_subs.values():
         if sub.root_id != own.root_id:
             return "root identity disagrees with a neighbor"
-    if parent_id is None:
-        if own.root_id != x:
-            return "node without a parent is not the claimed root"
-        if own.dist != 0:
-            return "claimed root has nonzero distance"
-    elif own.dist != neighbor_subs[parent_id].dist + 1:
-        return "distance is not one more than the parent's"
-    for y, sub in neighbor_subs.items():
-        if sub.dist == 0 and sub.root_id != y:
-            return "a neighbor claims distance zero without being the root"
+    if parent_id is None and own.root_id != x:
+        return "node without a parent is not the claimed root"
     return None
 
 
@@ -421,18 +419,16 @@ def _walk(
     refilling what the wire leaves out; otherwise it returns None.  Only
     decoding builds.
 
-    Node ids take ``id_bits``; the node count, distance, tour indices and
+    Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
     endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
     most five, so their count takes 3 bits.
     """
-    ts = cert.tree_sub if cert else None
     any_id = (1, (1 << id_bits) - 1)
     count = field("count", 3, 0, MAX_EDGE_CERTS, cert and len(cert.edge_certs))
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, cert and cert.n)
     nv = 2 * n - 1
-    root_id = field("root_id", id_bits, *any_id, ts and ts.root_id)
-    dist = field("dist", idx_bits, 0, n - 1, ts and ts.dist)
+    root_id = field("root_id", id_bits, *any_id, cert and cert.tree_sub.root_id)
     edge_certs = []
     for e in range(count):
         ec = cert.edge_certs[e] if cert else None
@@ -466,7 +462,7 @@ def _walk(
             edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
     if not build:
         return None
-    return NodeCertificate(tuple(edge_certs), TreeSub(root_id, dist), n)
+    return NodeCertificate(tuple(edge_certs), TreeSub(root_id), n)
 
 
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:

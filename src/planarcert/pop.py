@@ -35,7 +35,6 @@ REJECT_LEFT_CHAIN = 9  # left-neighbor interval chain broken
 REJECT_RIGHT_BOUNDARY = 11  # last right neighbor below b must inherit [a,b]
 REJECT_LEFT_BOUNDARY = 13  # first left neighbor above a must inherit [a,b]
 REJECT_ENDPOINT_ADJACENCY = 16  # neighbor interval ends here, far end not adjacent
-REJECT_ENDPOINT_NESTING = 17  # neighbor interval ends here but is not nested
 
 REJECT_REASONS = {
     REJECT_PATH_STRUCTURE: "rank neighborhood is not consistent with a spanning path",
@@ -45,7 +44,6 @@ REJECT_REASONS = {
     REJECT_RIGHT_BOUNDARY: "interval of the last right neighbor strictly inside must equal own interval",
     REJECT_LEFT_BOUNDARY: "interval of the first left neighbor strictly inside must equal own interval",
     REJECT_ENDPOINT_ADJACENCY: "a neighbor interval ends at this rank but its far end is not a neighbor",
-    REJECT_ENDPOINT_NESTING: "a neighbor interval ends at this rank without nesting strictly inside",
 }
 
 NEG_INF = -1  # encoded minus infinity
@@ -198,9 +196,9 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
         return REJECT_RIGHT_BOUNDARY
     if left and left[-1] > lo and nbrs[left[-1]].interval != (lo, hi):
         return REJECT_LEFT_BOUNDARY
-    # neighbor intervals ending exactly here: far end adjacent, strictly
-    # nested (an interval ending here at both ends has its far end at x,
-    # which is no neighbor)
+    # neighbor intervals ending exactly here: far end adjacent, hence in
+    # [lo, hi], so the interval nests strictly inside (an interval ending
+    # here at both ends has its far end at x, which is no neighbor)
     for c in nbrs.values():
         if c.lo == x:
             far = c.hi
@@ -210,8 +208,6 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
             continue
         if far not in nbrs:
             return REJECT_ENDPOINT_ADJACENCY
-        if not (lo <= c.lo and c.hi <= hi and (lo < c.lo or c.hi < hi)):
-            return REJECT_ENDPOINT_NESTING
     return None
 
 

@@ -7,7 +7,13 @@ import pytest
 from planarcert.cli import main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
 from planarcert.graphs import build_graph, generate
-from planarcert.pls import _set_field, certificate_bit_fields, pack_certificate, prove_planar
+from planarcert.pls import (
+    _set_field,
+    certificate_bit_fields,
+    pack_certificate,
+    pack_certificate_with_bits,
+    prove_planar,
+)
 from planarcert.sim import honest_assignment, run_round
 
 
@@ -113,10 +119,10 @@ def test_verify_one_edited_field_rejects(tmp_path, capsys):
     g = generate("wheel", n=8)
     graph = _graph_file(tmp_path, g)
     certs = prove_planar(g)
-    x = min(x for x, c in certs.items() if c.tree_sub.dist == 1)
+    x = 3  # claims node 2 as root, which its neighbors do not
     text = write_certificates(certs)
     doctored = tmp_path / "doctored.txt"
-    edited = _edited_field(certs[x], "dist", 6)
+    edited = _edited_field(certs[x], "root_id", 2)
     doctored.write_text(text.replace(pack_certificate(certs[x]).hex(), edited.hex(), 1))
     code = main(["verify", graph, str(doctored)])
     out = capsys.readouterr().out
@@ -126,12 +132,12 @@ def test_verify_one_edited_field_rejects(tmp_path, capsys):
 
 
 def test_verify_undecodable_bytes_reject_in_phase_one(tmp_path, capsys):
-    # dist = 9 is outside 0..n-1: the line is hex, so this is a verdict
+    # root_id = 0 is no node id: the line is hex, so this is a verdict
     # (exit 3), not a parse error.
     g = generate("wheel", n=8)
     graph = _graph_file(tmp_path, g)
     certs = prove_planar(g)
-    edited = _edited_field(certs[3], "dist", 9)
+    edited = _edited_field(certs[3], "root_id", 0)
     doctored = tmp_path / "doctored.txt"
     doctored.write_text(
         write_certificates(certs).replace(pack_certificate(certs[3]).hex(), edited.hex(), 1)
@@ -139,6 +145,52 @@ def test_verify_undecodable_bytes_reject_in_phase_one(tmp_path, capsys):
     assert main(["verify", graph, str(doctored)]) == 3
     out = capsys.readouterr().out
     assert "node 3: reject [phase 1] own certificate does not decode" in out
+
+
+#: Certificate files ``prove`` wrote while the layout still sent each
+#: node's tree depth (a ``dist`` field after ``root_id``).
+_DEPTH_LAYOUT_FILES = {
+    "edge": (build_graph([(1, 2)]), "1 020329149b359a34\n2 01030a40\n"),
+    "wheel-6": (
+        generate("wheel", n=6),
+        "1 03044c42ac751332c74c74\n"
+        "2 03046c44c8743b4f91d6a7c66cd21d8ed3e1ec\n"
+        "3 03044c5499b2c7659b0b8cd97b\n"
+        "4 03044c509572c76d57098ef77b\n"
+        "5 03042c4f51303b0f77b0\n"
+        "6 01040d20\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTH_LAYOUT_FILES))
+def test_verify_rejects_files_in_the_depth_layout(tmp_path, capsys, name):
+    # The layout has no version field; a file in the old layout is still
+    # hex, so every node's own bytes fail to decode: a verdict, not a crash.
+    g, text = _DEPTH_LAYOUT_FILES[name]
+    certs = tmp_path / "certs.txt"
+    certs.write_text(text)
+    assert main(["verify", _graph_file(tmp_path, g), str(certs)]) == 3
+    node_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("node ")]
+    assert node_lines == [
+        f"node {x}: reject [phase 1] own certificate does not decode" for x in g.nodes()
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTH_LAYOUT_FILES))
+def test_honest_bytes_are_the_depth_layout_without_its_window(name):
+    # The depth took idx_bits right after count (3 bits), n (idx_bits) and
+    # root_id (id_bits); every other bit is where it was.
+    g, text = _DEPTH_LAYOUT_FILES[name]
+    for x, old in parse_certificates(text).items():
+        id_bits, idx_bits = old[0], old[1]
+        start = 3 + idx_bits + id_bits
+        bits = "".join(f"{b:08b}" for b in old[2:])
+        cut = bits[:start] + bits[start + idx_bits :]
+        new, nbits = pack_certificate_with_bits(prove_planar(g)[x])
+        payload = "".join(f"{b:08b}" for b in new[2:])
+        assert new[:2] == old[:2] and payload[:nbits] == cut[:nbits], x
+        assert "1" not in payload[nbits:] + cut[nbits:], x  # padding only
 
 
 def test_verify_non_hex_line_is_a_parse_error(tmp_path, capsys):

@@ -132,15 +132,15 @@ def test_certificate_duplicate_node_rejected():
 
 
 def test_certificate_values_pass_through_unjudged():
-    # A distance of 3 on a two-node graph is outside the dist field's legal
-    # range; the parser hands the bytes over anyway and only decoding objects.
+    # A root id of 0 is outside the root_id field's legal range; the parser
+    # hands the bytes over anyway and only decoding objects.
     g = build_graph([(1, 2)])
     certs = prove_planar(g)
     cert = certs[2]
     fields = certificate_bit_fields(cert)
-    dist = next(k for k, f in enumerate(fields) if f.name == "dist")
-    assert fields[dist].value == 1 and fields[dist].hi == 1
-    edited = _set_field(pack_certificate(cert), fields, dist, 3)
+    root = next(k for k, f in enumerate(fields) if f.name == "root_id")
+    assert fields[root].value == 1 and fields[root].lo == 1
+    edited = _set_field(pack_certificate(cert), fields, root, 0)
     text = write_certificates(certs).replace(pack_certificate(cert).hex(), edited.hex())
     parsed = parse_certificates(text)
     assert parsed[2] == edited

@@ -183,11 +183,7 @@ def test_parent_rule_matches_prover_tree():
                     continue
                 if min(ys) < min(xs):
                     parents.append(other)
-        if x == root:
-            assert parents == [] and cert.tree_sub.dist == 0
-        else:
-            assert parents == [t.parent[x]]
-            assert cert.tree_sub.dist == certs[t.parent[x]].tree_sub.dist + 1
+        assert parents == ([] if x == root else [t.parent[x]])
 
 
 def test_node_with_no_assigned_certs_still_verifies():
@@ -284,21 +280,11 @@ def test_rejects_edge_cert_naming_a_non_neighbor_at_its_holder(tampering_setup):
         assert "is not in the graph" in v.reason
 
 
-def test_rejects_corrupted_distance(tampering_setup):
-    g, honest = tampering_setup
-    x = max(g.nodes())
-    ts = honest[x].tree_sub
-    certs = dict(honest)
-    certs[x] = honest[x]._replace(tree_sub=TreeSub(ts.root_id, ts.dist + 1))
-    rej = _rejectors(g, certs)
-    assert rej and any(v.phase == PHASE_TREE for v in rej.values())
-
-
 def test_rejects_zeroed_certificate(tampering_setup):
     g, honest = tampering_setup
     x = max(g.nodes())
     certs = dict(honest)
-    certs[x] = NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, 0), n=g.n)
+    certs[x] = NodeCertificate(edge_certs=(), tree_sub=TreeSub(1), n=g.n)
     assert _rejectors(g, certs)
 
 
@@ -401,15 +387,11 @@ def test_crafted_view_reaches_its_reject_site(n, edges, phase, reason):
     nv = 2 * n - 1
     ecs = tuple(_full_interval_edge(nv, *e) for e in edges)
     # The tree data pass the spanning-tree check: the claimed parent, if
-    # any, is the root, and every other neighbor is one level below node 1.
+    # any, is the root.
     parent = next((ec.far for ec in ecs if min(ec.j, ec.j2) < min(ec.i, ec.i2)), None)
-    root = parent or 1
-    own = NodeCertificate(edge_certs=ecs, tree_sub=TreeSub(root, int(parent is not None)), n=n)
-    below = own.tree_sub.dist + 1
-    view = {
-        ec.far: NodeCertificate((), TreeSub(root, 0 if ec.far == parent else below), n)
-        for ec in ecs
-    }
+    tree_sub = TreeSub(parent or 1)
+    own = NodeCertificate(edge_certs=ecs, tree_sub=tree_sub, n=n)
+    view = {ec.far: NodeCertificate((), tree_sub, n) for ec in ecs}
     for cert in (own, *view.values()):
         assert unpack_certificate(pack_certificate(cert)) == cert
     assert verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
@@ -420,49 +402,79 @@ def test_crafted_view_reaches_its_reject_site(n, edges, phase, reason):
 
 def test_tree_sub_accepts_honest_path():
     # path 1-2-3-4-5 rooted at 1
-    subs = {k: TreeSub(1, k - 1) for k in range(1, 6)}
     for x in range(1, 6):
-        nbrs = {y: subs[y] for y in (x - 1, x + 1) if 1 <= y <= 5}
+        nbrs = {y: TreeSub(1) for y in (x - 1, x + 1) if 1 <= y <= 5}
         parent = x - 1 if x > 1 else None
-        assert verify_spanning_tree_sub(x, subs[x], nbrs, parent) is None
+        assert verify_spanning_tree_sub(x, TreeSub(1), nbrs, parent) is None
 
 
 def test_tree_sub_rejects_root_identity_conflict():
-    own = TreeSub(1, 0)
-    nbr = {2: TreeSub(2, 0)}
+    own = TreeSub(1)
+    nbr = {2: TreeSub(2)}
     assert verify_spanning_tree_sub(1, own, nbr, None) is not None
 
 
 def test_tree_sub_rejects_false_root_claim():
-    assert verify_spanning_tree_sub(3, TreeSub(1, 0), {}, None) is not None
-    assert verify_spanning_tree_sub(1, TreeSub(1, 2), {}, None) is not None
+    assert verify_spanning_tree_sub(3, TreeSub(1), {}, None) is not None
 
 
-def test_tree_sub_rejects_impostor_at_distance_zero():
-    own = TreeSub(1, 1)
-    nbrs = {2: TreeSub(1, 0)}
-    # neighbor 2 claims distance zero but the root is node 1
-    assert verify_spanning_tree_sub(3, own, nbrs, 2) is not None
+@pytest.mark.parametrize("k", [3, 4])
+def test_no_tour_indices_let_a_cycle_of_tree_edges_pass_phase_2(k):
+    # A k-cycle whose every edge holds a tree-edge certificate is no tree, so
+    # no choice of tour indices and root may get every node past phase 2.
+    # Node x holds the certificate of edge (x, x % k + 1); its verdict reads
+    # only the certificates of its own two edges, so the search goes over
+    # per-node pass tables and is exhaustive: a fooling assignment is a
+    # closed walk through them.  Copies carry the full interval, so no two
+    # ever conflict.  At node x the verifier compares root ids only with
+    # each other and with x, so one table for root x and one for any other
+    # root cover every root, k + 1 (no node) included.
+    nv = 2 * k - 1
+    steps = [(c, c + d) for c in range(1, nv + 1) for d in (-1, 1) if 1 <= c + d <= nv]
+    options = [(a, b) for a in steps for b in steps if b not in (a, a[::-1])]
+    assert len(options) == {3: 48, 4: 120}[k]
+    nxt = {x: x % k + 1 for x in range(1, k + 1)}
+    prv = {y: x for x, y in nxt.items()}
 
-
-def test_parent_cycle_has_no_consistent_distances():
-    # Four nodes in a cycle, each deriving the next as parent: whatever
-    # distances are claimed, someone's is not one more than its parent's.
-    n = 4
-    ring = {1: 2, 2: 3, 3: 4, 4: 1}
-    for bits in range(n**n):
-        dists = [(bits // n**k) % n for k in range(n)]
-        ok = True
-        for x in range(1, 5):
-            own = TreeSub(1, dists[x - 1])
-            nbrs = {
-                y: TreeSub(1, dists[y - 1])
-                for y in (ring[x], [k for k, v in ring.items() if v == x][0])
+    def passing(x, root):
+        """For each option x holds, the options of its left edge, held by
+        prv[x], with which x gets past phase 2."""
+        cert = {
+            (y, o): NodeCertificate(
+                (_full_interval_edge(nv, nxt[y], *o[0], *o[1]),), TreeSub(root), k
+            )
+            for y in (prv[x], x, nxt[x])
+            for o in options
+        }
+        far = cert[nxt[x], options[0]]  # its edge's far end is not x
+        return {
+            right: {
+                left
+                for left in options
+                if verify_node_planarity(
+                    x, cert[x, right], {prv[x]: cert[prv[x], left], nxt[x]: far}
+                ).phase
+                == PHASE_POP
             }
-            if verify_spanning_tree_sub(x, own, nbrs, ring[x]) is not None:
-                ok = False
-                break
-        assert not ok, f"distance labelling {dists} fooled every node"
+            for right in options
+        }
+
+    as_root = {x: passing(x, x) for x in nxt}
+    not_root = {x: passing(x, k + 1) for x in nxt}
+    # Each node alone can be fooled, so the search below is not vacuous.
+    assert all(any(table.values()) for table in not_root.values())
+    for root in range(1, k + 2):
+        tables = {x: as_root[x] if x == root else not_root[x] for x in nxt}
+        for last in options:
+            # the options of edge (x, x + 1) that extend a passing walk from
+            # edge (k, 1) = last through nodes 1..x
+            reach = {last}
+            for x in range(1, k + 1):
+                reach = {o for o in options if tables[x][o] & reach}
+            assert last not in reach, f"root {root}: a parent cycle passes phase 2"
+    for o in options:  # every option is a certificate the wire carries
+        cert = NodeCertificate((_full_interval_edge(nv, 2, *o[0], *o[1]),), TreeSub(1), k)
+        assert unpack_certificate(pack_certificate(cert)) == cert
 
 
 # --- certificate size --------------------------------------------------------
@@ -511,7 +523,7 @@ def test_pack_round_trip_on_corpus():
 
 def test_pack_rejects_malformed():
     with pytest.raises(ParameterError):
-        pack_certificate(NodeCertificate(edge_certs=(), tree_sub=TreeSub(1, 5), n=2))
+        pack_certificate(NodeCertificate(edge_certs=(), tree_sub=TreeSub(0), n=2))
 
 
 def test_unpack_rejects_truncation_and_trailing_junk():
@@ -541,7 +553,7 @@ def test_wire_leaves_out_forced_fields():
     # holder's copy of each tour step and (step bit, lo, hi) for the far
     # end's copy next to it.
     g = generate("random_maximal_planar", n=25, seed=5)
-    layout = {"count", "n", "root_id", "dist", "far", "second", "index", "step", "lo", "hi"}
+    layout = {"count", "n", "root_id", "far", "second", "index", "step", "lo", "hi"}
     for cert in prove_planar(g).values():
         fields = certificate_bit_fields(cert)
         names = [f.name for f in fields]
@@ -580,7 +592,7 @@ def _old_pack_refuses(cert: NodeCertificate) -> bool:
     """Reference check: write each field the layout reads off ``cert``, each
     in its legal range, decode what was written into a new certificate, and
     refuse unless it equals ``cert``."""
-    values = [len(cert.edge_certs), cert.n, cert.tree_sub.root_id, cert.tree_sub.dist]
+    values = [len(cert.edge_certs), cert.n, cert.tree_sub.root_id]
     for ec in cert.edge_certs:
         held = ec.bindings()
         second = held[2:] != held[:2]
@@ -624,10 +636,10 @@ def _forced_value_edits(ec: EdgeCertificate):
 #: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
 #: concatenated in node order.
 _PACKED_PINS = {
-    "grid": "1ef035b9dd7abecf",
-    "random_maximal_planar": "7d2555a7f87cddae",
-    "tree": "80d2bf0f51eb382b",
-    "complete": "38fd629667067f35",
+    "grid": "3a86743edcf20e6a",
+    "random_maximal_planar": "79f73fa06f8d8bcb",
+    "tree": "3bd60a984232ac2a",
+    "complete": "57fa7f496c8c8934",
 }
 
 

@@ -17,6 +17,7 @@ from planarcert.errors import FirewallViolation, ParameterError
 from planarcert.graphs import build_graph, generate, norm_edge, relabel
 from planarcert.pls import (
     Verdict,
+    _field_widths,
     certificate_bit_fields,
     pack_certificate,
     prove_planar,
@@ -139,12 +140,12 @@ def test_round_is_deterministic():
     assert run_round(g, a) == run_round(g, a)
 
 
-# Digests of random_assignment(g, f"7/random/{t}").certs for t = 0..9, computed
-# when forging still built (and discarded) each decoded certificate.
+# Digests of random_assignment(g, f"7/random/{t}").certs for t = 0..9.  They
+# move with the wire layout, whose fields the draws fill.
 _PINNED_FORGERIES = {
-    "K33": "4370ddb4d413aed2",
-    "petersen": "f8507273e00bcbac",
-    "n28": "124934fbb815448b",
+    "K33": "ff79c78c4edd0cae",
+    "petersen": "1f6ea90171b75c73",
+    "n28": "b0627fd442e9f013",
 }
 
 
@@ -347,8 +348,8 @@ _PINNED_CSV = {
 # seed=11 trials=40 strategies=random-fields,template-edits,swap,replay
 strategy,trials,accepts,phase1,phase2,phase3
 random-fields,40,0,40,0,0
-template-edits,40,0,32,5,3
-swap,40,0,37,3,0
+template-edits,40,0,38,2,0
+swap,40,0,40,0,0
 replay,40,0,40,0,0
 """,
     "petersen": """\
@@ -356,8 +357,8 @@ replay,40,0,40,0,0
 # seed=11 trials=40 strategies=random-fields,template-edits,swap,replay
 strategy,trials,accepts,phase1,phase2,phase3
 random-fields,40,0,40,0,0
-template-edits,40,0,34,2,4
-swap,40,0,35,5,0
+template-edits,40,0,34,1,5
+swap,40,0,40,0,0
 replay,40,0,39,0,1
 """,
 }
@@ -460,12 +461,20 @@ def test_size_sweep_grid_ratio_bounded():
 
 
 def test_size_sweep_random_planar_same_shape():
-    # maximal planar graphs have denser certificates than grids but the
-    # normalized column still shrinks as n grows
-    rows = size_sweep("random_maximal_planar", [16, 64], seed=2)
+    # Maximal planar graphs have denser certificates than grids, but the
+    # normalized column stays within criterion 2's bound of 1.1 times its
+    # n = 16 value, and it shrinks from n = 64 on.  (From 16 to 64 it may
+    # rise a little: by 0.08 at this seed.)
+    rows = size_sweep("random_maximal_planar", [16, 64, 256, 1024], seed=2)
+    # The same certificates in the layout that still sent a tree depth,
+    # one idx_bits field, took 209/313/391/469 bits.
+    depth_layout = (209, 313, 391, 469)
+    assert [r.max_bits for r in rows] == [
+        bits - _field_widths(1, r.n)[1] for bits, r in zip(depth_layout, rows)
+    ]
     ratios = [r.ratio for r in rows]
-    assert ratios == sorted(ratios, reverse=True)
-    assert max(ratios) <= 140
+    assert ratios[1:] == sorted(ratios[1:], reverse=True)
+    assert max(ratios) <= min(1.1 * ratios[0], 140)
 
 
 def test_size_sweep_parameter_errors():

@@ -19,7 +19,6 @@ from planarcert.embedding import planar_embed
 from planarcert.graphs import build_graph, generate
 from planarcert.pls import pack_certificate, prove_planar, unpack_certificate, verify_node_planarity
 from planarcert.pop import (
-    REJECT_ENDPOINT_NESTING,
     REJECT_REASONS,
     PopWitness,
     pop_prove,
@@ -97,11 +96,33 @@ def test_verdicts_match_the_reference_on_every_view():
                 assert got == want, (name, strategy, x)
                 reasons[re.sub(r"\d+", "#", want.reason)] += 1
                 phases.add(want.phase)
-    # The views reach every phase and many distinct checks, so a verifier
-    # that differs in any of them shows up here.
+    # The views reach every phase and these checks, so a verifier that
+    # differs in any of them shows up here.
     assert phases == {1, 2, 3}
     assert reasons[""] > 0  # accepting nodes
-    assert len(reasons) >= 18, sorted(reasons)
+    assert set(reasons) == _REACHED, sorted(reasons)
+
+
+#: Every reason the views above reach, digits as "#"; "" is accept.
+_REACHED = {
+    "",
+    "certified edge (#, #) is not in the graph",
+    "chord attached to foreign copy #",
+    "conflicting certificates for copy #",
+    "copy # lacks a certified tour step",
+    "edge (#, #) certified more than once",
+    "edge (#, #) has no certificate",
+    "more than one neighbor claims parenthood",
+    "node-count claims disagree",
+    "node without a parent is not the claimed root",
+    "root identity disagrees with a neighbor",
+    "visits do not interleave the children subtours",
+    "copy #: interval of a left neighbor differs from [next left neighbor, rank]",
+    "copy #: interval of a right neighbor differs from [rank, next right neighbor]",
+    "copy #: interval of the first left neighbor strictly inside must equal own interval",
+    "copy #: interval of the last right neighbor strictly inside must equal own interval",
+    "copy #: own interval does not strictly cover the rank or a neighbor escapes it",
+}
 
 
 def _random_pop_view(rng: random.Random):
@@ -142,7 +163,8 @@ def test_interval_codes_match_the_reference():
         want = oracle_pop_verify_node(rank, own, nbrs)
         assert pop_verify_node(rank, own, nbrs) == want, (rank, own, nbrs)
         codes[want] += 1
-    # Every code but REJECT_ENDPOINT_NESTING, and accept.  That check cannot
-    # fail once the others pass: the far end of a neighbor interval that
-    # ends at x is a neighbor, so it lies in [lo, hi], and lo < x < hi.
-    assert set(codes) == set(REJECT_REASONS) - {REJECT_ENDPOINT_NESTING} | {None}, codes
+    # Every code the interval checks have, and accept.  The reference's
+    # nesting check (code 17) never decides: the far end of a neighbor
+    # interval that ends at x is a neighbor, so it lies in [lo, hi], and
+    # lo < x < hi.
+    assert set(codes) == set(REJECT_REASONS) | {None}, codes
