@@ -301,6 +301,40 @@ def _replay_graph(g: Graph, seed: int) -> tuple[Graph, RotationSystem | None]:
     return relabel(donor, label), rot
 
 
+def _lift(g: Graph, k: int, seed: int | str) -> tuple[Graph, Assignment]:
+    """A k-lift of planar g, and g's honest certificates carried up to it.
+
+    Each edge (u, v), u < v, gets a random voltage a in 0..k-1 and lifts to
+    the k edges from copy s of u to copy s + a (mod k) of v.  Copy s of node
+    v has id v + s * max(g's ids), so sheet 0 keeps g's ids.  Every copy of v
+    gets v's honest certificate with each ``far`` mapped to the copy of that
+    neighbor it is joined to, re-packed; nothing else is edited.  Each copy's
+    radius-1 view then looks like its base node's, except through the ids.
+    """
+    rng = random.Random(seed)
+    top = max(g.nodes())
+    voltage: dict[tuple[int, int], int] = {}
+    for u, v in g.edges():
+        voltage[(u, v)] = a = rng.randrange(k)
+        voltage[(v, u)] = -a % k
+    edges = [
+        (u + s * top, v + (s + a) % k * top)
+        for (u, v), a in voltage.items()
+        if u < v
+        for s in range(k)
+    ]
+    lifted = build_graph(edges, nodes=[v + s * top for s in range(k) for v in g.nodes()])
+    certs = {}
+    for v, cert in prove_planar(g).items():
+        for s in range(k):
+            ecs = tuple(
+                ec._replace(far=ec.far + (s + voltage[(v, ec.far)]) % k * top)
+                for ec in cert.edge_certs
+            )
+            certs[v + s * top] = pack_certificate(cert._replace(edge_certs=ecs))
+    return lifted, Assignment(certs, Origin("external", base=f"{k}-lift"))
+
+
 # --- attack harness -----------------------------------------------------------
 
 

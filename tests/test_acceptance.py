@@ -30,6 +30,7 @@ from planarcert.lowerbound import (
 from planarcert.minors import has_biclique_minor, has_clique_minor
 from planarcert.pop import is_path_outerplanar
 from planarcert.sim import (
+    _lift,
     attack,
     honest_assignment,
     planarity_verifier,
@@ -299,3 +300,29 @@ def test_criterion_9_verifier_reads_stay_inside_the_view(corpus, honest, capsys)
 
         with pytest.raises(FirewallViolation):
             run_round(g, honest_assignment(g), verifier=nosy)
+
+
+def test_criterion_10_lifts_of_planar_graphs_are_rejected_at_their_roots(capsys):
+    with _criterion(
+        capsys, 10, "honest certificates carried to non-planar lifts rejected at k - 1 roots"
+    ):
+        # A one-round verifier sees a lift's node exactly as its base node,
+        # ids aside (Angluin 1980; Goos-Suomela 2011).  With the base's honest
+        # certificates carried up, only the ids can give the lift away: each
+        # sheet's copy of the root claims the root's id without being it.
+        lifts = 0
+        for k in (2, 3):
+            for n in (28, 100):
+                for seed in range(10):
+                    base = generate("random_maximal_planar", n=n, seed=seed)
+                    lifted, a = _lift(base, k, seed)
+                    if not lifted.connected or planar_embed(lifted, counterexample=False) is not None:
+                        continue
+                    lifts += 1
+                    report = run_round(lifted, a)
+                    assert not report.accepted, (k, n, seed)
+                    rejectors = {x: v for x, v in report.per_node.items() if not v.accepted}
+                    root, top = min(base.nodes()), max(base.nodes())
+                    assert set(rejectors) == {root + s * top for s in range(1, k)}, (k, n, seed)
+                    assert {v.phase for v in rejectors.values()} == {2}, (k, n, seed)
+        assert lifts >= 30  # all 40 are, at these seeds

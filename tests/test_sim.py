@@ -30,6 +30,7 @@ from planarcert.sim import (
     _cached_verdict,
     _decode,
     _edit_one_field,
+    _lift,
     _planar_template,
     _replay_graph,
     attack,
@@ -413,6 +414,47 @@ def test_replay_donor_rotation_is_the_generators_embedding():
             assert rot in (ref, mirror)
     donor, rot = _replay_graph(build_graph([(4, 9), (9, 11)]), seed=1)
     assert donor.nodes() == [4, 9, 11] and rot is None
+
+
+def test_lift_carries_each_base_view_up():
+    # Each copy of a node sees what its base node sees, ids mapped by sheet.
+    base = generate("random_maximal_planar", n=12, seed=1)
+    top = max(base.nodes())
+    honest = honest_assignment(base).certs
+    for k in (1, 2, 3):
+        lifted, a = _lift(base, k, seed=4)
+        assert lifted.n == k * base.n and lifted.m == k * base.m
+        for x in lifted.nodes():
+            v = (x - 1) % top + 1
+            assert sorted((y - 1) % top + 1 for y in lifted.neighbors(x)) == list(base.neighbors(v))
+            cert = unpack_certificate(a.certs[x])
+            assert {(y - 1) % top + 1 for y in (ec.far for ec in cert.edge_certs)} <= set(base.neighbors(v))
+            assert cert._replace(
+                edge_certs=tuple(ec._replace(far=(ec.far - 1) % top + 1) for ec in cert.edge_certs)
+            ) == unpack_certificate(honest[v])
+    assert run_round(*_lift(base, 1, seed=4)).accepted
+
+
+def test_lift_with_a_root_per_sheet_fails_root_agreement():
+    # If each sheet names its own copy of the root in root_id, every copy of
+    # the root is the root it claims; then neighbors across sheets disagree
+    # on the root, and only root agreement sees it.
+    base = generate("random_maximal_planar", n=28, seed=2)
+    root, top = min(base.nodes()), max(base.nodes())
+    for k in (2, 3):
+        lifted, a = _lift(base, k, seed=2)
+        assert lifted.connected and planar_embed(lifted, counterexample=False) is None
+        certs = {}
+        for x, data in a.certs.items():
+            cert = unpack_certificate(data)
+            own_root = root + (x - 1) // top * top
+            certs[x] = pack_certificate(cert._replace(tree_sub=cert.tree_sub._replace(root_id=own_root)))
+        report = run_round(lifted, Assignment(certs, Origin("external", base=f"{k}-lift")))
+        assert not report.accepted
+        rejectors = [v for v in report.per_node.values() if not v.accepted]
+        assert {(v.phase, v.reason) for v in rejectors} == {
+            (2, "root identity disagrees with a neighbor")
+        }
 
 
 def test_replayed_certificates_from_other_graph_reject():
