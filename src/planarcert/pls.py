@@ -34,6 +34,18 @@ from a tree edge, which sends two tour steps.  Nor is an id the view already
 holds: an edge certificate names only its far endpoint, and no parent is
 sent, as the verifier reads it off the tree-edge certificates.
 
+Each copy's interval goes out once per certificate, with the first slot
+that names the copy; a later slot naming it sends no interval, and the
+decoder refills it from the first.  This costs no soundness.  Each slot's
+copy index, or the step bit that gives it, comes before its interval, so
+the decoder always knows whether an interval follows, and every bit string
+decodes to a certificate that the layout with every interval sent could
+also carry: the one whose repeats equal their first slot.  The verifier is
+unchanged, so the views it accepts can only be fewer.  Nor does it cost
+completeness: the verifier reads every edge certificate of its own
+certificate and rejects two slots that give one copy different intervals,
+so an accepting certificate repeats each copy with the same interval.
+
 Certificates and verdicts are immutable named tuples (``TreeSub``,
 ``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
 certificate ``pop.PopCertificate``).  The simulator hands one decoded object
@@ -405,7 +417,9 @@ def _walk(
       index);
     - a chord's second slot pair, which repeats its first;
     - in a tree edge, the copy at the other end of each tour step, which is
-      next to the near one: a step bit says whether it comes after it.
+      next to the near one: a step bit says whether it comes after it;
+    - the interval of a copy that an earlier slot of the same certificate
+      already named: only a copy's first slot sends ``lo`` and ``hi``.
 
     Nor are two ids the verifier reads off its view: an edge certificate's
     holder, so it sends one id (``far``), and the tree parent.  So decoding
@@ -413,11 +427,13 @@ def _walk(
 
     Given a certificate, the walk checks the forced values as it goes and
     raises ParameterError on one the layout cannot carry: a slot whose copy
-    index is not the one written or derived from the step bit, or whose
-    interval certificate's size or rank is not the forced one.  With
+    index is not the one written or derived from the step bit, whose
+    interval certificate's size or rank is not the forced one, or which
+    repeats a copy with another interval than its first slot's.  With
     ``build=True`` it rebuilds a certificate from the returned values,
-    refilling what the wire leaves out; otherwise it returns None.  Only
-    decoding builds.
+    refilling what the wire leaves out, and a repeated copy shares its first
+    slot's interval object; otherwise it returns None.  Only decoding
+    builds.
 
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -429,6 +445,8 @@ def _walk(
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, cert and cert.n)
     nv = 2 * n - 1
     root_id = field("root_id", id_bits, *any_id, cert and cert.tree_sub.root_id)
+    # copy index -> the interval certificate its first slot carried
+    sent: dict[int, PopCertificate | None] = {}
     edge_certs = []
     for e in range(count):
         ec = cert.edge_certs[e] if cert else None
@@ -447,14 +465,23 @@ def _walk(
                 k = at + 2 * up - 1
             else:
                 k = field("index", idx_bits, 1, nv, b and b[0])
-            lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
-            hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
             if b and (b[0] != k or b[1].n != nv or b[1].rank != k):
                 raise ParameterError(
                     f"cannot pack copy {b[0]} with interval size {b[1].n} and rank "
                     f"{b[1].rank}: the layout forces copy {k}, size {nv} and rank {k}"
                 )
-            slots.append((k, PopCertificate(nv, k, lo, hi) if build else None))
+            if k in sent:
+                pc = sent[k]
+                if b and b[1] != pc:
+                    raise ParameterError(
+                        f"cannot pack copy {k} with two intervals, {pc} and {b[1]}: "
+                        "the layout sends a copy's interval once per certificate"
+                    )
+            else:
+                lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
+                hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
+                pc = sent[k] = PopCertificate(nv, k, lo, hi) if build else b and b[1]
+            slots.append((k, pc))
         if build:
             if not second:
                 slots *= 2

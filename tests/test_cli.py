@@ -177,20 +177,97 @@ def test_verify_rejects_files_in_the_depth_layout(tmp_path, capsys, name):
     ]
 
 
-@pytest.mark.parametrize("name", sorted(_DEPTH_LAYOUT_FILES))
-def test_honest_bytes_are_the_depth_layout_without_its_window(name):
-    # The depth took idx_bits right after count (3 bits), n (idx_bits) and
-    # root_id (id_bits); every other bit is where it was.
-    g, text = _DEPTH_LAYOUT_FILES[name]
+#: Certificate files ``prove`` wrote while the layout still sent a copy's
+#: interval (``lo``, ``hi``) with every slot that named the copy, and the
+#: lines ``verify`` prints for them now.  A certificate that names no copy
+#: twice has the same bytes in both layouts, so it still decodes; any other
+#: fails to decode, and so do its neighbors' views.
+_EVERY_INTERVAL_FILES = {
+    "edge": (
+        build_graph([(1, 2)]),
+        "1 020329a4d9acd1a0\n2 01030a\n",
+        (
+            "node 1: reject [phase 1] own certificate does not decode",
+            "node 2: reject [phase 1] certificate of neighbor 1 does not decode",
+        ),
+    ),
+    "wheel-6": (
+        generate("wheel", n=6),
+        "1 03044c6ac751332c74c740\n"
+        "2 03046c4c8743b4f91d6a7c66cd21d8ed3e1ec0\n"
+        "3 03044c499b2c7659b0b8cd97b0\n"
+        "4 03044c49572c76d57098ef77b0\n"
+        "5 03042c751303b0f77b\n"
+        "6 01040d\n",
+        (
+            "node 1: reject [phase 1] own certificate does not decode",
+            "node 2: reject [phase 1] own certificate does not decode",
+            "node 3: reject [phase 1] own certificate does not decode",
+            "node 4: reject [phase 1] own certificate does not decode",
+            "node 5: reject [phase 1] certificate of neighbor 1 does not decode",
+            "node 6: reject [phase 1] certificate of neighbor 1 does not decode",
+        ),
+    ),
+    "grid-3x3": (
+        generate("grid", w=3, h=3),
+        "1 0305492a10ce19c433165110cc8198\n"
+        "2 0305492d02c92595883386702c8a88\n"
+        "3 0305293a92c85924b2aa20\n"
+        "4 0305493640cc19b9b0aa3e40ce5939b03600\n"
+        "5 040549163d5152a307aa2c5c00\n"
+        "6 04052919a0b2164a546b80\n"
+        "7 0405291894b2964d6c0b80\n"
+        "8 0405291998b2964c5c0b80\n"
+        "9 01050980\n",
+        (
+            "node 1: reject [phase 1] own certificate does not decode",
+            "node 2: reject [phase 1] own certificate does not decode",
+            "node 3: reject [phase 1] own certificate does not decode",
+            "node 4: reject [phase 1] own certificate does not decode",
+            "node 5: reject [phase 1] own certificate does not decode",
+            "node 6: reject [phase 1] certificate of neighbor 3 does not decode",
+            "node 7: reject [phase 1] certificate of neighbor 4 does not decode",
+            "node 8: reject [phase 1] certificate of neighbor 5 does not decode",
+            # its view is certificates 6, 8 and 9, which name no copy twice
+            "node 9: accept",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
+def test_verify_judges_files_in_the_every_interval_layout(tmp_path, capsys, name):
+    g, text, lines = _EVERY_INTERVAL_FILES[name]
+    certs = tmp_path / "certs.txt"
+    certs.write_text(text)
+    assert main(["verify", _graph_file(tmp_path, g), str(certs)]) == 3
+    out = capsys.readouterr().out
+    assert tuple(line for line in out.splitlines() if line.startswith("node ")) == lines
+    assert "global: reject" in out
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
+def test_honest_bytes_are_the_every_interval_layout_without_its_repeats(name):
+    # The earlier layout sent lo and hi (idx_bits each) after every index or
+    # step field; this one only after the first naming a copy.  Cutting the
+    # repeats' windows out of the old bits gives the new ones.
+    g, text, _ = _EVERY_INTERVAL_FILES[name]
     for x, old in parse_certificates(text).items():
-        id_bits, idx_bits = old[0], old[1]
-        start = 3 + idx_bits + id_bits
+        cert = prove_planar(g)[x]
+        new, nbits = pack_certificate_with_bits(cert)
+        assert new[:2] == old[:2], x
         bits = "".join(f"{b:08b}" for b in old[2:])
-        cut = bits[:start] + bits[start + idx_bits :]
-        new, nbits = pack_certificate_with_bits(prove_planar(g)[x])
+        fields = certificate_bit_fields(cert)
+        cut, at = [], 0
+        for f, after in zip(fields, fields[1:] + (None,)):
+            cut.append(bits[at : at + f.width])
+            at += f.width
+            if f.name in ("index", "step") and (after is None or after.name != "lo"):
+                at += 2 * old[1]  # a repeated copy's interval
         payload = "".join(f"{b:08b}" for b in new[2:])
-        assert new[:2] == old[:2] and payload[:nbits] == cut[:nbits], x
-        assert "1" not in payload[nbits:] + cut[nbits:], x  # padding only
+        assert payload[:nbits] == "".join(cut), x
+        assert "1" not in payload[nbits:] + bits[at:], x  # padding only
+        assert (new == old) == (at == nbits), x  # no repeat, same bytes
 
 
 def test_verify_non_hex_line_is_a_parse_error(tmp_path, capsys):

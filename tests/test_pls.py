@@ -542,29 +542,43 @@ def test_unpack_rejects_zero_widths():
         unpack_certificate(b"\x00\x04\x00\x00")
 
 
-def _index_fields(fields: tuple[Field, ...]) -> int:
-    return sum(f.name in ("index", "lo", "hi") for f in fields)
+def _slot_copies(cert: NodeCertificate) -> list[int]:
+    """The copy each slot the layout sends names, in layout order."""
+    return [
+        k for ec in cert.edge_certs for k, _ in ec.bindings()[: 4 if ec.is_tree() else 2]
+    ]
 
 
 def test_wire_leaves_out_forced_fields():
     # Per certificate: the root's id but no parent.  Per edge certificate:
-    # one id, its far end's, and a one-bit flag.  A chord then sends
-    # (index, lo, hi) for both of its copies; a tree edge sends them for the
-    # holder's copy of each tour step and (step bit, lo, hi) for the far
-    # end's copy next to it.
+    # one id, its far end's, and a one-bit flag.  A chord then sends an
+    # index for both of its copies; a tree edge sends one for the holder's
+    # copy of each tour step and a step bit for the far end's copy next to
+    # it.  Each index or step bit is followed by the copy's (lo, hi) if no
+    # earlier slot of the certificate named that copy, and by nothing else.
     g = generate("random_maximal_planar", n=25, seed=5)
     layout = {"count", "n", "root_id", "far", "second", "index", "step", "lo", "hi"}
+    repeats = 0
     for cert in prove_planar(g).values():
         fields = certificate_bit_fields(cert)
         names = [f.name for f in fields]
         tree = sum(ec.is_tree() for ec in cert.edge_certs)
-        chords = len(cert.edge_certs) - tree
+        copies = _slot_copies(cert)
         assert set(names) <= layout
         assert names.count("root_id") == 1
         assert names.count("far") == names.count("second") == len(cert.edge_certs)
         assert names.count("step") == 2 * tree
-        assert _index_fields(fields) == 10 * tree + 6 * chords
+        assert names.count("index") == len(copies) - 2 * tree
+        assert names.count("lo") == names.count("hi") == len(set(copies))
+        sends_interval = [
+            names[p + 1 : p + 3] == ["lo", "hi"]
+            for p, name in enumerate(names)
+            if name in ("index", "step")
+        ]
+        assert sends_interval == [k not in copies[:s] for s, k in enumerate(copies)]
+        repeats += len(copies) - len(set(copies))
         assert all(f.lo <= f.value <= f.hi for f in fields)
+    assert repeats > 0
 
 
 def test_pack_refuses_a_tree_edge_off_the_tour():
@@ -590,16 +604,25 @@ def test_unpack_refills_forced_values():
 
 def _old_pack_refuses(cert: NodeCertificate) -> bool:
     """Reference check: write each field the layout reads off ``cert``, each
-    in its legal range, decode what was written into a new certificate, and
-    refuse unless it equals ``cert``."""
+    in its legal range and a copy's interval with its first slot only, decode
+    what was written into a new certificate, and refuse unless it equals
+    ``cert``."""
     values = [len(cert.edge_certs), cert.n, cert.tree_sub.root_id]
+    sent = set()
     for ec in cert.edge_certs:
         held = ec.bindings()
         second = held[2:] != held[:2]
         values += [ec.far, int(second)]
         for s, (k, pc) in enumerate(held[: 4 if second else 2]):
-            near = int(k > held[s - 1][0]) if second and s % 2 else k
-            values += [near, pc.lo + 1, pc.hi + 1]
+            if second and s % 2:
+                near = int(k > at)
+                at += 2 * near - 1  # the copy the step bit gives
+            else:
+                near = at = k
+            values.append(near)
+            if at not in sent:
+                values += [pc.lo + 1, pc.hi + 1]
+                sent.add(at)
     feed = iter(values)
     try:
         rebuilt = _walk(
@@ -633,13 +656,33 @@ def _forced_value_edits(ec: EdgeCertificate):
         yield ec._replace(j2=k, pop_j2=ec.pop_j2._replace(rank=k))
 
 
+def _repeat_edits(cert: NodeCertificate):
+    """For each slot the layout sends that names a copy an earlier slot
+    already named, ``cert`` with that slot's interval moved (both slots of a
+    chord's pair, so that it stays a chord)."""
+    named = set()
+    for e, ec in enumerate(cert.edge_certs):
+        for slot in ("i", "j", "i2", "j2")[: 4 if ec.is_tree() else 2]:
+            k = getattr(ec, slot)
+            if k in named:
+                pc = getattr(ec, "pop_" + slot)
+                moved = pc._replace(hi=pc.hi + 1)
+                change = {"pop_" + slot: moved}
+                if not ec.is_tree():
+                    change["pop_" + slot + "2"] = moved
+                edge_certs = list(cert.edge_certs)
+                edge_certs[e] = ec._replace(**change)
+                yield cert._replace(edge_certs=tuple(edge_certs))
+            named.add(k)
+
+
 #: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
 #: concatenated in node order.
 _PACKED_PINS = {
-    "grid": "3a86743edcf20e6a",
-    "random_maximal_planar": "79f73fa06f8d8bcb",
-    "tree": "3bd60a984232ac2a",
-    "complete": "57fa7f496c8c8934",
+    "grid": "02ddfe1a04beba2d",
+    "random_maximal_planar": "0269974f5a7edca2",
+    "tree": "c5f03648a9c677e5",
+    "complete": "296d57a1f35af07e",
 }
 
 
@@ -651,6 +694,7 @@ def test_pack_refuses_values_the_layout_forces():
         "complete": generate("complete", k=4),
     }
     outcomes = set()
+    repeats = 0
     for kind, g in graphs.items():
         digest = hashlib.sha256()
         for x, cert in sorted(prove_planar(g).items()):
@@ -667,8 +711,15 @@ def test_pack_refuses_values_the_layout_forces():
                             pack_certificate(bad)
                     else:
                         assert unpack_certificate(pack_certificate(bad)) == bad
+            for bad in _repeat_edits(cert):
+                # a repeat that carries another interval than its first slot
+                repeats += 1
+                assert _old_pack_refuses(bad)
+                with pytest.raises(ParameterError, match="two intervals"):
+                    pack_certificate(bad)
         assert digest.hexdigest()[:16] == _PACKED_PINS[kind], kind
     assert outcomes == {True, False}
+    assert repeats > 0
     # Sizing walks the same layout, so it refuses a forced value too.
     cert = next(c for c in prove_planar(graphs["complete"]).values() if c.edge_certs)
     ec = cert.edge_certs[0]

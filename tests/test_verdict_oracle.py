@@ -108,6 +108,7 @@ _REACHED = {
     "",
     "certified edge (#, #) is not in the graph",
     "chord attached to foreign copy #",
+    "children subtours are not contiguous",
     "conflicting certificates for copy #",
     "copy # lacks a certified tour step",
     "edge (#, #) certified more than once",
@@ -117,6 +118,7 @@ _REACHED = {
     "node without a parent is not the claimed root",
     "root identity disagrees with a neighbor",
     "visits do not interleave the children subtours",
+    "copy #: a neighbor interval ends at this rank but its far end is not a neighbor",
     "copy #: interval of a left neighbor differs from [next left neighbor, rank]",
     "copy #: interval of a right neighbor differs from [rank, next right neighbor]",
     "copy #: interval of the first left neighbor strictly inside must equal own interval",
