@@ -322,6 +322,49 @@ def test_attack_template_is_a_maximal_planar_spanning_subgraph():
         assert run_round(sub, Assignment(packed, Origin("honest"))).accepted
 
 
+def _greedy_template_edges(g, seed):
+    """Reference growth: the template's spanning tree, then each other edge
+    in the template's shuffled order, kept iff the graph stays planar."""
+    nodes = g.nodes()
+    seen, frontier, kept = {nodes[0]}, [nodes[0]], []
+    while frontier:
+        v = frontier.pop()
+        for u in g.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                kept.append(norm_edge(u, v))
+                frontier.append(u)
+    rest = [e for e in g.edges() if e not in set(kept)]
+    random.Random(seed).shuffle(rest)
+    for e in rest:
+        if planar_embed(build_graph(kept + [e], nodes=nodes), counterexample=False) is not None:
+            kept.append(e)
+    return set(kept)
+
+
+def test_attack_template_keeps_what_edge_by_edge_greedy_keeps():
+    # The template tests whole batches of edges and splits the ones that
+    # fail; planarity is closed under subgraphs, so it keeps the same edges.
+    rng = random.Random(5)
+    graphs = [
+        generate("complete", k=5),
+        generate("complete", k=6),
+        generate("complete_bipartite", p=3, q=3),
+        generate("petersen"),
+        _maximal_planar_plus_one_edge(28, seed=3),
+    ]
+    for n in (9, 14):
+        nodes = list(range(1, n + 1))
+        pairs = [(u, v) for u in nodes for v in nodes if u < v]
+        graphs.append(build_graph(rng.sample(pairs, 3 * n), nodes=nodes))
+    for g in graphs:
+        assert g.connected and planar_embed(g, counterexample=False) is None
+        for seed in ("1/template", "7/template"):
+            certs, _ = _planar_template(g, seed, planar=False)
+            kept = {norm_edge(x, ec.far) for x, c in certs.items() for ec in c.edge_certs}
+            assert kept == _greedy_template_edges(g, seed), (g, seed)
+
+
 # The edges the attack's template leaves out at seed 11.  They do not depend
 # on the certificate layout, so unlike the CSV pin below this one holds
 # across layout changes and guards the growth rule by itself.
