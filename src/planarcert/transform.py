@@ -86,17 +86,20 @@ class InducedGraph:
         return build_graph(edges, nodes=range(1, self.n_virtual + 1))
 
 
-def _scan_order(
-    g: Graph, rot: RotationSystem, v: int, parent: int | None
-) -> tuple[int, ...]:
-    """Neighbors of ``v`` in ccw order starting after the entry edge.
+def _checked_ring(g: Graph, rot: RotationSystem, v: int) -> tuple[int, ...]:
+    """The rotation at ``v``, which must order exactly ``v``'s neighbors."""
+    ring = rot.rotation.get(v, ())
+    if len(ring) != g.degree(v) or set(ring) != set(g.neighbors(v)):
+        raise StructuralError(f"rotation at {v} does not match its neighbors")
+    return ring
+
+
+def _scan_order(ring: tuple[int, ...], parent: int | None) -> tuple[int, ...]:
+    """A node's ring in ccw order starting after the entry edge.
 
     For the root the virtual anchor sits just before the canonical first
     rotation entry, so the scan is the stored ring itself.
     """
-    ring = rot.order_at(v)
-    if set(ring) != set(g.neighbors(v)) or len(ring) != g.degree(v):
-        raise StructuralError(f"rotation at {v} does not match its neighbors")
     if parent is None:
         return ring
     idx = ring.index(parent)
@@ -116,7 +119,7 @@ def spanning_tree_dfs(g: Graph, rot: RotationSystem, root: int) -> RootedTree:
         raise ParameterError("spanning tree requires a connected graph")
     parent: dict[int, int | None] = {root: None}
     children: dict[int, list[int]] = {v: [] for v in g.nodes()}
-    stack = [(root, iter(_scan_order(g, rot, root, None)))]
+    stack = [(root, iter(_scan_order(_checked_ring(g, rot, root), None)))]
     while stack:
         v, scan = stack[-1]
         w = next(scan, None)
@@ -127,7 +130,7 @@ def spanning_tree_dfs(g: Graph, rot: RotationSystem, root: int) -> RootedTree:
             continue
         parent[w] = v
         children[v].append(w)
-        stack.append((w, iter(_scan_order(g, rot, w, v))))
+        stack.append((w, iter(_scan_order(_checked_ring(g, rot, w), v))))
     if len(parent) != g.n:
         raise StructuralError("rotation walk did not reach every node")
     return RootedTree(
@@ -182,28 +185,46 @@ def induce_graph(
     last copy, which departs toward the parent (or the anchor), and each
     child ``w`` it passes moves it to the copy just before ``w``'s first
     visit, the one that steps down to ``w``.
+
+    ``t`` must be the tree ``spanning_tree_dfs`` grows on ``rot`` and ``fm``
+    its tour, as ``dfs_mapping`` builds it.  The pass checks each ring
+    without building a set: it must have one entry per neighbor, hold the
+    parent, meet the children in the order the tree visited them, and name
+    every non-tree neighbor, which takes up the rest of its entries, so it
+    names each once.  A ring that does not order exactly the node's
+    neighbors raises StructuralError.  Each chord end is then a copy of its
+    own endpoint (the tour steps from ``u`` down to each child), so a chord
+    names its edge and no two edges share one.
     """
     if t.n != g.n or fm.n != g.n:
         raise ParameterError("graph, tree, and tour disagree on node count")
     ends: dict[tuple[int, int], int] = {}
     for u in g.nodes():
+        ring = rot.rotation.get(u, ())
+        parent = t.parent[u]
+        if len(ring) != g.degree(u) or (parent is not None and parent not in ring):
+            raise StructuralError(f"rotation at {u} does not match its neighbors")
+        kids = t.children_order[u]
+        left = len(kids)
         at = fm.copies[u][-1]
-        for v in reversed(_scan_order(g, rot, u, t.parent[u])):
-            if t.parent[v] == u:  # a child
+        for v in reversed(_scan_order(ring, parent)):
+            if t.parent.get(v) == u:  # a child
+                left -= 1
+                if left < 0 or kids[left] != v:
+                    raise StructuralError(f"rotation at {u} does not match its tree children")
                 at = fm.copies[v][0] - 1
             else:
                 ends[(u, v)] = at
+        if left:
+            raise StructuralError(f"rotation at {u} does not match its tree children")
 
     cotree_map: dict[Edge, Edge] = {}
-    seen: set[Edge] = set()
     for u, v in g.edges():
-        if (u, v) not in ends:
+        if t.parent[u] == v or t.parent[v] == u:
             continue  # a tree edge
-        chord = norm_edge(ends[(u, v)], ends[(v, u)])
-        if chord in seen:
-            raise StructuralError(f"two non-tree edges map to chord {chord}")
-        seen.add(chord)
-        cotree_map[(u, v)] = chord
+        if (u, v) not in ends or (v, u) not in ends:
+            raise StructuralError(f"rotation does not name the edge {(u, v)} at both ends")
+        cotree_map[(u, v)] = norm_edge(ends[(u, v)], ends[(v, u)])
     return InducedGraph(n_virtual=fm.n_virtual, cotree_map=cotree_map)
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from planarcert.embedding import canonical_rotation, planar_embed
-from planarcert.errors import ParameterError
+from planarcert.errors import ParameterError, StructuralError
 from planarcert.graphs import Graph, build_graph, generate, norm_edge
 from planarcert.lowerbound import BlockInstance, gen_block_instance
 from planarcert.pop import is_path_outerplanar
@@ -293,6 +293,47 @@ def test_chords_match_the_rescanning_finder():
                 fm = dfs_mapping(t)
                 want = _cotree_map_by_rescanning(g, r, t, fm)
                 assert induce_graph(g, r, t, fm).cotree_map == want
+
+
+def _broken_rings(g: Graph, rot):
+    """Every rotation that differs from ``rot`` in one ring by one entry:
+    dropped, replaced by another neighbor or by a non-neighbor, or added
+    (a neighbor again, or a non-neighbor)."""
+    for u, ring in rot.rotation.items():
+        stranger = next(  # a node that is no neighbor, or else no node at all
+            (v for v in g.nodes() if v != u and not g.has_edge(u, v)), max(g.nodes()) + 1
+        )
+        for p in range(len(ring)):
+            others = [w for w in ring if w != ring[p]] + [stranger]
+            dropped = [ring[:p] + ring[p + 1 :]]
+            added = [ring[:p] + (w,) + ring[p:] for w in (ring[p], stranger)]
+            replaced = [ring[:p] + (w,) + ring[p + 1 :] for w in others]
+            for ring2 in dropped + added + replaced:
+                yield u, type(rot)({**rot.rotation, u: ring2})
+
+
+def test_a_ring_that_does_not_match_its_neighbors_raises():
+    # spanning_tree_dfs checks every ring; induce_graph checks the rings in
+    # its one pass, against the tree the same rotation grew.  Neither may
+    # build anything on a ring that misses, repeats or invents a neighbor,
+    # be it the parent, a child or the end of a chord.
+    for g in (generate("wheel", n=7), generate("random_maximal_planar", n=10, seed=3)):
+        rot = _embed(g)
+        root = g.nodes()[0]
+        t = spanning_tree_dfs(g, rot, root)
+        fm = dfs_mapping(t)
+        kinds = set()
+        for u, bad in _broken_rings(g, rot):
+            with pytest.raises(StructuralError):
+                spanning_tree_dfs(g, bad, root)
+            with pytest.raises(StructuralError):
+                induce_graph(g, bad, t, fm)
+            changed = set(rot.order_at(u)) ^ set(bad.order_at(u))
+            kinds.update(
+                "parent" if w == t.parent[u] else "child" if t.parent.get(w) == u else "other"
+                for w in changed
+            )
+        assert kinds == {"parent", "child", "other"}
 
 
 # --- contraction round-trip ------------------------------------------------
