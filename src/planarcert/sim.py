@@ -326,9 +326,8 @@ def _lift(g: Graph, k: int, seed: int | str) -> tuple[Graph, Assignment]:
         voltage[(u, v)] = a = rng.randrange(k)
         voltage[(v, u)] = -a % k
     edges = [
-        (u + s * top, v + (s + a) % k * top)
-        for (u, v), a in voltage.items()
-        if u < v
+        (u + s * top, v + (s + voltage[(u, v)]) % k * top)
+        for u, v in g.edges()
         for s in range(k)
     ]
     lifted = build_graph(edges, nodes=[v + s * top for s in range(k) for v in g.nodes()])

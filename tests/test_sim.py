@@ -300,8 +300,8 @@ def test_attack_control_arm_accepts_on_planar():
 
 def test_attack_template_is_a_maximal_planar_spanning_subgraph():
     # The forgeries of template-edits and swap start from honest
-    # certificates of a planar subgraph grown edge by edge; growth stops at
-    # 3n - 6 edges, where Euler's bound leaves no room for another.
+    # certificates of a planar subgraph grown by batches of edges; growth
+    # stops at 3n - 6 edges, where Euler's bound leaves no room for another.
     seed = 1
     for g in (
         generate("complete", k=5),
