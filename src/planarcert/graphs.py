@@ -300,7 +300,8 @@ def generate(kind: str, **params) -> Graph:
     """Dispatch to a named instance generator.
 
     Kinds: grid(w,h), wheel(n), tree(n,seed), random_maximal_planar(n,seed),
-    complete(k), complete_bipartite(p,q), petersen, subdivided(base,steps).
+    complete(k), complete_bipartite(p,q), petersen.  ``subdivide`` takes a
+    graph, so it is a function of its own rather than a kind.
     Randomized kinds require an explicit seed so outputs stay reproducible.
     """
     if kind in _RANDOM_KINDS and "seed" not in params:
@@ -320,8 +321,6 @@ def generate(kind: str, **params) -> Graph:
             return _gen_complete_bipartite(int(params["p"]), int(params["q"]))
         if kind == "petersen":
             return _gen_petersen()
-        if kind == "subdivided":
-            return subdivide(params["base"], int(params["steps"]))
     except KeyError as exc:
         raise ParameterError(f"generator '{kind}' missing parameter {exc}") from None
     raise ParameterError(f"unknown generator kind '{kind}'")

@@ -213,29 +213,6 @@ def prove_planar(
     }
 
 
-# --- verifier: spanning-tree sub-check ---------------------------------------
-
-
-def verify_spanning_tree_sub(
-    x: int,
-    own: TreeSub,
-    neighbor_subs: dict[int, TreeSub],
-    parent_id: int | None,
-) -> str | None:
-    """Root agreement, and only the root goes parentless; None means accept.
-
-    ``parent_id`` is the parent derived from the edge certificates (None for
-    a node claiming to be the root).  Parent chains need no check here: the
-    tour checks already make them acyclic (see the module docstring).
-    """
-    for sub in neighbor_subs.values():
-        if sub.root_id != own.root_id:
-            return "root identity disagrees with a neighbor"
-    if parent_id is None and own.root_id != x:
-        return "node without a parent is not the claimed root"
-    return None
-
-
 # --- verifier ----------------------------------------------------------------
 
 
@@ -337,15 +314,14 @@ def verify_node_planarity(
             )
         chord_at.setdefault(mine, []).append(partner)
 
-    # Phase 2: spanning tree and tour consistency.
-    reason = verify_spanning_tree_sub(
-        x,
-        own.tree_sub,
-        {y: c.tree_sub for y, c in neighbor_certs.items()},
-        parent_nbr,
-    )
-    if reason is not None:
-        return _reject(PHASE_TREE, reason)
+    # Phase 2: spanning tree and tour consistency.  Parent chains need no
+    # check of their own: the tour checks make them acyclic (module docstring).
+    root_id = own.tree_sub.root_id
+    for cert in neighbor_certs.values():
+        if cert.tree_sub.root_id != root_id:
+            return _reject(PHASE_TREE, "root identity disagrees with a neighbor")
+    if is_root_claim and root_id != x:
+        return _reject(PHASE_TREE, "node without a parent is not the claimed root")
     if is_root_claim and not {1, nv} <= copy_set:
         return _reject(PHASE_TREE, "root does not own the tour endpoints")
     if parent_sides is not None and set(parent_sides) != {copies[0], copies[-1]}:

@@ -180,6 +180,8 @@ def run_round(
     round's, and ``per_node`` holds the evaluated prefix only.
     """
     nodes = g.nodes()
+    if not nodes:
+        raise ParameterError("a round needs a graph with at least one node")
     missing = [v for v in nodes if v not in a.certs]
     if missing:
         raise ParameterError(f"assignment lacks certificates for nodes {missing}")

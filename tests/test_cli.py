@@ -391,6 +391,7 @@ def test_gen_out_joins_corpus_dir(tmp_path, capsys, monkeypatch):
         ["gen", "blocks", "k=4", "p=3", "shape"],  # not key=value
         ["gen", "nosuchfamily", "n=4"],
         ["gen", "blocks", "k=2", "p=3"],  # module precondition
+        ["gen", "subdivided", "base=x", "steps=1"],  # no argv can name a base graph
     ],
 )
 def test_gen_bad_requests_are_parse_errors(argv, capsys):

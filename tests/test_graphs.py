@@ -159,7 +159,7 @@ def test_complete_bipartite():
 
 def test_subdivided():
     base = generate("complete", k=5)
-    g = generate("subdivided", base=base, steps=1)
+    g = subdivide(base, 1)
     assert g.n == 5 + 10 and g.m == 20
     assert all(g.degree(v) in (2, 4) for v in g.nodes())
 

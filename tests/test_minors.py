@@ -5,7 +5,7 @@ import random
 import pytest
 
 from planarcert.errors import ResourceError
-from planarcert.graphs import Graph, build_graph, generate
+from planarcert.graphs import Graph, build_graph, generate, subdivide
 from planarcert.minors import (
     has_biclique_minor,
     has_clique_minor,
@@ -169,7 +169,7 @@ def test_k5_contains_k23():
 
 def test_subdivision_preserves_minor():
     base = generate("complete", k=5)
-    g = generate("subdivided", base=base, steps=2)
+    g = subdivide(base, 2)
     assert has_clique_minor(g, 5)
     assert not has_clique_minor(g, 6)
 

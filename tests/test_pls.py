@@ -32,7 +32,6 @@ from planarcert.pls import (
     prove_planar,
     unpack_certificate,
     verify_node_planarity,
-    verify_spanning_tree_sub,
 )
 from planarcert.embedding import planar_embed
 from planarcert.pop import PopCertificate
@@ -364,58 +363,48 @@ def _full_interval_edge(nv: int, far: int, i: int, j: int, i2: int, j2: int) -> 
 
 #: One view per reject site that the forging strategies rarely or never
 #: reach: node 1 holds every edge certificate, as (far, i, j, i2, j2), and
-#: its neighbors hold none.  Tree steps name adjacent copies, so every view
-#: packs and decodes unchanged.
+#: its neighbors hold none.  Each node claims the root its entry in the
+#: dict gives, else node 1's claimed parent, else node 1.  Tree steps name
+#: adjacent copies, so every view packs and decodes unchanged.
 _CRAFTED_VIEWS = [
-    (3, [(2, 2, 1, 2, 3), (3, 2, 1, 2, 3)], PHASE_COLLECT,
+    (3, [(2, 2, 1, 2, 3), (3, 2, 1, 2, 3)], {}, PHASE_COLLECT,
      "more than one neighbor claims parenthood"),
-    (3, [(2, 1, 2, 1, 2)], PHASE_COLLECT, "chord attached to foreign copy 1"),
-    (3, [(2, 2, 3, 3, 4), (3, 2, 3, 3, 4)], PHASE_TREE, "root does not own the tour endpoints"),
-    (4, [(2, 1, 2, 2, 3), (3, 1, 2, 2, 3), (4, 3, 2, 3, 4)], PHASE_TREE,
+    (3, [(2, 1, 2, 1, 2)], {}, PHASE_COLLECT, "chord attached to foreign copy 1"),
+    # node 1 is the root of the path 2-1-3, and 2 claims itself
+    (3, [(2, 1, 2, 3, 2), (3, 3, 4, 5, 4)], {2: 2}, PHASE_TREE,
+     "root identity disagrees with a neighbor"),
+    # the same path, with every node claiming node 2
+    (3, [(2, 1, 2, 3, 2), (3, 3, 4, 5, 4)], {1: 2, 2: 2, 3: 2}, PHASE_TREE,
+     "node without a parent is not the claimed root"),
+    (3, [(2, 2, 3, 3, 4), (3, 2, 3, 3, 4)], {}, PHASE_TREE,
+     "root does not own the tour endpoints"),
+    (4, [(2, 1, 2, 2, 3), (3, 1, 2, 2, 3), (4, 3, 2, 3, 4)], {}, PHASE_TREE,
      "parent edge does not bracket the first and last visits"),
-    (3, [(2, 1, 2, 2, 3), (3, 2, 3, 5, 4)], PHASE_TREE, "children subtours are not contiguous"),
-    (3, [(2, 2, 1, 3, 2), (3, 2, 3, 3, 4)], PHASE_TREE,
+    (3, [(2, 1, 2, 2, 3), (3, 2, 3, 5, 4)], {}, PHASE_TREE,
+     "children subtours are not contiguous"),
+    (3, [(2, 2, 1, 3, 2), (3, 2, 3, 3, 4)], {}, PHASE_TREE,
      "visits do not interleave the children subtours"),
-    (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], PHASE_POP, "no certificate for tour neighbor 5"),
+    (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], {}, PHASE_POP,
+     "no certificate for tour neighbor 5"),
 ]
 
 
 @pytest.mark.parametrize(
-    "n, edges, phase, reason", _CRAFTED_VIEWS, ids=[v[3] for v in _CRAFTED_VIEWS]
+    "n, edges, roots, phase, reason", _CRAFTED_VIEWS, ids=[v[-1] for v in _CRAFTED_VIEWS]
 )
-def test_crafted_view_reaches_its_reject_site(n, edges, phase, reason):
+def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
     nv = 2 * n - 1
     ecs = tuple(_full_interval_edge(nv, *e) for e in edges)
-    # The tree data pass the spanning-tree check: the claimed parent, if
-    # any, is the root.
     parent = next((ec.far for ec in ecs if min(ec.j, ec.j2) < min(ec.i, ec.i2)), None)
-    tree_sub = TreeSub(parent or 1)
-    own = NodeCertificate(edge_certs=ecs, tree_sub=tree_sub, n=n)
-    view = {ec.far: NodeCertificate((), tree_sub, n) for ec in ecs}
-    for cert in (own, *view.values()):
-        assert unpack_certificate(pack_certificate(cert)) == cert
+
+    def cert(x, held=()):
+        return NodeCertificate(held, TreeSub(roots.get(x, parent or 1)), n)
+
+    own = cert(1, ecs)
+    view = {ec.far: cert(ec.far) for ec in ecs}
+    for c in (own, *view.values()):
+        assert unpack_certificate(pack_certificate(c)) == c
     assert verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
-
-
-# --- spanning-tree sub-check in isolation ------------------------------------
-
-
-def test_tree_sub_accepts_honest_path():
-    # path 1-2-3-4-5 rooted at 1
-    for x in range(1, 6):
-        nbrs = {y: TreeSub(1) for y in (x - 1, x + 1) if 1 <= y <= 5}
-        parent = x - 1 if x > 1 else None
-        assert verify_spanning_tree_sub(x, TreeSub(1), nbrs, parent) is None
-
-
-def test_tree_sub_rejects_root_identity_conflict():
-    own = TreeSub(1)
-    nbr = {2: TreeSub(2)}
-    assert verify_spanning_tree_sub(1, own, nbr, None) is not None
-
-
-def test_tree_sub_rejects_false_root_claim():
-    assert verify_spanning_tree_sub(3, TreeSub(1), {}, None) is not None
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -48,11 +48,3 @@ def test_build_corpus_files_prove_and_verify(tmp_path):
     certs = tmp_path / "wheel-16.certs"
     assert main(["prove", str(graph), "--out", str(certs)]) == EXIT_ACCEPT
     assert main(["verify", str(graph), str(certs)]) == EXIT_ACCEPT
-
-
-def test_size_sweep_prints_a_csv():
-    done = _run_script("size_sweep.py", "--kind", "grid", "--sizes", "16,64")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "n,max_bits,max_bits_per_log2_n"
-    assert [line.split(",")[0] for line in lines[1:]] == ["16", "64"]

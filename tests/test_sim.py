@@ -134,6 +134,11 @@ def test_incomplete_assignment_is_a_parameter_error():
         run_round(g, Assignment(stray, a.origin))
 
 
+def test_round_on_a_graph_without_nodes_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="at least one node"):
+        run_round(build_graph([]), Assignment({}, Origin("external")))
+
+
 def test_round_is_deterministic():
     g = generate("random_maximal_planar", n=12, seed=0)
     a = random_assignment(g, seed=5)

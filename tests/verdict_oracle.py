@@ -7,7 +7,10 @@ comparing slot sets, sort whole certificate items, copy the interval
 neighbor dict and read intervals through the ``interval`` property.
 ``tests/test_verdict_oracle.py`` requires the verifier in ``src`` to give
 the same verdict, reason and phase as this one on every view.  Keep it as
-it is: it states what the verifier must decide, not how fast.
+it is: it states what the verifier must decide, not how fast.  It takes
+only types and phase constants from ``pls`` and decides everything itself,
+down to building its verdicts, so no deciding code is shared with ``src``
+and a change to any check there shows up as a differing verdict.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from planarcert.pls import (
     EdgeCertificate,
     NodeCertificate,
     Verdict,
-    _accept,
-    _reject,
-    verify_spanning_tree_sub,
 )
 from planarcert.pop import (
     NEG_INF,
@@ -42,6 +42,14 @@ from planarcert.pop import (
 # The nesting check ``pop._verify_at`` dropped once it was shown unable to
 # fail; the oracle keeps it, so the comparison shows it never decides.
 REJECT_ENDPOINT_NESTING = 17
+
+
+def _accept() -> Verdict:
+    return Verdict("accept", "", PHASE_POP)
+
+
+def _reject(phase: int, reason: str) -> Verdict:
+    return Verdict("reject", reason, phase)
 
 
 def _is_tree(ec: EdgeCertificate) -> bool:
@@ -145,14 +153,11 @@ def oracle_verify_node_planarity(
         chord_at.setdefault(mine, []).append(partner)
 
     # Phase 2: spanning tree and tour consistency.
-    reason = verify_spanning_tree_sub(
-        x,
-        own.tree_sub,
-        {y: c.tree_sub for y, c in neighbor_certs.items()},
-        parent_nbr,
-    )
-    if reason is not None:
-        return _reject(PHASE_TREE, reason)
+    for cert in neighbor_certs.values():
+        if cert.tree_sub.root_id != own.tree_sub.root_id:
+            return _reject(PHASE_TREE, "root identity disagrees with a neighbor")
+    if parent_nbr is None and own.tree_sub.root_id != x:
+        return _reject(PHASE_TREE, "node without a parent is not the claimed root")
     if is_root_claim and not {1, nv} <= copy_set:
         return _reject(PHASE_TREE, "root does not own the tour endpoints")
     if parent_sides is not None and set(parent_sides) != {copies[0], copies[-1]}:
