@@ -50,7 +50,10 @@ Certificates and verdicts are immutable named tuples (``TreeSub``,
 ``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
 certificate ``pop.PopCertificate``).  The simulator hands one decoded object
 to every node and round that sees the same bytes, which is sound only
-because no field can be set.  As tuples they compare equal to plain tuples
+because no field can be set.  For the same reason every accepting node gets
+one shared accept ``Verdict``: no holder can change it, verdicts compare by
+value, and the simulator's verdict cache already hands one verdict object to
+every node with the same view.  As tuples they compare equal to plain tuples
 of the same values and iterate over their fields; ``._replace`` makes an
 edited copy.
 """
@@ -140,8 +143,8 @@ class Verdict(NamedTuple):
         return self.decision == "accept"
 
 
-def _accept() -> Verdict:
-    return Verdict("accept", "", PHASE_POP)
+#: The one accepting verdict, shared by every accepting node (module docstring).
+_ACCEPT = Verdict("accept", "", PHASE_POP)
 
 
 def _reject(phase: int, reason: str) -> Verdict:
@@ -237,11 +240,12 @@ def verify_node_planarity(
             return _reject(PHASE_COLLECT, "node-count claims disagree")
     nv = 2 * n - 1
 
-    # Each certificate of the edge (x, other), keyed by other, with the
-    # copies of x and those of other: x's own certificates concern the edge
-    # to their far end, a neighbor's only those whose far end is x.  Own
-    # certificates come first, then the neighbors' in ascending id order.
-    found: dict[int, tuple[EdgeCertificate, tuple[int, int], tuple[int, int]]] = {}
+    # Each certificate of the edge (x, other), keyed by other, as one flat
+    # tuple: the certificate, x's copies in its two slot pairs, then those
+    # of other.  x's own certificates concern the edge to their far end, a
+    # neighbor's only those whose far end is x.  Own certificates come
+    # first, then the neighbors' in ascending id order.
+    found: dict[int, tuple[EdgeCertificate, int, int, int, int]] = {}
     for ec in own.edge_certs:
         other = ec.far
         if other not in neighbor_certs:
@@ -250,65 +254,73 @@ def verify_node_planarity(
         if other in found:
             e = norm_edge(x, other)
             return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
-        found[other] = (ec, (ec.i, ec.i2), (ec.j, ec.j2))
-    for other in sorted(neighbor_certs):
+        found[other] = (ec, ec.i, ec.i2, ec.j, ec.j2)
+    neighbors = sorted(neighbor_certs)
+    for other in neighbors:
         for ec in neighbor_certs[other].edge_certs:
             if ec.far != x:
                 continue  # someone else's edge; not locally checkable
             if other in found:
                 e = norm_edge(x, other)
                 return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
-            found[other] = (ec, (ec.j, ec.j2), (ec.i, ec.i2))
-    for y in neighbor_certs:
-        if y not in found:
-            return _reject(PHASE_COLLECT, f"edge {norm_edge(x, y)} has no certificate")
+            found[other] = (ec, ec.j, ec.j2, ec.i, ec.i2)
+    # found's keys are neighbors, so a missing one shows in the count
+    if len(found) != len(neighbor_certs):
+        for y in neighbor_certs:
+            if y not in found:
+                return _reject(PHASE_COLLECT, f"edge {norm_edge(x, y)} has no certificate")
 
     pop_table: dict[int, PopCertificate] = {}
-    for ec, _, _ in found.values():
+    get = pop_table.get
+    for ec, _, _, _, _ in found.values():
         _, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = ec
         for k, pc in ((i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2)):
-            if pop_table.setdefault(k, pc) != pc:
+            held = get(k)
+            if held is None:
+                pop_table[k] = pc
+            elif held is not pc and held != pc:
                 return _reject(PHASE_COLLECT, f"conflicting certificates for copy {k}")
 
-    parent_nbr: int | None = None
-    parent_sides: tuple[int, int] | None = None
+    parent_sides: tuple[int, int] | None = None  # x's copies on it, ascending
     child_spans: list[tuple[int, int]] = []
     chords: list[tuple[int, int]] = []  # (copy of x, copy of the other end)
     side_count: dict[int, int] = {}
-    for other in sorted(found):
-        ec, xs, ys = found[other]
-        if (ec.i2, ec.j2) in ((ec.i, ec.j), (ec.j, ec.i)):  # not ec.is_tree()
-            chords.append((xs[0], ys[0]))
+    for other in neighbors:
+        _, xa, xb, ya, yb = found[other]
+        if (xb == xa and yb == ya) or (xb == ya and yb == xa):  # a chord
+            chords.append((xa, ya))
             continue
-        for k in xs:
-            side_count[k] = side_count.get(k, 0) + 1
-        if min(ys) < min(xs):
-            if parent_nbr is not None:
+        side_count[xa] = side_count.get(xa, 0) + 1
+        side_count[xb] = side_count.get(xb, 0) + 1
+        x_first, x_last = (xa, xb) if xa < xb else (xb, xa)
+        y_first, y_last = (ya, yb) if ya < yb else (yb, ya)
+        if y_first < x_first:
+            if parent_sides is not None:
                 return _reject(PHASE_COLLECT, "more than one neighbor claims parenthood")
-            parent_nbr = other
-            parent_sides = xs
+            parent_sides = (x_first, x_last)
         else:
-            child_spans.append((min(ys), max(ys)))
+            child_spans.append((y_first, y_last))
 
-    is_root_claim = parent_nbr is None
-    copies = sorted(side_count)
+    is_root_claim = parent_sides is None
     if n == 1:
         # A single node has no incident edges to carry its certificate, so
         # its lone tour copy gets the canonical full interval.
         copies = [1]
+        owned = {1}
         pop_table[1] = PopCertificate(n=1, rank=1, lo=0, hi=2)
     else:
+        copies = sorted(side_count)
+        owned = side_count.keys()
         for k in copies:
-            expected = 1 if (is_root_claim and k in (1, nv)) else 2
+            expected = 1 if (is_root_claim and (k == 1 or k == nv)) else 2
             if side_count[k] != expected:
                 return _reject(
                     PHASE_COLLECT, f"copy {k} lacks a certified tour step"
                 )
 
-    copy_set = set(copies)
     chord_at: dict[int, list[int]] = {}
     for mine, partner in chords:
-        if mine not in copy_set:
+        if mine not in owned:
             return _reject(
                 PHASE_COLLECT, f"chord attached to foreign copy {mine}"
             )
@@ -322,9 +334,12 @@ def verify_node_planarity(
             return _reject(PHASE_TREE, "root identity disagrees with a neighbor")
     if is_root_claim and root_id != x:
         return _reject(PHASE_TREE, "node without a parent is not the claimed root")
-    if is_root_claim and not {1, nv} <= copy_set:
+    # Every copy lies in 1..nv, so the sorted copies hold both tour endpoints
+    # iff they run from 1 to nv; a parent edge names copies of x, so it
+    # brackets them iff its two copies are the first and the last.
+    if is_root_claim and not (copies and copies[0] == 1 and copies[-1] == nv):
         return _reject(PHASE_TREE, "root does not own the tour endpoints")
-    if parent_sides is not None and set(parent_sides) != {copies[0], copies[-1]}:
+    if parent_sides is not None and parent_sides != (copies[0], copies[-1]):
         return _reject(
             PHASE_TREE, "parent edge does not bracket the first and last visits"
         )
@@ -335,31 +350,33 @@ def verify_node_planarity(
         for (_, a_max), (b_min, _) in zip(child_spans, child_spans[1:]):
             if b_min != a_max + 2:
                 return _reject(PHASE_TREE, "children subtours are not contiguous")
-        expected_copies = {child_spans[0][0] - 1}
-        expected_copies.update(cmax + 1 for _, cmax in child_spans)
-        if copy_set != expected_copies:
+        # contiguous spans make these visits ascending, so they compare with
+        # the sorted copies as a list
+        expected_copies = [child_spans[0][0] - 1] + [b_max + 1 for _, b_max in child_spans]
+        if copies != expected_copies:
             return _reject(
                 PHASE_TREE, "visits do not interleave the children subtours"
             )
 
     # Phase 3: interval checks for every owned copy.
     for k in copies:
-        own_pc = pop_table[k]
         nbr: dict[int, PopCertificate] = {}
-        for r in (k - 1, k + 1):
-            if 1 <= r <= nv:
-                pc = pop_table.get(r)
-                if pc is None:
-                    return _reject(
-                        PHASE_POP, f"no certificate for tour neighbor {r}"
-                    )
-                nbr[r] = pc
+        if k > 1:
+            pc = get(k - 1)
+            if pc is None:
+                return _reject(PHASE_POP, f"no certificate for tour neighbor {k - 1}")
+            nbr[k - 1] = pc
+        if k < nv:
+            pc = get(k + 1)
+            if pc is None:
+                return _reject(PHASE_POP, f"no certificate for tour neighbor {k + 1}")
+            nbr[k + 1] = pc
         for partner in chord_at.get(k, ()):
             nbr[partner] = pop_table[partner]
-        code = pop_verify_node(k, own_pc, nbr)
+        code = pop_verify_node(k, pop_table[k], nbr)
         if code is not None:
             return _reject(PHASE_POP, f"copy {k}: {REJECT_REASONS[code]}")
-    return _accept()
+    return _ACCEPT
 
 
 # --- the wire layout -----------------------------------------------------------
@@ -373,6 +390,13 @@ class Field(NamedTuple):
     lo: int
     hi: int
     value: int
+
+
+#: The four slots of an edge certificate the walk has none to read from.
+_UNHELD = ((None, None),) * 4
+#: Builds a named tuple from a plain one without the Python-level ``__new__``
+#: each class defines; decoding builds a dozen of them per certificate.
+_new = tuple.__new__
 
 
 def _walk(
@@ -416,56 +440,67 @@ def _walk(
     endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
     most five, so their count takes 3 bits.
     """
-    any_id = (1, (1 << id_bits) - 1)
-    count = field("count", 3, 0, MAX_EDGE_CERTS, cert and len(cert.edge_certs))
-    n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, cert and cert.n)
+    top_id = (1 << id_bits) - 1
+    if cert is None:
+        held_count = held_n = held_root = None
+    else:
+        held_count, held_n, held_root = len(cert.edge_certs), cert.n, cert.tree_sub.root_id
+    count = field("count", 3, 0, MAX_EDGE_CERTS, held_count)
+    n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
     nv = 2 * n - 1
-    root_id = field("root_id", id_bits, *any_id, cert and cert.tree_sub.root_id)
+    root_id = field("root_id", id_bits, 1, top_id, held_root)
     # copy index -> the interval certificate its first slot carried
     sent: dict[int, PopCertificate | None] = {}
     edge_certs = []
     for e in range(count):
-        ec = cert.edge_certs[e] if cert else None
-        far = field("far", id_bits, *any_id, ec and ec.far)
-        held = ec.bindings() if ec else (None,) * 4
+        if cert is None:
+            held_far = held_second = None
+            held = _UNHELD
+        else:
+            held_far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = cert.edge_certs[e]
+            held = ((i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2))
+            held_second = int((i2, pop_i2, j2, pop_j2) != (i, pop_i, j, pop_j))
+        far = field("far", id_bits, 1, top_id, held_far)
         # 0: the certificate is one chord, whose single slot pair fills both
         # slots; 1: a second pair follows (a tree edge's second tour step),
         # which takes a tour of at least two nodes.
-        second = field("second", 1, 0, int(n > 1), ec and int(held[2:] != held[:2]))
-        slots = []
-        for s, b in enumerate(held[: 4 if second else 2]):
-            if second and s % 2:
-                # the far end of a tour step, next to its near end
-                at = slots[-1][0]
-                up = field("step", 1, int(at == 1), int(at < nv), b and int(b[0] > at))
-                k = at + 2 * up - 1
-            else:
-                k = field("index", idx_bits, 1, nv, b and b[0])
-            if b and (b[0] != k or b[1].n != nv or b[1].rank != k):
-                raise ParameterError(
-                    f"cannot pack copy {b[0]} with interval size {b[1].n} and rank "
-                    f"{b[1].rank}: the layout forces copy {k}, size {nv} and rank {k}"
+        second = field("second", 1, 0, int(n > 1), held_second)
+        slots = []  # each slot's copy index, then its interval certificate
+        k = 0
+        for s in range(4 if second else 2):
+            held_k, held_pc = held[s]
+            if second and s & 1:
+                # the far end of a tour step, next to its near end k
+                up = field(
+                    "step", 1, int(k == 1), int(k < nv), None if held_k is None else int(held_k > k)
                 )
-            if k in sent:
-                pc = sent[k]
-                if b and b[1] != pc:
-                    raise ParameterError(
-                        f"cannot pack copy {k} with two intervals, {pc} and {b[1]}: "
-                        "the layout sends a copy's interval once per certificate"
-                    )
+                k += 2 * up - 1
             else:
-                lo = field("lo", idx_bits, 0, nv + 3, b and b[1].lo + 1) - 1
-                hi = field("hi", idx_bits, 0, nv + 3, b and b[1].hi + 1) - 1
-                pc = sent[k] = PopCertificate(nv, k, lo, hi) if build else b and b[1]
-            slots.append((k, pc))
+                k = field("index", idx_bits, 1, nv, held_k)
+            if held_k is not None and (held_k != k or held_pc.n != nv or held_pc.rank != k):
+                raise ParameterError(
+                    f"cannot pack copy {held_k} with interval size {held_pc.n} and rank "
+                    f"{held_pc.rank}: the layout forces copy {k}, size {nv} and rank {k}"
+                )
+            pc = sent.get(k, False)  # False: no earlier slot named copy k
+            if pc is False:
+                lo = field("lo", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.lo + 1)
+                hi = field("hi", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.hi + 1)
+                pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else held_pc
+            elif held_pc is not None and held_pc != pc:
+                raise ParameterError(
+                    f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
+                    "the layout sends a copy's interval once per certificate"
+                )
+            slots += (k, pc)
         if build:
             if not second:
                 slots *= 2
-            (i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2) = slots
-            edge_certs.append(EdgeCertificate(far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2))
+            i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
+            edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
     if not build:
         return None
-    return NodeCertificate(tuple(edge_certs), TreeSub(root_id), n)
+    return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
 
 
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:
@@ -568,21 +603,19 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     if id_bits < 1 or idx_bits < 1:
         raise FormatError("implausible field widths")
     stream = int.from_bytes(data[2:], "big")
-    total = 8 * (len(data) - 2)
-    pos = 0
+    rest = 8 * (len(data) - 2)  # bits not yet taken
 
     def take(name, width, lo, hi, value):
-        nonlocal pos
-        pos += width
-        if pos > total:
+        nonlocal rest
+        rest -= width
+        if rest < 0:
             raise FormatError("certificate bitstream is truncated")
-        got = (stream >> (total - pos)) & ((1 << width) - 1)
+        got = (stream >> rest) & ((1 << width) - 1)
         if not lo <= got <= hi:
             raise FormatError(f"{name} = {got} is outside {lo}..{hi}")
         return got
 
     cert = _walk(take, id_bits, idx_bits, build=True)
-    tail = total - pos
-    if tail >= 8 or stream & ((1 << tail) - 1):
+    if rest >= 8 or stream & ((1 << rest) - 1):
         raise FormatError("certificate bitstream has trailing data")
     return cert

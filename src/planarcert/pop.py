@@ -175,27 +175,34 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
     # own interval strictly covers the rank; neighbors stay inside it
     if not (NEG_INF <= lo < x < hi <= top):
         return REJECT_INTERVAL_BOUNDS
+    # ranks[:split] lie left of x and ranks[split:] right of it, so ranks[0]
+    # and ranks[last] are the outermost neighbors on their sides
     ranks = sorted(nbrs)
     split = bisect_left(ranks, x)
-    right = ranks[split:]
-    left = ranks[:split][::-1]
-    if right and right[-1] > hi:
+    last = len(ranks) - 1
+    if split <= last and ranks[last] > hi:
         return REJECT_INTERVAL_BOUNDS
-    if left and left[-1] < lo:
+    if split and ranks[0] < lo:
         return REJECT_INTERVAL_BOUNDS
     # chains: consecutive same-side neighbors pin each other's intervals
-    for r, nxt in zip(right, right[1:]):
-        if nbrs[r].interval != (x, nxt):
+    for t in range(split, last):
+        c = nbrs[ranks[t]]
+        if c.lo != x or c.hi != ranks[t + 1]:
             return REJECT_RIGHT_CHAIN
-    for r, nxt in zip(left, left[1:]):
-        if nbrs[r].interval != (nxt, x):
+    for t in range(split - 1, 0, -1):
+        c = nbrs[ranks[t]]
+        if c.lo != ranks[t - 1] or c.hi != x:
             return REJECT_LEFT_CHAIN
     # boundaries: the outermost same-side neighbor strictly inside [lo, hi]
     # must carry [lo, hi] itself
-    if right and right[-1] < hi and nbrs[right[-1]].interval != (lo, hi):
-        return REJECT_RIGHT_BOUNDARY
-    if left and left[-1] > lo and nbrs[left[-1]].interval != (lo, hi):
-        return REJECT_LEFT_BOUNDARY
+    if split <= last and ranks[last] < hi:
+        c = nbrs[ranks[last]]
+        if c.lo != lo or c.hi != hi:
+            return REJECT_RIGHT_BOUNDARY
+    if split and ranks[0] > lo:
+        c = nbrs[ranks[0]]
+        if c.lo != lo or c.hi != hi:
+            return REJECT_LEFT_BOUNDARY
     # neighbor intervals ending exactly here: far end adjacent, hence in
     # [lo, hi], so the interval nests strictly inside (an interval ending
     # here at both ends has its far end at x, which is no neighbor)

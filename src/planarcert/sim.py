@@ -139,16 +139,16 @@ def _decode(data: bytes) -> NodeCertificate | None:
         return None
 
 
-def planarity_verifier(x: int, own: bytes, neighbors: Mapping[int, bytes]) -> Verdict:
-    """Byte-level adapter around the per-node planarity verifier."""
+def _verify_pairs(x: int, own: bytes, pairs: Iterable[tuple[int, bytes]]) -> Verdict:
+    """The verdict on a view given as (neighbor, bytes) pairs, in view order."""
     own_cert = _decode(own)
     if own_cert is None:
         return Verdict(
             decision="reject", reason="own certificate does not decode", phase=PHASE_COLLECT
         )
     decoded: dict[int, NodeCertificate] = {}
-    for y in neighbors:
-        cert = _decode(neighbors[y])
+    for y, data in pairs:
+        cert = _decode(data)
         if cert is None:
             return Verdict(
                 decision="reject",
@@ -159,10 +159,15 @@ def planarity_verifier(x: int, own: bytes, neighbors: Mapping[int, bytes]) -> Ve
     return verify_node_planarity(x, own_cert, decoded)
 
 
+def planarity_verifier(x: int, own: bytes, neighbors: Mapping[int, bytes]) -> Verdict:
+    """Byte-level adapter around the per-node planarity verifier."""
+    return _verify_pairs(x, own, [(y, neighbors[y]) for y in neighbors])
+
+
 @lru_cache(maxsize=1 << 18)
 def _cached_verdict(x: int, own: bytes, items: tuple[tuple[int, bytes], ...]) -> Verdict:
     # Sound because the built-in verifier is a pure function of its view.
-    return planarity_verifier(x, own, dict(items))
+    return _verify_pairs(x, own, items)
 
 
 def run_round(
@@ -190,16 +195,17 @@ def run_round(
         raise ParameterError(f"assignment has certificates for non-nodes {sorted(extra)}")
     per_node: dict[int, Verdict] = {}
     first_rejector = None
+    certs = a.certs
     for x in nodes:
         if verifier is planarity_verifier:
             # identical view ⇒ identical verdict (determinism guarantee), so
             # the built-in verifier's verdicts are safe to memoize
             verdict = _cached_verdict(
-                x, a.certs[x], tuple((y, a.certs[y]) for y in g.neighbors(x))
+                x, certs[x], tuple([(y, certs[y]) for y in g.neighbors(x)])
             )
         else:
-            view = _NeighborView(a.certs, frozenset(g.neighbors(x)))
-            verdict = verifier(x, a.certs[x], view)
+            view = _NeighborView(certs, frozenset(g.neighbors(x)))
+            verdict = verifier(x, certs[x], view)
         per_node[x] = verdict
         if first_rejector is None and not verdict.accepted:
             first_rejector = x

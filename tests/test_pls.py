@@ -362,10 +362,11 @@ def _full_interval_edge(nv: int, far: int, i: int, j: int, i2: int, j2: int) -> 
 
 
 #: One view per reject site that the forging strategies rarely or never
-#: reach: node 1 holds every edge certificate, as (far, i, j, i2, j2), and
-#: its neighbors hold none.  Each node claims the root its entry in the
-#: dict gives, else node 1's claimed parent, else node 1.  Tree steps name
-#: adjacent copies, so every view packs and decodes unchanged.
+#: reach, and a second one for the tour-endpoint check: node 1 holds every
+#: edge certificate, as (far, i, j, i2, j2), and its neighbors hold none.
+#: Each node claims the root its entry in the dict gives, else node 1's
+#: claimed parent, else node 1.  Tree steps name adjacent copies, so every
+#: view packs and decodes unchanged.
 _CRAFTED_VIEWS = [
     (3, [(2, 2, 1, 2, 3), (3, 2, 1, 2, 3)], {}, PHASE_COLLECT,
      "more than one neighbor claims parenthood"),
@@ -386,11 +387,16 @@ _CRAFTED_VIEWS = [
      "visits do not interleave the children subtours"),
     (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], {}, PHASE_POP,
      "no certificate for tour neighbor 5"),
+    # a lone node that claims n = 2 and holds no edge certificate (packed:
+    # 01030a) owns no copy at all, so neither tour endpoint
+    (2, [], {}, PHASE_TREE, "root does not own the tour endpoints"),
 ]
 
 
 @pytest.mark.parametrize(
-    "n, edges, roots, phase, reason", _CRAFTED_VIEWS, ids=[v[-1] for v in _CRAFTED_VIEWS]
+    "n, edges, roots, phase, reason",
+    _CRAFTED_VIEWS,
+    ids=[r if e else f"{r}, no edge certificates" for _, e, _, _, r in _CRAFTED_VIEWS],
 )
 def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
     nv = 2 * n - 1

@@ -5,7 +5,9 @@ reason and phase) from ``pls.verify_node_planarity`` as from the reference,
 and the interval checks the same code from ``pop.pop_verify_node``.  The
 views are the honest one (on a non-planar graph, the attack's planar
 template), random field values, template edits of 1, 2 and 4 fields, swaps
-and replayed donors, on planar and non-planar graphs.
+and replayed donors, on planar and non-planar graphs with n <= 20.  The
+honest views and 1-field template edits are also compared on the prove
+benchmark's three graphs at n = 1024.
 """
 
 from __future__ import annotations
@@ -125,6 +127,44 @@ _REACHED = {
     "copy #: interval of the last right neighbor strictly inside must equal own interval",
     "copy #: own interval does not strictly cover the rank or a neighbor escapes it",
 }
+
+
+#: 1-field template edits per benchmark-size graph.
+_LARGE_EDITS = 30
+
+
+def test_verdicts_match_the_reference_at_benchmark_size():
+    # The prove workload's three graphs at n = 1024: every node of the
+    # honest view, then each 1-field template edit at the edited node and
+    # its neighbors, the only nodes whose views it changes.
+    rng = random.Random("oracle/large")
+    phases: set[int] = set()
+    for g in (
+        generate("grid", w=32, h=32),
+        generate("random_maximal_planar", n=1024, seed=101),
+        generate("tree", n=1024, seed=101),
+    ):
+        template = prove_planar(g)
+        packed = {x: pack_certificate(c) for x, c in template.items()}
+        certs = {x: unpack_certificate(b) for x, b in packed.items()}
+        for x in g.nodes():
+            view = {y: certs[y] for y in g.neighbors(x)}
+            want = oracle_verify_node_planarity(x, certs[x], view)
+            assert want.accepted, x
+            assert verify_node_planarity(x, certs[x], view) == want, x
+        nodes = g.nodes()
+        for _ in range(_LARGE_EDITS):
+            x = rng.choice(nodes)
+            edited = _decoded(_edit_one_field(template[x], packed[x], rng))
+            if edited is None:
+                continue  # rejected at decode
+            forged = {**certs, x: edited}
+            for v in (x, *g.neighbors(x)):
+                view = {y: forged[y] for y in g.neighbors(v)}
+                want = oracle_verify_node_planarity(v, forged[v], view)
+                assert verify_node_planarity(v, forged[v], view) == want, (g.n, x, v)
+                phases.add(want.phase)
+    assert phases == {1, 2, 3}
 
 
 def _random_pop_view(rng: random.Random):
