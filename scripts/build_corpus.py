@@ -4,9 +4,10 @@
 Usage:
     python3 scripts/build_corpus.py [directory]   (default: ./corpus)
 
-Each file round-trips through the shared graph format and carries a
-provenance comment, so `planarcert prove/verify/attack` can be pointed at
-any of them directly.
+Each file round-trips through the shared graph format, so
+`planarcert prove/verify/attack` can be pointed at any of them directly.
+Its first line is a provenance comment, `# gen <construction> <key=value>...`:
+the `planarcert gen` arguments that rebuild the same graph.
 """
 
 import sys
@@ -39,17 +40,15 @@ def instances():
         for p in (2, 4):
             yield (
                 f"blocks-k{k}-p{p}",
-                f"blocks k={k} p={p} shape=path",
+                f"blocks k={k} p={p}",
                 gen_block_instance(BlockInstance.path(k, p)),
             )
         yield (
             f"blockcycle-k{k}",
-            f"blocks k={k} p=3 shape=cycle cycle=1:3",
+            f"blocks k={k} p=3 cycle=1:3",
             gen_block_instance(BlockInstance.cycle(k, 3, 1, 3)),
         )
-    yield "crossed-22-q3", "crossed n=22 q=3", gen_bipartite_instance(
-        BipartiteInstance(n=22, p=2, q=3)
-    )
+    yield "crossed-22-q3", "crossed n=22 q=3", gen_bipartite_instance(BipartiteInstance(n=22, q=3))
     yield "glued-22-q3", "glued n=22 q=3", gen_glued_instance(22, 3)
     yield "k5", "complete k=5", generate("complete", k=5)
     yield "k33", "complete_bipartite p=3 q=3", generate("complete_bipartite", p=3, q=3)

@@ -23,7 +23,7 @@ from pathlib import Path
 from .embedding import NonPlanarWitness, RotationSystem, canonical_rotation, planar_embed
 from .errors import NonPlanarError, ParameterError, PlanarCertError
 from .formats import parse_certificates, parse_graph, write_certificates, write_graph
-from .graphs import Graph, build_graph, generate
+from .graphs import GENERATORS, Graph, build_graph, generate
 from .lowerbound import (
     BipartiteInstance,
     BlockInstance,
@@ -195,14 +195,13 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
             k=k,
             p=blocks,
             permutation=tuple(p.pop("perm", range(1, blocks + 1))),
-            shape=p.pop("shape", "path"),
             cycle_range=p.pop("cycle", None),
         )
         if p:
             raise _UsageError(f"unknown blocks parameters {sorted(p)}")
         return gen_block_instance(spec, extended=extended)
     if construction == "crossed":
-        spec = BipartiteInstance(n=p.pop("n"), p=p.pop("p", 2), q=p.pop("q"))
+        spec = BipartiteInstance(n=p.pop("n"), q=p.pop("q"))
         if p:
             raise _UsageError(f"unknown crossed parameters {sorted(p)}")
         return gen_bipartite_instance(spec)
@@ -212,7 +211,8 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
         if p:
             raise _UsageError(f"unknown glued parameters {sorted(p)}")
         return gen_glued_instance(n, q, id_partition=partition, seed=seed)
-    p.setdefault("seed", seed)
+    if construction in GENERATORS and "seed" in GENERATORS[construction][1]:
+        p.setdefault("seed", seed)
     return generate(construction, **p)
 
 
@@ -224,9 +224,8 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"missing required parameter {exc.args[0]!r}") from None
     except TypeError as exc:
         raise _UsageError(str(exc)) from None
-    shown = " ".join(f"{k}={v}" for k, v in params.items())
-    header = f"# gen {args.construction} {shown} seed={args.seed}\n".replace("  ", " ")
-    _emit(header + write_graph(g), args.out)
+    header = " ".join(["# gen", args.construction, *args.params, f"seed={args.seed}"])
+    _emit(header + "\n" + write_graph(g), args.out)
     return EXIT_ACCEPT
 
 

@@ -293,37 +293,33 @@ def subdivide(g: Graph, steps: int) -> Graph:
     return build_graph(edges, nodes=g.nodes())
 
 
-_RANDOM_KINDS = {"tree", "random_maximal_planar"}
+#: kind → (generator, the parameters it takes, in call order).
+GENERATORS = {
+    "grid": (_gen_grid, ("w", "h")),
+    "wheel": (_gen_wheel, ("n",)),
+    "tree": (_gen_tree, ("n", "seed")),
+    "random_maximal_planar": (_gen_random_maximal_planar, ("n", "seed")),
+    "complete": (_gen_complete, ("k",)),
+    "complete_bipartite": (_gen_complete_bipartite, ("p", "q")),
+    "petersen": (_gen_petersen, ()),
+}
 
 
 def generate(kind: str, **params) -> Graph:
-    """Dispatch to a named instance generator.
+    """Build the named kind from exactly the parameters ``GENERATORS`` lists.
 
-    Kinds: grid(w,h), wheel(n), tree(n,seed), random_maximal_planar(n,seed),
-    complete(k), complete_bipartite(p,q), petersen.  ``subdivide`` takes a
-    graph, so it is a function of its own rather than a kind.
-    Randomized kinds require an explicit seed so outputs stay reproducible.
+    Randomized kinds take ``seed`` like any other parameter, so outputs stay
+    reproducible.  ``subdivide`` takes a graph, so it is a function of its
+    own rather than a kind.
     """
-    if kind in _RANDOM_KINDS and "seed" not in params:
-        raise ParameterError(f"generator '{kind}' requires a seed")
-    try:
-        if kind == "grid":
-            return _gen_grid(int(params["w"]), int(params["h"]))
-        if kind == "wheel":
-            return _gen_wheel(int(params["n"]))
-        if kind == "tree":
-            return _gen_tree(int(params["n"]), int(params["seed"]))
-        if kind == "random_maximal_planar":
-            return _gen_random_maximal_planar(int(params["n"]), int(params["seed"]))
-        if kind == "complete":
-            return _gen_complete(int(params["k"]))
-        if kind == "complete_bipartite":
-            return _gen_complete_bipartite(int(params["p"]), int(params["q"]))
-        if kind == "petersen":
-            return _gen_petersen()
-    except KeyError as exc:
-        raise ParameterError(f"generator '{kind}' missing parameter {exc}") from None
-    raise ParameterError(f"unknown generator kind '{kind}'")
+    if kind not in GENERATORS:
+        raise ParameterError(f"unknown generator kind '{kind}'")
+    gen, names = GENERATORS[kind]
+    if sorted(params) != sorted(names):
+        raise ParameterError(
+            f"generator '{kind}' takes ({', '.join(names)}), got ({', '.join(params)})"
+        )
+    return gen(*(int(params[name]) for name in names))
 
 
 # --- degeneracy -----------------------------------------------------------

@@ -5,11 +5,13 @@ Three families, each validated against the minor oracle rather than trusted:
 * Chains and cycles of cliques: complete graphs on k−1 nodes occupying
   consecutive id ranges, joined end to end through small bipartite
   connections.  Chains stay K_k-minor-free however the interior blocks are
-  permuted; closing a chain into a cycle creates a K_k minor.
-* Crossed path pairs: two node paths with q evenly spaced rungs between
-  them.  The result is outerplanar, hence K_{2,3}-minor-free.
+  permuted; closing a run of a chain into a cycle creates a K_k minor.  One
+  spec describes both: a cycle is a chain spec with a ``cycle_range``.
+* Crossed path pairs: two id-ordered paths on n nodes with q evenly spaced
+  rungs between them.  The result is outerplanar, hence K_{2,3}-minor-free.
 * Glued path families: q copies of each path with the rungs rotated so
-  contracting every path to a point yields exactly K_{q,q}.
+  contracting every path to a point yields exactly K_{q,q}.  Path ids run
+  contiguously or, seeded, in a random partition.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ParameterError
 from .graphs import Graph, build_graph, contract_edges, generate, relabel
@@ -25,18 +28,18 @@ from .minors import DEFAULT_CAP, has_biclique_minor, has_clique_minor
 
 @dataclass(frozen=True)
 class BlockInstance:
-    """A chain or cycle of complete blocks.
+    """A chain of complete blocks, or a cycle closed from a run of it.
 
     ``permutation`` places ordinary block ``r`` at chain position
     ``permutation[r-1]``; the two boundary blocks are pinned to the ends.
-    Cycles use only the ordinary blocks at chain positions
-    ``cycle_range[0]..cycle_range[1]`` and add the closing connection.
+    Without ``cycle_range`` the spec is the whole chain.  With it, the spec
+    is a cycle: only the ordinary blocks at chain positions
+    ``cycle_range[0]..cycle_range[1]``, plus the closing connection.
     """
 
     k: int
     p: int
     permutation: tuple[int, ...]
-    shape: str = "path"
     cycle_range: tuple[int, int] | None = None
 
     @classmethod
@@ -47,7 +50,7 @@ class BlockInstance:
     @classmethod
     def cycle(cls, k: int, p: int, lo: int, hi: int, permutation: Sequence[int] | None = None):
         perm = tuple(permutation) if permutation else tuple(range(1, p + 1))
-        return cls(k=k, p=p, permutation=perm, shape="cycle", cycle_range=(lo, hi))
+        return cls(k=k, p=p, permutation=perm, cycle_range=(lo, hi))
 
     def block_ids(self, r: int) -> tuple[int, ...]:
         """Consecutive ids of block r; r=0 and r=p+1 are the boundary blocks."""
@@ -57,27 +60,15 @@ class BlockInstance:
 
 @dataclass(frozen=True)
 class BipartiteInstance:
-    """Two paths with q rungs at positions d, 2d, ..., qd (d = ⌊n/(2q)⌋).
-
-    ``a`` and ``b`` are the node ids along each path; left empty they
-    default to the contiguous slices 1..⌊n/2⌋ and ⌊n/2⌋+1..n.
-    """
+    """Paths 1..⌊n/2⌋ and ⌊n/2⌋+1..n with q rungs joining them at positions
+    d, 2d, ..., qd along each (d = ⌊n/(2q)⌋)."""
 
     n: int
-    p: int
     q: int
-    a: tuple[int, ...] = ()
-    b: tuple[int, ...] = ()
 
     @property
     def d(self) -> int:
         return self.n // (2 * self.q)
-
-    def resolved_ids(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n_a = self.n // 2
-        a = self.a or tuple(range(1, n_a + 1))
-        b = self.b or tuple(range(n_a + 1, self.n + 1))
-        return a, b
 
 
 def _check_permutation(perm: tuple[int, ...], p: int) -> dict[int, int]:
@@ -103,23 +94,17 @@ def gen_block_instance(spec: BlockInstance, extended: bool = False) -> Graph:
         raise ParameterError("block instances need k >= 3 and p >= 1")
     at_position = _check_permutation(spec.permutation, spec.p)
 
-    if spec.shape == "path":
-        chain = [0] + [at_position[c] for c in range(1, spec.p + 1)] + [spec.p + 1]
-        closing = False
-    elif spec.shape == "cycle":
-        if spec.cycle_range is None:
-            raise ParameterError("cycle shape needs a cycle_range")
+    closing = spec.cycle_range is not None
+    if closing:
         lo, hi = spec.cycle_range
         if not 1 <= lo < hi <= spec.p:
             raise ParameterError(f"cycle range {spec.cycle_range} not within 1..{spec.p}")
         chain = [at_position[c] for c in range(lo, hi + 1)]
-        closing = True
     else:
-        raise ParameterError(f"unknown shape '{spec.shape}'")
+        chain = [0] + [at_position[c] for c in range(1, spec.p + 1)] + [spec.p + 1]
 
-    if extended:
-        if spec.shape != "path" or spec.permutation != tuple(range(1, spec.p + 1)):
-            raise ParameterError("the extended form is defined for identity-ordered chains")
+    if extended and (closing or spec.permutation != tuple(range(1, spec.p + 1))):
+        raise ParameterError("the extended form is defined for identity-ordered chains")
 
     edges: list[tuple[int, int]] = []
     for r in chain:
@@ -141,54 +126,44 @@ def gen_block_instance(spec: BlockInstance, extended: bool = False) -> Graph:
 
 def gen_bipartite_instance(spec: BipartiteInstance) -> Graph:
     """Two id-ordered paths plus the q evenly spaced rungs."""
+    if spec.q < 2:
+        raise ParameterError("need q >= 2")
     if spec.n < 6 * spec.q:
         raise ParameterError("need n >= 6q")
-    if not spec.q >= spec.p >= 2:
-        raise ParameterError("need q >= p >= 2")
-    a, b = spec.resolved_ids()
-    if len(a) != spec.n // 2 or len(b) != spec.n - spec.n // 2:
-        raise ParameterError("id lists must have sizes floor(n/2) and ceil(n/2)")
-    if set(a) & set(b):
-        raise ParameterError("path id sets must be disjoint")
+    a = range(1, spec.n // 2 + 1)
+    b = range(spec.n // 2 + 1, spec.n + 1)
     edges = list(zip(a, a[1:])) + list(zip(b, b[1:]))
     d = spec.d
     edges.extend((a[j * d - 1], b[j * d - 1]) for j in range(1, spec.q + 1))
     return build_graph(edges)
 
 
-def gen_glued_instance(
-    n: int, q: int, id_partition: str | Sequence[Sequence[int]] = "contiguous", seed: int = 0
-) -> Graph:
+def _glued_paths(n: int, q: int, pool: Sequence[int]) -> list[Sequence[int]]:
+    """Cut the q·n ids of ``pool``, in order, into q paths a_1..a_q of
+    ⌊n/2⌋ nodes and then q paths b_1..b_q of ⌈n/2⌉ nodes."""
+    sizes = [n // 2] * q + [n - n // 2] * q
+    return [pool[at : at + size] for at, size in zip(accumulate(sizes, initial=0), sizes)]
+
+
+def gen_glued_instance(n: int, q: int, id_partition: str = "contiguous", seed: int = 0) -> Graph:
     """q crossed-path instances glued by rotating the rung targets.
 
     Path copy a_i keeps its rungs at positions d, 2d, ..., qd but the j-th
     rung of a_i lands on path b_{i+j} (indices wrapping past q), so
     contracting every path to a single node leaves exactly K_{q,q}.
+    ``id_partition`` is ``"contiguous"`` (ids 1..q·n in path order) or
+    ``"random"`` (the same ids shuffled by ``seed``).
     """
     if q < 2:
         raise ParameterError("gluing needs q >= 2")
     if n < 6 * q:
         raise ParameterError("need n >= 6q")
-    n_a, n_b = n // 2, n - n // 2
-    sizes = [n_a] * q + [n_b] * q
-    if isinstance(id_partition, str):
-        pool = list(range(1, sum(sizes) + 1))
-        if id_partition == "random":
-            random.Random(seed).shuffle(pool)
-        elif id_partition != "contiguous":
-            raise ParameterError(f"unknown id partition '{id_partition}'")
-        paths = []
-        at = 0
-        for size in sizes:
-            paths.append(tuple(pool[at : at + size]))
-            at += size
-    else:
-        paths = [tuple(ids) for ids in id_partition]
-        if len(paths) != 2 * q or [len(ids) for ids in paths] != sizes:
-            raise ParameterError("id partition must give 2q paths of sizes n_A, n_B")
-        flat = [v for ids in paths for v in ids]
-        if len(set(flat)) != len(flat):
-            raise ParameterError("id partition has repeated ids")
+    pool = list(range(1, q * n + 1))
+    if id_partition == "random":
+        random.Random(seed).shuffle(pool)
+    elif id_partition != "contiguous":
+        raise ParameterError(f"unknown id partition '{id_partition}'")
+    paths = _glued_paths(n, q, pool)
     a, b = paths[:q], paths[q:]
     edges: list[tuple[int, int]] = []
     for ids in paths:
@@ -204,13 +179,7 @@ def gen_glued_instance(
 def glued_contracts_to_biclique(g: Graph, n: int, q: int) -> bool:
     """Check by explicit contraction that the glued instance is K_{q,q} over its
     paths, whose ids run contiguously, as ``gen_glued_instance``'s default."""
-    n_a, n_b = n // 2, n - n // 2
-    sizes = [n_a] * q + [n_b] * q
-    paths = []
-    at = 0
-    for size in sizes:
-        paths.append(tuple(range(at + 1, at + size + 1)))
-        at += size
+    paths = _glued_paths(n, q, range(1, q * n + 1))
     contracted = contract_edges(g, [e for ids in paths for e in zip(ids, ids[1:])])
     reference = generate("complete_bipartite", p=q, q=q)
     mapping = dict(zip(range(1, 2 * q + 1), (ids[0] for ids in paths)))
@@ -286,8 +255,7 @@ def validate_lowerbound_claims(
                     )
     for q in q_range:
         n = 6 * q + 4
-        inst = BipartiteInstance(n=n, p=2, q=q)
-        g = gen_bipartite_instance(inst)
+        g = gen_bipartite_instance(BipartiteInstance(n=n, q=q))
         checks.append(
             ClaimCheck(
                 "crossed-paths",

@@ -10,9 +10,9 @@ node, since the global decision, the first rejector and its verdict are
 then already known.
 
 ``attack`` drives dishonest certificate assignments against the verifier:
-uniformly random field values, honest templates with a few corrupted fields,
-certificates swapped between nodes, and honest certificates replayed from a
-different planar graph.  Every assignment is freshly built per trial; the
+uniformly random field values, honest templates with one corrupted field at
+each of a few distinct nodes, certificates swapped between nodes, and honest
+certificates replayed from a different planar graph.  Every assignment is freshly built per trial; the
 template itself is never modified.  A trial reads only the decision and the
 first rejector's phase, so its round stops at the first rejector.  Replay
 donors are random maximal planar graphs, proved on the embedding their
@@ -430,8 +430,7 @@ def attack(
             elif strategy == "template-edits":
                 k = EDIT_BUDGETS[t % len(EDIT_BUDGETS)]
                 certs = dict(template_bytes)
-                for _ in range(k):
-                    x = nodes[rng.randrange(len(nodes))]
+                for x in rng.sample(nodes, min(k, len(nodes))):
                     certs[x] = _edit_one_field(template_objs[x], certs[x], rng)
                 a = Assignment(certs, Origin("mutated", base=template_kind, edits=k))
             elif strategy == "swap":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from planarcert.cli import main, verdicts_from_files
+from planarcert.cli import _parse_params, main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
 from planarcert.graphs import build_graph, generate
 from planarcert.pls import (
@@ -341,7 +341,7 @@ def test_attack_refuses_swap_on_a_one_node_graph(tmp_path, capsys):
 
 
 def test_gen_block_chain_has_fifteen_nodes(capsys):
-    code = main(["gen", "blocks", "k=4", "p=3", "shape=path"])
+    code = main(["gen", "blocks", "k=4", "p=3"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("# gen blocks")
@@ -350,7 +350,7 @@ def test_gen_block_chain_has_fifteen_nodes(capsys):
 
 
 def test_gen_block_cycle_and_permutation(capsys):
-    code = main(["gen", "blocks", "k=4", "p=3", "shape=cycle", "cycle=1:3", "perm=2,1,3"])
+    code = main(["gen", "blocks", "k=4", "p=3", "cycle=1:3", "perm=2,1,3"])
     assert code == 0
     g, _ = parse_graph(capsys.readouterr().out)
     assert g.n == 9  # three ordinary blocks of k-1 nodes
@@ -364,6 +364,25 @@ def test_gen_crossed_and_glued(capsys):
     assert main(["gen", "glued", "n=12", "q=2"]) == 0
     g, _ = parse_graph(capsys.readouterr().out)
     assert g.n == 24  # two paths of six per crossing pattern
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["blocks", "k=4", "p=3", "cycle=1:3", "perm=2,1,3"],
+        ["crossed", "n=22", "q=3"],
+        ["glued", "n=24", "q=2", "partition=random"],
+    ],
+)
+def test_gen_header_reads_back_as_the_typed_parameters(params, capsys):
+    assert main(["gen", *params, "--seed", "5"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.split()[:3] == ["#", "gen", params[0]]
+    *typed, seed = first.split()[3:]
+    assert seed == "seed=5"
+    assert _parse_params(typed) == _parse_params(params[1:])
+    assert main(["gen", params[0], *typed, "--seed", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first
 
 
 def test_gen_fallthrough_generator_with_seed(capsys):
@@ -392,6 +411,10 @@ def test_gen_out_joins_corpus_dir(tmp_path, capsys, monkeypatch):
         ["gen", "nosuchfamily", "n=4"],
         ["gen", "blocks", "k=2", "p=3"],  # module precondition
         ["gen", "subdivided", "base=x", "steps=1"],  # no argv can name a base graph
+        ["gen", "grid", "w=2", "h=2", "typo=5"],  # a parameter the kind does not take
+        ["gen", "grid", "w=2", "h=2", "seed=1"],  # grid is not randomized
+        ["gen", "crossed", "n=22", "p=2", "q=3"],  # p never shaped the graph
+        ["gen", "blocks", "k=4", "p=3", "shape=cycle", "cycle=1:3"],  # cycle= alone decides
     ],
 )
 def test_gen_bad_requests_are_parse_errors(argv, capsys):

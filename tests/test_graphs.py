@@ -169,6 +169,15 @@ def test_unknown_kind():
         generate("moebius", n=8)
 
 
+def test_parameters_a_kind_does_not_take_are_refused():
+    with pytest.raises(ParameterError, match="takes"):
+        generate("grid", w=2, h=2, typo=5)
+    with pytest.raises(ParameterError, match="takes"):
+        generate("complete", k=4, seed=1)  # only randomized kinds take a seed
+    with pytest.raises(ParameterError, match="takes"):
+        generate("petersen", n=10)
+
+
 # --- degeneracy ------------------------------------------------------------
 
 

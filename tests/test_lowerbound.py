@@ -76,10 +76,6 @@ def test_block_parameter_errors():
         gen_block_instance(BlockInstance.cycle(4, 3, 2, 2))
     with pytest.raises(ParameterError):
         gen_block_instance(BlockInstance.cycle(4, 3, 1, 4))
-    with pytest.raises(ParameterError):
-        gen_block_instance(BlockInstance(k=4, p=2, permutation=(1, 2), shape="helix"))
-    with pytest.raises(ParameterError):
-        gen_block_instance(BlockInstance(k=4, p=2, permutation=(1, 2), shape="cycle"))
 
 
 def test_extended_chain_is_a_superset_with_bounded_jumps():
@@ -126,46 +122,28 @@ def test_chains_are_planar_and_honestly_certifiable():
 
 
 def test_crossed_paths_example_layout():
-    g = gen_bipartite_instance(BipartiteInstance(n=22, p=3, q=3))
+    g = gen_bipartite_instance(BipartiteInstance(n=22, q=3))
     assert g.n == 22
     rungs = sorted(e for e in g.edges() if abs(e[0] - e[1]) > 1)
     assert rungs == [(3, 14), (6, 17), (9, 20)]  # d=3: positions 3, 6, 9
 
 
 def test_crossed_paths_structure_q2():
-    g = gen_bipartite_instance(BipartiteInstance(n=12, p=2, q=2))
+    g = gen_bipartite_instance(BipartiteInstance(n=12, q=2))
     rungs = [e for e in g.edges() if abs(e[0] - e[1]) > 1]
     assert len(rungs) == 2
     assert g.m == (6 - 1) + (6 - 1) + 2
 
 
-def test_crossed_paths_custom_ids():
-    a = tuple(range(100, 111))
-    b = tuple(range(200, 211))
-    g = gen_bipartite_instance(BipartiteInstance(n=22, p=2, q=3, a=a, b=b))
-    assert set(g.nodes()) == set(a) | set(b)
-    assert (a[2], b[2]) in g.edges()
-
-
 def test_crossed_paths_parameter_errors():
     with pytest.raises(ParameterError):
-        gen_bipartite_instance(BipartiteInstance(n=17, p=2, q=3))  # n < 6q
+        gen_bipartite_instance(BipartiteInstance(n=17, q=3))  # n < 6q
     with pytest.raises(ParameterError):
-        gen_bipartite_instance(BipartiteInstance(n=22, p=4, q=3))  # p > q
-    with pytest.raises(ParameterError):
-        gen_bipartite_instance(BipartiteInstance(n=22, p=1, q=3))  # p < 2
-    with pytest.raises(ParameterError):
-        gen_bipartite_instance(
-            BipartiteInstance(n=22, p=2, q=3, a=tuple(range(1, 12)), b=tuple(range(5, 16)))
-        )
-    with pytest.raises(ParameterError):
-        gen_bipartite_instance(
-            BipartiteInstance(n=22, p=2, q=3, a=(1, 2), b=tuple(range(12, 23)))
-        )
+        gen_bipartite_instance(BipartiteInstance(n=22, q=1))  # q < 2
 
 
 def test_crossed_paths_have_no_k23_minor():
-    g = gen_bipartite_instance(BipartiteInstance(n=22, p=3, q=3))
+    g = gen_bipartite_instance(BipartiteInstance(n=22, q=3))
     assert not has_biclique_minor(g, 2, 3)
 
 
@@ -196,13 +174,7 @@ def test_glued_random_partition_is_seed_deterministic():
     assert has_biclique_minor(g1, 3, 3, cap=80)
 
 
-def test_glued_explicit_partition_checked():
-    with pytest.raises(ParameterError):
-        gen_glued_instance(12, 2, id_partition=[(1, 2, 3)])
-    with pytest.raises(ParameterError):
-        gen_glued_instance(
-            12, 2, id_partition=[tuple(range(1, 7))] * 4  # repeated ids
-        )
+def test_glued_parameter_errors():
     with pytest.raises(ParameterError):
         gen_glued_instance(12, 2, id_partition="mosaic")
     with pytest.raises(ParameterError):

@@ -405,7 +405,7 @@ replay,40,0,40,0,0
 # seed=11 trials=40 strategies=random-fields,template-edits,swap,replay
 strategy,trials,accepts,phase1,phase2,phase3
 random-fields,40,0,40,0,0
-template-edits,40,0,35,1,4
+template-edits,40,0,32,2,6
 swap,40,0,40,0,0
 replay,40,0,39,0,1
 """,
