@@ -189,7 +189,9 @@ def _parse_params(pairs: list[str]) -> dict[str, object]:
 def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph:
     p = dict(params)
     if construction == "blocks":
-        extended = bool(p.pop("extended", False))
+        extended = p.pop("extended", False)
+        if extended not in (True, False):  # _coerce makes true/false bools, 1/0 ints
+            raise _UsageError(f"extended takes true, false, 1 or 0, got {extended!r}")
         k, blocks = p.pop("k"), p.pop("p")
         spec = BlockInstance(
             k=k,
@@ -199,7 +201,7 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
         )
         if p:
             raise _UsageError(f"unknown blocks parameters {sorted(p)}")
-        return gen_block_instance(spec, extended=extended)
+        return gen_block_instance(spec, extended=bool(extended))
     if construction == "crossed":
         spec = BipartiteInstance(n=p.pop("n"), q=p.pop("q"))
         if p:
@@ -208,6 +210,7 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
     if construction == "glued":
         n, q = p.pop("n"), p.pop("q")
         partition = p.pop("partition", "contiguous")
+        seed = p.pop("seed", seed)
         if p:
             raise _UsageError(f"unknown glued parameters {sorted(p)}")
         return gen_glued_instance(n, q, id_partition=partition, seed=seed)
@@ -217,14 +220,22 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
 
 
 def _cmd_gen(args) -> int:
+    params = _parse_params(args.params)
+    # A typed seed= and --seed give one value two ways: they must agree, and
+    # the header names it once, as its last token.
+    seed = params.get("seed", 0 if args.seed is None else args.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise _UsageError(f"seed must be an integer, got {seed!r}")
+    if args.seed is not None and seed != args.seed:
+        raise _UsageError(f"seed={seed} disagrees with --seed {args.seed}")
     try:
-        params = _parse_params(args.params)
-        g = _gen_graph(args.construction, params, args.seed)
+        g = _gen_graph(args.construction, params, seed)
     except KeyError as exc:
         raise _UsageError(f"missing required parameter {exc.args[0]!r}") from None
     except TypeError as exc:
         raise _UsageError(str(exc)) from None
-    header = " ".join(["# gen", args.construction, *args.params, f"seed={args.seed}"])
+    typed = [t for t in args.params if t.partition("=")[0] != "seed"]
+    header = " ".join(["# gen", args.construction, *typed, f"seed={seed}"])
     _emit(header + "\n" + write_graph(g), args.out)
     return EXIT_ACCEPT
 
@@ -317,7 +328,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate corpus graphs (key=value parameters)")
     p.add_argument("construction")
     p.add_argument("params", nargs="*")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="the seed of a randomized family (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

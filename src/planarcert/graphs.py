@@ -225,7 +225,8 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
         add_face(y, v, x)
         edge_list.append((a, b))
 
-    return build_graph([(u, v) for u in adj for v in adj[u] if u < v]), apex
+    # ids 1..n, and stacking and flipping keep the triangulation connected
+    return Graph({u: tuple(sorted(nb)) for u, nb in adj.items()}, connected=True), apex
 
 
 def _gen_random_maximal_planar(n: int, seed: int) -> Graph:
@@ -404,11 +405,16 @@ def contract_edges(g: Graph, contracted: Iterable[tuple[int, int]]) -> Graph:
 
 
 def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
-    """Rename nodes through an injective mapping."""
+    """Rename nodes through an injective mapping.
+
+    Renaming keeps the edges and connectivity, so the adjacency is mapped
+    as it stands and ``connected`` is g's.
+    """
     if len(set(mapping.values())) != len(mapping):
         raise ParameterError("relabel mapping must be injective")
-    return build_graph(
-        [(mapping[u], mapping[v]) for u, v in g.edges()],
-        nodes=[mapping[v] for v in g.adj],
-    )
+    adj = {
+        _check_id(mapping[v]): tuple(sorted([mapping[u] for u in nb]))
+        for v, nb in g.adj.items()
+    }
+    return Graph(adj=adj, connected=g.connected)
 

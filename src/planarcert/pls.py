@@ -405,7 +405,8 @@ def _walk(
     idx_bits: int,
     cert: NodeCertificate | None = None,
     build: bool = False,
-) -> NodeCertificate | None:
+    pack: bool = False,
+) -> NodeCertificate | int | None:
     """The wire layout, stated once: every field in order, with its legal range.
 
     ``field(name, width, lo, hi, value)`` is called once per field and returns
@@ -432,8 +433,10 @@ def _walk(
     repeats a copy with another interval than its first slot's.  With
     ``build=True`` it rebuilds a certificate from the returned values,
     refilling what the wire leaves out, and a repeated copy shares its first
-    slot's interval object; otherwise it returns None.  Only decoding
-    builds.
+    slot's interval object.  With ``pack=True`` it returns the returned
+    values packed instead, each in its field's width, after a leading 1 bit
+    that marks where the fields begin.  Otherwise it returns None.  Only
+    decoding builds, and only encoding packs.
 
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -449,6 +452,8 @@ def _walk(
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
     nv = 2 * n - 1
     root_id = field("root_id", id_bits, 1, top_id, held_root)
+    if pack:  # the leading 1 bit, then count's 3 bits
+        acc = ((1 << 3 | count) << idx_bits | n) << id_bits | root_id
     # copy index -> the interval certificate its first slot carried
     sent: dict[int, PopCertificate | None] = {}
     edge_certs = []
@@ -465,6 +470,8 @@ def _walk(
         # slots; 1: a second pair follows (a tree edge's second tour step),
         # which takes a tour of at least two nodes.
         second = field("second", 1, 0, int(n > 1), held_second)
+        if pack:
+            acc = (acc << id_bits | far) << 1 | second
         slots = []  # each slot's copy index, then its interval certificate
         k = 0
         for s in range(4 if second else 2):
@@ -475,8 +482,12 @@ def _walk(
                     "step", 1, int(k == 1), int(k < nv), None if held_k is None else int(held_k > k)
                 )
                 k += 2 * up - 1
+                if pack:
+                    acc = acc << 1 | up
             else:
                 k = field("index", idx_bits, 1, nv, held_k)
+                if pack:
+                    acc = acc << idx_bits | k
             if held_k is not None and (held_k != k or held_pc.n != nv or held_pc.rank != k):
                 raise ParameterError(
                     f"cannot pack copy {held_k} with interval size {held_pc.n} and rank "
@@ -486,6 +497,8 @@ def _walk(
             if pc is False:
                 lo = field("lo", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.lo + 1)
                 hi = field("hi", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.hi + 1)
+                if pack:
+                    acc = (acc << idx_bits | lo) << idx_bits | hi
                 pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else held_pc
             elif held_pc is not None and held_pc != pc:
                 raise ParameterError(
@@ -498,6 +511,8 @@ def _walk(
                 slots *= 2
             i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
             edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
+    if pack:
+        return acc
     if not build:
         return None
     return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
@@ -557,18 +572,11 @@ def encode_fields(
     in bits, padding excluded.  No certificate object is built; given one,
     the walk checks its forced values as it writes.
     """
-    acc = nbits = 0
-
-    def put(name, width, lo, hi, value):
-        nonlocal acc, nbits
-        value = choose(name, width, lo, hi, value)
-        acc = (acc << width) | value
-        nbits += width
-        return value
-
-    _walk(put, id_bits, idx_bits, cert)
+    acc = _walk(choose, id_bits, idx_bits, cert, pack=True)
+    nbits = acc.bit_length() - 1  # the walk's leading 1 bit is no field
     pad = -nbits % 8
-    payload = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+    # padded, the leading 1 bit fills a byte of its own, which is dropped
+    payload = (acc << pad).to_bytes((nbits + pad) // 8 + 1, "big")[1:]
     return bytes((id_bits, idx_bits)) + payload, nbits
 
 

@@ -79,15 +79,6 @@ def virtual_certificate(n: int, rank: int) -> PopCertificate:
     return PopCertificate(n=n, rank=rank, lo=NEG_INF, hi=pos_inf(n))
 
 
-def _edges_in_rank_space(g: Graph, order: tuple[int, ...]) -> list[tuple[int, int]]:
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    out = []
-    for u, v in g.edges():
-        a, b = rank[u], rank[v]
-        out.append((a, b) if a < b else (b, a))
-    return out
-
-
 def _spans_noncrossing(spans: list[tuple[int, int]]) -> bool:
     """True iff every two spans, given in sweep order (start ascending, then
     end descending), are disjoint (up to touching) or nested.
@@ -110,14 +101,27 @@ def is_path_outerplanar(g: Graph, order, *, sweep: list | None = None) -> bool:
 
     A list passed as ``sweep`` receives g's edges as rank spans in sweep
     order, the list the crossing check ran on, once order is a path of g;
-    ``pop_prove`` reads its certificates off that list.
+    ``pop_prove`` reads its certificates off that list.  The spans come
+    straight off the adjacency, with no sort: walking the line backwards,
+    each node's rank is the end of a span to every earlier neighbor, so the
+    ends of the spans that start at one rank arrive farthest first.
     """
     order = tuple(order)
-    if sorted(order) != list(g.nodes()):
+    n = len(order)
+    adj = g.adj
+    rank = {v: r for r, v in enumerate(order, start=1)}
+    if len(rank) != n or rank.keys() != adj.keys():
         raise ParameterError("order is not a permutation of the graph's nodes")
-    if any(not g.has_edge(u, v) for u, v in zip(order, order[1:])):
+    ends: list[list[int]] = [[] for _ in range(n + 1)]  # by start rank
+    for b in range(n, 0, -1):
+        for u in adj[order[b - 1]]:
+            a = rank[u]
+            if a < b:
+                ends[a].append(b)
+    # the order is a path iff each rank's nearest later neighbor is the next
+    if not all(ends[a] and ends[a][-1] == a + 1 for a in range(1, n)):
         return False
-    spans = sorted(_edges_in_rank_space(g, order), key=lambda s: (s[0], -s[1]))
+    spans = [(a, b) for a in range(1, n + 1) for b in ends[a]]
     if sweep is not None:
         sweep[:] = spans
     return _spans_noncrossing(spans)

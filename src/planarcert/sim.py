@@ -32,6 +32,7 @@ from .errors import FirewallViolation, FormatError, ParameterError
 from .graphs import Graph, _embedded_random_maximal_planar, build_graph, generate, relabel
 from .pls import (
     PHASE_COLLECT,
+    Field,
     NodeCertificate,
     Verdict,
     _field_widths,
@@ -231,11 +232,18 @@ def honest_assignment(g: Graph) -> Assignment:
 
 def random_assignment(g: Graph, seed: int | str) -> Assignment:
     """Uniform random values, each in its field's legal range, in the layout."""
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     widths = _field_widths(max(g.nodes()), g.n)
 
     def draw(name, width, lo, hi, value):
-        return rng.randint(lo, hi)
+        # Random.randint(lo, hi), draw for draw: its rejection loop over
+        # getrandbits, which draws even for a range of one value
+        size = hi - lo + 1
+        k = size.bit_length()
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        return lo + r
 
     certs = {x: encode_fields(draw, *widths)[0] for x in g.nodes()}
     return Assignment(certs=certs, origin=Origin("random"))
@@ -288,12 +296,13 @@ def _planar_template(
     return prove_planar(sub), "planar-subgraph-template"
 
 
-def _edit_one_field(cert: NodeCertificate, data: bytes, rng: random.Random) -> bytes:
-    """Give one randomly chosen field another of its legal values.
+def _edit_one_field(fields: tuple[Field, ...], data: bytes, rng: random.Random) -> bytes:
+    """Give one randomly chosen field of ``data`` another of its legal values.
 
-    A field with a single legal value gets any other value of its width.
+    ``fields`` are ``certificate_bit_fields`` of the certificate ``data``
+    packs.  A field with a single legal value gets any other value of its
+    width.
     """
-    fields = certificate_bit_fields(cert)
     target = rng.randrange(len(fields))
     f = fields[target]
     lo, hi = (f.lo, f.hi) if f.lo < f.hi else (0, (1 << f.width) - 1)
@@ -407,12 +416,13 @@ def attack(
     if "honest" in chosen and not planar:
         raise ParameterError("the honest control arm needs a planar graph")
 
-    template_objs: dict[int, NodeCertificate] | None = None
+    template_fields: dict[int, tuple[Field, ...]] | None = None
     template_bytes: dict[int, bytes] | None = None
     template_kind = ""
     if {"template-edits", "swap"} & set(chosen):
         template_objs, template_kind = _planar_template(g, f"{seed}/template", planar)
         template_bytes = {x: pack_certificate(c) for x, c in template_objs.items()}
+        template_fields = {x: certificate_bit_fields(c) for x, c in template_objs.items()}
 
     nodes = g.nodes()
     honest_a = honest_assignment(g) if "honest" in chosen else None
@@ -431,7 +441,7 @@ def attack(
                 k = EDIT_BUDGETS[t % len(EDIT_BUDGETS)]
                 certs = dict(template_bytes)
                 for x in rng.sample(nodes, min(k, len(nodes))):
-                    certs[x] = _edit_one_field(template_objs[x], certs[x], rng)
+                    certs[x] = _edit_one_field(template_fields[x], certs[x], rng)
                 a = Assignment(certs, Origin("mutated", base=template_kind, edits=k))
             elif strategy == "swap":
                 x, y = rng.sample(nodes, 2)

@@ -82,8 +82,17 @@ class InducedGraph:
         return [(i, i + 1) for i in range(1, self.n_virtual)]
 
     def virtual_graph(self) -> Graph:
-        edges = self.path_edges() + sorted(self.cotree_map.values())
-        return build_graph(edges, nodes=range(1, self.n_virtual + 1))
+        """The path plus the chords, built as constructed: the ids are
+        1..n_virtual, the path spans them, and no chord joins two copies
+        next to each other on it, since those are the ends of a tree edge."""
+        nv = self.n_virtual
+        nbrs = {k: [k - 1, k + 1] for k in range(1, nv + 1)}
+        nbrs[1].remove(0)
+        nbrs[nv].remove(nv + 1)
+        for i, j in self.cotree_map.values():
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return Graph({k: tuple(sorted(nb)) for k, nb in nbrs.items()}, connected=True)
 
 
 def _checked_ring(g: Graph, rot: RotationSystem, v: int) -> tuple[int, ...]:

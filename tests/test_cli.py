@@ -415,11 +415,44 @@ def test_gen_out_joins_corpus_dir(tmp_path, capsys, monkeypatch):
         ["gen", "grid", "w=2", "h=2", "seed=1"],  # grid is not randomized
         ["gen", "crossed", "n=22", "p=2", "q=3"],  # p never shaped the graph
         ["gen", "blocks", "k=4", "p=3", "shape=cycle", "cycle=1:3"],  # cycle= alone decides
+        ["gen", "blocks", "k=4", "p=2", "extended=no"],  # not a flag value
+        ["gen", "tree", "n=5", "seed=3", "--seed", "4"],  # two seeds that disagree
+        ["gen", "tree", "n=5", "seed=x"],  # a seed is an integer
     ],
 )
 def test_gen_bad_requests_are_parse_errors(argv, capsys):
     assert main(argv) == 64
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_extended_takes_only_flag_values(capsys):
+    def body(*flag):
+        assert main(["gen", "blocks", "k=4", "p=2", *flag]) == 0
+        return capsys.readouterr().out.split("\n", 1)[1]
+
+    plain, extended = body(), body("extended=true")
+    assert plain != extended
+    assert body("extended=false") == body("extended=0") == plain
+    assert body("extended=1") == extended
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "tree", "n=5", "seed=3"],
+        ["gen", "tree", "n=5", "--seed", "3"],
+        ["gen", "tree", "seed=3", "n=5", "--seed", "3"],
+        ["gen", "glued", "n=24", "q=2", "partition=random", "seed=3"],
+    ],
+)
+def test_gen_header_names_the_seed_once_and_reads_back(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    header = out.splitlines()[0].split()
+    assert [t for t in header if t.startswith("seed=")] == ["seed=3"]
+    assert header[-1] == "seed=3"
+    assert main(["gen", *header[2:]]) == 0
+    assert capsys.readouterr().out == out
 
 
 # --- sweep / oracle-check -------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from planarcert.errors import ParameterError, StructuralError
 from planarcert.graphs import (
+    _triangulate,
     build_graph,
     contract_edges,
     degeneracy_order,
@@ -286,6 +287,56 @@ def test_relabel():
     g = build_graph([(1, 2), (2, 3)])
     got = relabel(g, {1: 10, 2: 20, 3: 30})
     assert got.edges() == [(10, 20), (20, 30)]
+
+
+_FAMILIES = [
+    generate("grid", w=4, h=5),
+    generate("wheel", n=9),
+    generate("tree", n=30, seed=2),
+    generate("random_maximal_planar", n=40, seed=5),
+    build_graph([(1, 2), (3, 4)], nodes=[5]),  # disconnected, with an isolated node
+]
+
+
+@pytest.mark.parametrize("g", _FAMILIES, ids=["grid", "wheel", "tree", "random-maximal", "disconnected"])
+@pytest.mark.parametrize(
+    "rename",
+    [lambda v: 3 * v + 7, lambda v: 1000 - v],
+    ids=["ids-3v+7", "reversed"],
+)
+def test_relabel_is_what_build_graph_builds(g, rename):
+    # relabel maps the adjacency as it stands; build_graph is the oracle
+    mapping = {v: rename(v) for v in g.nodes()}
+    got = relabel(g, mapping)
+    want = build_graph(
+        [(mapping[u], mapping[v]) for u, v in g.edges()],
+        nodes=[mapping[v] for v in g.nodes()],
+    )
+    assert got.adj == want.adj
+    assert got.connected is want.connected is g.connected
+
+
+def test_relabel_refuses_bad_ids():
+    g = build_graph([(1, 2)])
+    with pytest.raises(StructuralError):
+        relabel(g, {1: 0, 2: 5})
+    with pytest.raises(ParameterError):
+        relabel(g, {1: 5, 2: 5})
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 60])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangulation_is_what_build_graph_builds(n, seed):
+    # the triangulation is built as constructed; build_graph on the edges of
+    # its oriented faces, and on those ids relabelled, is the oracle
+    g, apex = _triangulate(n, seed)
+    want = build_graph(list(apex))
+    assert g.adj == want.adj
+    assert g.connected is want.connected is True
+    assert g.nodes() == list(range(1, n + 1)) and g.m == 3 * n - 6
+    mapping = {v: 3 * v + 7 for v in g.nodes()}
+    shifted = build_graph([(mapping[u], mapping[v]) for u, v in apex])
+    assert relabel(g, mapping).adj == shifted.adj
 
 
 @settings(max_examples=40)

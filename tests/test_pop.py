@@ -132,6 +132,35 @@ def test_sweep_matches_pairwise_oracle(spans):
     assert _spans_noncrossing(in_sweep_order) == _pairs_noncrossing(spans)
 
 
+def test_sweep_is_every_edge_in_sweep_order_for_any_order():
+    # The spans come off the adjacency with no sort.  The reference maps
+    # every edge into rank space and sorts by (start, -end); the verdict is
+    # the definition: a Hamiltonian path along which no two spans cross.
+    rng = random.Random(3)
+    paths = crossings = 0
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        ids = rng.sample(range(1, 40), n)
+        edges = [(ids[k], ids[k + 1]) for k in range(n - 1)] if rng.random() < 0.7 else []
+        if n > 1:
+            edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randrange(2 * n))]
+        g = build_graph(edges, nodes=ids)
+        order = tuple(ids) if rng.random() < 0.5 else tuple(rng.sample(ids, n))
+        rank = {v: r for r, v in enumerate(order, start=1)}
+        want = sorted(
+            (sorted((rank[u], rank[v])) for u, v in g.edges()), key=lambda s: (s[0], -s[1])
+        )
+        want = [tuple(s) for s in want]
+        is_path = all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+        sweep: list = []
+        assert is_path_outerplanar(g, order, sweep=sweep) == (is_path and _pairs_noncrossing(want))
+        if is_path:
+            paths += 1
+            crossings += not _pairs_noncrossing(want)
+            assert sweep == want
+    assert paths > 100 and crossings > 10
+
+
 def test_large_instance_uses_same_predicate():
     n = 300
     edges = [(i, i + 1) for i in range(1, n)] + [(1, j) for j in range(3, n + 1)]

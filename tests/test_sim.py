@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import types
 
 import pytest
 
@@ -17,7 +18,9 @@ from planarcert.errors import FirewallViolation, ParameterError
 from planarcert.graphs import build_graph, generate, norm_edge, relabel
 from planarcert.pls import (
     Verdict,
+    _field_widths,
     certificate_bit_fields,
+    encode_fields,
     pack_certificate,
     prove_planar,
     unpack_certificate,
@@ -79,7 +82,7 @@ def _forgery_cases():
             edited = dict(packed)
             for _ in range(rng.choice((1, 2, 4))):
                 x = rng.choice(nodes)
-                edited[x] = _edit_one_field(template[x], edited[x], rng)
+                edited[x] = _edit_one_field(certificate_bit_fields(template[x]), edited[x], rng)
             assignments.append(Assignment(edited, Origin("mutated", base=kind)))
             swapped = dict(packed)
             x, y = rng.sample(nodes, 2)
@@ -164,6 +167,44 @@ def test_random_assignment_draws_are_pinned():
         assert _digest(forged) == _PINNED_FORGERIES[name], name
 
 
+def test_random_assignment_draws_as_randint_does(monkeypatch):
+    # Each field is drawn as Random.randint(lo, hi) draws it, draw for draw,
+    # over every range the layout uses, one-value ranges included.
+    calls: list[tuple[int, int]] = []
+
+    class Logged(random.Random):
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            calls.append((k, r))
+            return r
+
+    monkeypatch.setattr("planarcert.sim.random", types.SimpleNamespace(Random=Logged))
+    ranges: set[tuple[int, int]] = set()
+    for g in (
+        build_graph([], nodes=[1]),
+        build_graph([(1, 2)]),
+        _grid33(),
+        relabel(_grid33(), {v: 3 * v + 7 for v in range(1, 10)}),
+        _maximal_planar_plus_one_edge(28, seed=3),
+    ):
+        widths = _field_widths(max(g.nodes()), g.n)
+        for seed in (0, 1, 2, "7/random/0", "7/random/1"):
+            calls.clear()
+            got = random_assignment(g, seed).certs
+            drawn = calls[:]
+            calls.clear()
+            rng = Logged(seed)
+
+            def randint(name, width, lo, hi, value):
+                ranges.add((lo, hi))
+                return rng.randint(lo, hi)
+
+            assert got == {x: encode_fields(randint, *widths)[0] for x in g.nodes()}
+            assert drawn == calls
+    assert {(0, 0), (1, 1)} <= ranges  # one-value ranges, each still drawn
+    assert len(ranges) > 20
+
+
 def test_early_stop_round_matches_the_full_round():
     # attack reads only the decision and the first rejector's verdict, so its
     # rounds stop at the first rejector; all they report is the full round's.
@@ -201,7 +242,7 @@ def test_edit_changes_one_field_to_another_legal_value():
         data = pack_certificate(cert)
         fields = certificate_bit_fields(cert)
         for _ in range(10):
-            edited = _edit_one_field(cert, data, rng)
+            edited = _edit_one_field(fields, data, rng)
             payload = int.from_bytes(edited[2:], "big")
             total, offset, changed = 8 * (len(edited) - 2), 0, []
             for f in fields:

@@ -8,7 +8,7 @@ import pytest
 
 from planarcert.embedding import canonical_rotation, planar_embed
 from planarcert.errors import ParameterError, StructuralError
-from planarcert.graphs import Graph, build_graph, generate, norm_edge
+from planarcert.graphs import Graph, build_graph, generate, norm_edge, relabel
 from planarcert.lowerbound import BlockInstance, gen_block_instance
 from planarcert.pop import is_path_outerplanar
 from planarcert.transform import (
@@ -220,6 +220,36 @@ def test_virtual_graph_is_path_outerplanar_in_identity_order_for_corpus():
             _, _, _, induced = _pipeline(g, root)
             order = tuple(range(1, induced.n_virtual + 1))
             assert is_path_outerplanar(induced.virtual_graph(), order)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph([], nodes=[1]),
+        build_graph([(1, 2)]),
+        generate("grid", w=4, h=5),
+        generate("wheel", n=9),
+        generate("tree", n=30, seed=2),
+        generate("random_maximal_planar", n=40, seed=5),
+        relabel(
+            generate("random_maximal_planar", n=40, seed=5), {v: 3 * v + 7 for v in range(1, 41)}
+        ),
+    ],
+    ids=["single", "edge", "grid", "wheel", "tree", "random-maximal", "ids-3v+7"],
+)
+def test_virtual_graph_is_what_build_graph_builds(g):
+    # the virtual graph is built as constructed; build_graph, which checks
+    # ids and connectivity, is the oracle
+    nodes = g.nodes()
+    for root in {nodes[0], nodes[len(nodes) // 2], nodes[-1]}:
+        _, _, _, induced = _pipeline(g, root)
+        got = induced.virtual_graph()
+        want = build_graph(
+            induced.path_edges() + sorted(induced.cotree_map.values()),
+            nodes=range(1, induced.n_virtual + 1),
+        )
+        assert got.adj == want.adj
+        assert got.connected is want.connected is True
 
 
 def test_chord_images_are_the_original_edges():

@@ -19,7 +19,13 @@ from collections import Counter
 from planarcert.errors import FormatError
 from planarcert.embedding import planar_embed
 from planarcert.graphs import build_graph, generate
-from planarcert.pls import pack_certificate, prove_planar, unpack_certificate, verify_node_planarity
+from planarcert.pls import (
+    certificate_bit_fields,
+    pack_certificate,
+    prove_planar,
+    unpack_certificate,
+    verify_node_planarity,
+)
 from planarcert.pop import (
     REJECT_REASONS,
     PopWitness,
@@ -64,7 +70,7 @@ def _views(name, g):
             edited = dict(packed)
             for _ in range(k):
                 x = rng.choice(nodes)
-                edited[x] = _edit_one_field(template[x], edited[x], rng)
+                edited[x] = _edit_one_field(certificate_bit_fields(template[x]), edited[x], rng)
             yield f"edit-{k}", edited
     for _ in range(_TRIALS):
         swapped = dict(packed)
@@ -155,7 +161,7 @@ def test_verdicts_match_the_reference_at_benchmark_size():
         nodes = g.nodes()
         for _ in range(_LARGE_EDITS):
             x = rng.choice(nodes)
-            edited = _decoded(_edit_one_field(template[x], packed[x], rng))
+            edited = _decoded(_edit_one_field(certificate_bit_fields(template[x]), packed[x], rng))
             if edited is None:
                 continue  # rejected at decode
             forged = {**certs, x: edited}
