@@ -214,15 +214,21 @@ def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph
         if p:
             raise _UsageError(f"unknown glued parameters {sorted(p)}")
         return gen_glued_instance(n, q, id_partition=partition, seed=seed)
-    if construction in GENERATORS and "seed" in GENERATORS[construction][1]:
+    if _takes_seed(construction):
         p.setdefault("seed", seed)
     return generate(construction, **p)
+
+
+def _takes_seed(construction: str) -> bool:
+    return construction == "glued" or (
+        construction in GENERATORS and "seed" in GENERATORS[construction][1]
+    )
 
 
 def _cmd_gen(args) -> int:
     params = _parse_params(args.params)
     # A typed seed= and --seed give one value two ways: they must agree, and
-    # the header names it once, as its last token.
+    # the header of a randomized family names it once, as its last token.
     seed = params.get("seed", 0 if args.seed is None else args.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _UsageError(f"seed must be an integer, got {seed!r}")
@@ -235,7 +241,9 @@ def _cmd_gen(args) -> int:
     except TypeError as exc:
         raise _UsageError(str(exc)) from None
     typed = [t for t in args.params if t.partition("=")[0] != "seed"]
-    header = " ".join(["# gen", args.construction, *typed, f"seed={seed}"])
+    if _takes_seed(args.construction):
+        typed.append(f"seed={seed}")
+    header = " ".join(["# gen", args.construction, *typed])
     _emit(header + "\n" + write_graph(g), args.out)
     return EXIT_ACCEPT
 

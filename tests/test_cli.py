@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import planarcert
 
 from planarcert.cli import _parse_params, main, verdicts_from_files
 from planarcert.formats import parse_certificates, parse_graph, write_certificates, write_graph
@@ -337,6 +344,27 @@ def test_attack_refuses_swap_on_a_one_node_graph(tmp_path, capsys):
     assert "swap strategy needs a graph with at least two nodes" in capsys.readouterr().err
 
 
+def test_prove_and_embed_run_without_networkx(tmp_path):
+    """The package needs no third-party module: block networkx and run both."""
+    grid = _graph_file(tmp_path, generate("grid", w=4, h=4), "grid.txt")
+    k5 = _graph_file(tmp_path, generate("complete", k=5), "k5.txt")
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from planarcert.cli import main\n"
+        f"assert main(['prove', {grid!r}]) == 0\n"
+        f"assert main(['embed', {k5!r}]) == 2\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(planarcert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "non-planar: K5-subdivision" in proc.stdout
+
+
 # --- gen ----------------------------------------------------------------------
 
 
@@ -378,8 +406,10 @@ def test_gen_header_reads_back_as_the_typed_parameters(params, capsys):
     assert main(["gen", *params, "--seed", "5"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.split()[:3] == ["#", "gen", params[0]]
-    *typed, seed = first.split()[3:]
-    assert seed == "seed=5"
+    typed = first.split()[3:]
+    if params[0] == "glued":  # the only randomized family of the three
+        assert typed.pop() == "seed=5"
+    assert not any(t.startswith("seed=") for t in typed)
     assert _parse_params(typed) == _parse_params(params[1:])
     assert main(["gen", params[0], *typed, "--seed", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first
@@ -451,6 +481,27 @@ def test_gen_header_names_the_seed_once_and_reads_back(argv, capsys):
     header = out.splitlines()[0].split()
     assert [t for t in header if t.startswith("seed=")] == ["seed=3"]
     assert header[-1] == "seed=3"
+    assert main(["gen", *header[2:]]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "grid", "w=2", "h=2"],
+        ["gen", "grid", "w=2", "h=2", "--seed", "3"],
+        ["gen", "wheel", "n=6"],
+        ["gen", "complete", "k=5"],
+        ["gen", "petersen"],
+        ["gen", "blocks", "k=4", "p=3"],
+        ["gen", "crossed", "n=22", "q=3"],
+    ],
+)
+def test_gen_header_of_a_seedless_family_names_no_seed_and_reads_back(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    header = out.splitlines()[0].split()
+    assert not any(t.startswith("seed=") for t in header)
     assert main(["gen", *header[2:]]) == 0
     assert capsys.readouterr().out == out
 

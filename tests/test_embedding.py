@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 
+import networkx as nx
 import pytest
 
 from planarcert.embedding import (
@@ -158,12 +160,20 @@ def _check_witness_shape(w: NonPlanarWitness) -> None:
         assert all(color[u] != color[v] for u, v in m.edges())
 
 
+def _path_into_k5(n: int = 3000) -> Graph:
+    """A path on 1..n whose last five nodes also form a K5 (m = n + 5)."""
+    path = [(v, v + 1) for v in range(1, n)]
+    k5 = [(a, b) for a in range(n - 4, n + 1) for b in range(a + 1, n + 1)]
+    return build_graph(path + k5)
+
+
 def test_witness_contracts_to_forbidden_graph():
     for g in (
         generate("complete", k=5),
         generate("complete", k=6),
         generate("complete_bipartite", p=3, q=3),
         generate("petersen"),
+        _path_into_k5(),
     ):
         w = planar_embed(g)
         assert isinstance(w, NonPlanarWitness)
@@ -256,3 +266,67 @@ def test_faces_match_the_rescanning_tracer():
         assert validate_rotation(g, scrambled) == (
             g.n - g.m + len(_faces_by_rescanning(g, scrambled)) == 2
         )
+
+
+def _reference_embed(g: Graph) -> RotationSystem | None:
+    """networkx's left-right test: its clockwise rings, reversed and made canonical."""
+    ng = nx.Graph()
+    ng.add_nodes_from(g.nodes())
+    ng.add_edges_from(g.edges())
+    planar, embedding = nx.check_planarity(ng)
+    if not planar:
+        return None
+    return canonical_rotation({v: ring[::-1] for v, ring in embedding.get_data().items()})
+
+
+def _reference_corpus():
+    """Grids, random maximal planar graphs, trees, random planar subgraphs of
+    the maximal ones, and random G(n, p) graphs (many of them non-planar)."""
+    for w in range(1, 12):
+        for h in range(1, 12):
+            if w * h > 1:
+                yield generate("grid", w=w, h=h)
+    for s in range(30):
+        yield generate("random_maximal_planar", n=4 + 7 * s, seed=s)
+        yield generate("tree", n=3 + 5 * s, seed=s)
+    rng = random.Random(41)
+    for s in range(200):
+        g = generate("random_maximal_planar", n=rng.randint(5, 60), seed=100 + s)
+        sub = build_graph([e for e in g.edges() if rng.random() < 0.7], nodes=g.nodes())
+        if sub.connected:
+            yield sub
+    for _ in range(300):
+        n, p = rng.randint(4, 30), rng.uniform(0.05, 0.5)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = build_graph([e for e in pairs if rng.random() < p], nodes=range(1, n + 1))
+        if g.connected:
+            yield g
+
+
+def test_embed_gives_the_reference_rotation_and_verdict():
+    planar = total = 0
+    for g in _reference_corpus():
+        ref = _reference_embed(g)
+        assert planar_embed(g, counterexample=False) == ref
+        total += 1
+        planar += ref is not None
+    assert total > 500 and 300 < planar < total
+
+
+def test_embed_is_iterative_on_a_deep_dfs():
+    """No recursion that grows with n: a 5000-node path and the path into
+    a K5 embed or give their witness under a recursion limit a few dozen
+    frames above the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        rot = planar_embed(build_graph([(v, v + 1) for v in range(1, 5000)]))
+        witness = planar_embed(_path_into_k5(5000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(rot, RotationSystem) and rot.order_at(2) == (1, 3)
+    assert isinstance(witness, NonPlanarWitness)
+    assert witness.branch_nodes == tuple(range(4996, 5001))
