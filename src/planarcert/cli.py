@@ -234,6 +234,8 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"seed must be an integer, got {seed!r}")
     if args.seed is not None and seed != args.seed:
         raise _UsageError(f"seed={seed} disagrees with --seed {args.seed}")
+    if args.seed is not None and not _takes_seed(args.construction):
+        raise _UsageError(f"generator '{args.construction}' takes no seed")
     try:
         g = _gen_graph(args.construction, params, seed)
     except KeyError as exc:

@@ -60,6 +60,8 @@ edited copy.
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import NamedTuple
 
 from .embedding import NonPlanarWitness, RotationSystem, planar_embed, validate_rotation
@@ -154,6 +156,29 @@ def _reject(phase: int, reason: str) -> Verdict:
 # --- honest prover ----------------------------------------------------------
 
 
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector off, then restore its state.
+
+    The prover and the round build large acyclic heaps and leave no cyclic
+    garbage, so a collection inside them only walks again what they are
+    building.  A caller that already has the collector off keeps it off; no
+    collection is forced on the way out.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def prove_planar(
     g: Graph, rot: RotationSystem | None = None
 ) -> dict[int, NodeCertificate]:
@@ -162,6 +187,10 @@ def prove_planar(
     With no rotation supplied the graph is embedded first; a non-planar
     input is refused with the embedder's subdivision witness attached.  A
     supplied rotation must be a planar embedding of ``g``.
+
+    The cyclic garbage collector is paused for the call and restored on the
+    way out, however the call ends.  The pause is process-wide, which is
+    safe because planarcert is single-threaded.
     """
     if not g.connected:
         raise ParameterError("certification requires a connected graph")

@@ -35,6 +35,7 @@ from .pls import (
     Field,
     NodeCertificate,
     Verdict,
+    _collector_paused,
     _field_widths,
     _set_field,
     certificate_bit_fields,
@@ -171,6 +172,7 @@ def _cached_verdict(x: int, own: bytes, items: tuple[tuple[int, bytes], ...]) ->
     return _verify_pairs(x, own, items)
 
 
+@_collector_paused
 def run_round(
     g: Graph,
     a: Assignment,
@@ -184,6 +186,10 @@ def run_round(
     ``stop_at_first_reject`` the round ends at the first rejecting node:
     the decision, ``first_rejector``, its verdict and ``stats`` are the full
     round's, and ``per_node`` holds the evaluated prefix only.
+
+    The cyclic garbage collector is paused for the round, the verifier's
+    calls included, and restored on the way out.  The pause is process-wide,
+    which is safe because planarcert is single-threaded.
     """
     nodes = g.nodes()
     if not nodes:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import types
@@ -14,7 +15,8 @@ from planarcert.embedding import (
     planar_embed,
     validate_rotation,
 )
-from planarcert.errors import FirewallViolation, ParameterError
+from planarcert import pls
+from planarcert.errors import FirewallViolation, NonPlanarError, ParameterError
 from planarcert.graphs import build_graph, generate, norm_edge, relabel
 from planarcert.pls import (
     Verdict,
@@ -622,3 +624,88 @@ def test_sweep_csv():
     lines = csv.strip().splitlines()
     assert lines[0] == "n,max_bits,max_bits_per_log2_n"
     assert len(lines) == 3
+
+
+# --- the collector pause ------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Start with the cyclic collector on; leave it as the test found it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_prover_and_round_run_with_the_collector_paused(collector, monkeypatch):
+    seen = []
+    real_tree = pls.spanning_tree_dfs
+
+    def tree_spy(*args):
+        seen.append(("tree", gc.isenabled()))
+        return real_tree(*args)
+
+    def verifier(x, own, neighbors):
+        seen.append(("verify", gc.isenabled()))
+        return planarity_verifier(x, own, neighbors)
+
+    monkeypatch.setattr(pls, "spanning_tree_dfs", tree_spy)
+    g = _grid33()
+    a = honest_assignment(g)
+    assert gc.isenabled()
+    assert run_round(g, a, verifier).global_decision == "accept"
+    assert gc.isenabled()
+    assert seen == [("tree", False)] + [("verify", False)] * g.n
+
+
+def test_collector_is_back_on_however_the_call_ends(collector):
+    g = _grid33()
+    a = honest_assignment(g)
+    assert gc.isenabled()
+    with pytest.raises(NonPlanarError):
+        prove_planar(generate("complete", k=5))
+    assert gc.isenabled()
+    with pytest.raises(ParameterError):
+        prove_planar(build_graph([(1, 2), (3, 4)]))
+    assert gc.isenabled()
+    lacking = Assignment(certs={x: c for x, c in a.certs.items() if x != 1}, origin=a.origin)
+    with pytest.raises(ParameterError):
+        run_round(g, lacking)
+    assert gc.isenabled()
+
+
+def test_collector_a_caller_turned_off_stays_off(collector):
+    gc.disable()
+    g = _grid33()
+    assert run_round(g, honest_assignment(g)).global_decision == "accept"
+    assert not gc.isenabled()
+    with pytest.raises(NonPlanarError):
+        prove_planar(generate("complete", k=5))
+    assert not gc.isenabled()
+
+
+def test_paused_paths_leave_no_cyclic_garbage(collector):
+    # The pause is safe only while these calls free everything they drop by
+    # reference counting: a reference cycle here would pile up unreclaimed
+    # whenever a caller proves or verifies many graphs in one pause.  With
+    # the collector off, every object the calls make stays young, so after
+    # one full collection the young generations hold all of them; a full
+    # collection per step would walk the whole suite's heap again.
+    gc.disable()
+    gc.collect()
+    for g in (
+        generate("grid", w=8, h=8),
+        generate("random_maximal_planar", n=64, seed=1),
+        generate("tree", n=64, seed=1),
+    ):
+        assert run_round(g, honest_assignment(g)).global_decision == "accept"
+        assert gc.collect(1) == 0
+    try:
+        prove_planar(generate("complete", k=5))
+    except NonPlanarError:
+        pass
+    assert gc.collect(1) == 0
+    summary = attack(generate("complete_bipartite", p=3, q=3), trials=20, seed=0)
+    assert summary.total_accepts == 0
+    assert gc.collect(1) == 0
