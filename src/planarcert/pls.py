@@ -4,11 +4,18 @@ The prover embeds the graph, cuts it along a depth-first spanning tree, and
 certifies path-outerplanarity of the resulting virtual path graph.  Every
 graph edge gets one edge certificate carrying the tour positions of its
 virtual endpoints together with their interval certificates; the certificate
-is stored at the endpoint that comes first in a degeneracy order, so no node
-holds more than five of them.  The verifier reassembles its local slice of
-the virtual graph from its own and its neighbors' certificates, replays the
-interval checks for every tour copy it owns, and checks the spanning tree
-and the tour around it.
+is stored at one endpoint, its holder, and no node holds more than three of
+them.  Holders start from a degeneracy order, where each edge goes to the
+endpoint peeled first, and nodes that then hold four or five pass edges on
+along paths of held edges (``_held_edges``).  Three suffice because a planar
+graph has arboricity at most 3.  Which endpoint holds an edge also sets how
+many tour copies a certificate names, so the prover then lowers the
+largest packed certificate by path and cycle reversals that keep every
+count at most three (``_shrink_largest``): its size does not hinge on one
+node that happens to hold two tree edges with no copy in common.  The
+verifier reassembles its local slice of the virtual graph from its own and
+its neighbors' certificates, replays the interval checks for every tour
+copy it owns, and checks the spanning tree and the tour around it.
 
 No certificate carries a tree depth, because the tour checks already make
 parent pointers acyclic.  Let x be an accepting node with parent p, where
@@ -46,6 +53,13 @@ completeness: the verifier reads every edge certificate of its own
 certificate and rejects two slots that give one copy different intervals,
 so an accepting certificate repeats each copy with the same interval.
 
+The edge certificate count takes 2 bits, for 0..3 certificates.  This
+costs no soundness either: every bit string decodes to a certificate that
+the layout with a 3-bit count, for up to five, could also carry.  The
+verifier does not depend on the count's width, so the views it accepts can
+only be fewer.  Nor does it cost completeness, because the prover gives no
+node more than three.
+
 Certificates and verdicts are immutable named tuples (``TreeSub``,
 ``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
 certificate ``pop.PopCertificate``).  The simulator hands one decoded object
@@ -62,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from bisect import insort
 from typing import NamedTuple
 
 from .embedding import NonPlanarWitness, RotationSystem, planar_embed, validate_rotation
@@ -80,8 +95,9 @@ PHASE_COLLECT = 1  # recover tree / tour / virtual-graph structure
 PHASE_TREE = 2  # spanning-tree and tour-consistency checks
 PHASE_POP = 3  # interval checks per owned copy
 
-#: Degeneracy of a planar graph, hence the most edge certificates per node.
-MAX_EDGE_CERTS = 5
+#: The most edge certificates per node.  A planar graph has arboricity at
+#: most 3 (Nash-Williams), so its edges orient with out-degree at most 3.
+MAX_EDGE_CERTS = 3
 
 
 class TreeSub(NamedTuple):
@@ -221,28 +237,185 @@ def prove_planar(
         a, b = f[k], f[k + 1]  # real tour positions: never the anchor
         steps.setdefault(norm_edge(a, b), []).append((k, k + 1) if a < b else (k + 1, k))
 
-    # One pass over the edges, in ascending order: each certificate goes to
-    # the endpoint that comes first in the degeneracy order, oriented to it.
-    # Every node's certificates thus come in ascending order of ``far``.
-    position = degeneracy_order(g).position()
-    mine: dict[int, list[EdgeCertificate]] = {x: [] for x in g.nodes()}
-    for u, v in g.edges():
-        if (u, v) in steps:
-            (i, j), (i2, j2) = steps[(u, v)]
-        else:
-            ci, cj = induced.cotree_map[(u, v)]
-            i, j = (ci, cj) if f[ci] == u else (cj, ci)
-            i2, j2 = i, j
-        if position[v] < position[u]:
-            u, v, i, j, i2, j2 = v, u, j, i, j2, i2
-        ec = EdgeCertificate(v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2])
-        mine[u].append(ec)
+    # Every edge's slots: copies of its smaller id, larger id, smaller, larger
+    # end.  A chord repeats its one pair.
+    slots: dict[Edge, tuple[int, int, int, int]] = {}
+    for e, ((i, j), (i2, j2)) in steps.items():
+        slots[e] = (i, j, i2, j2)
+    for e, (i, j) in induced.cotree_map.items():
+        slots[e] = (i, j, i, j) if f[i] == e[0] else (j, i, j, i)
 
+    # Each certificate goes to the node that holds its edge, oriented to it,
+    # in ascending order of ``far``.
+    held = _held_edges(g)
+    _shrink_largest(held, slots, root, g.n)
     tree_sub = TreeSub(root_id=root)
-    return {
-        x: NodeCertificate(edge_certs=tuple(ecs), tree_sub=tree_sub, n=g.n)
-        for x, ecs in mine.items()
-    }
+    certs: dict[int, NodeCertificate] = {}
+    for x, fars in held.items():
+        ecs = []
+        for v in fars:
+            if x < v:
+                i, j, i2, j2 = slots[x, v]
+            else:
+                j, i, j2, i2 = slots[v, x]
+            ecs.append(EdgeCertificate(v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2]))
+        certs[x] = NodeCertificate(edge_certs=tuple(ecs), tree_sub=tree_sub, n=g.n)
+    return certs
+
+
+def _held_edges(g: Graph) -> dict[int, list[int]]:
+    """Who holds each edge's certificate: every node's far ends, ascending.
+
+    No node holds more than ``MAX_EDGE_CERTS``.  Each edge starts at the
+    endpoint that comes first in the degeneracy order, which gives a planar
+    graph's nodes at most five.  Then each node holding more than three, in
+    ascending id order, searches breadth-first along held edges, far ends in
+    ascending order, for the nearest node holding fewer than three, and the
+    edges of that path change holder: the overloaded node gives one up, the last node takes
+    one, and the nodes between keep their counts.  Every subgraph of a
+    planar graph has at most 3n - 6 edges, so the nodes such a search
+    reaches cannot all hold three or more; a graph where they do is not
+    planar, and raises NonPlanarError.  When no node holds more than three,
+    this costs one pass over the edges.
+    """
+    position = degeneracy_order(g).position()
+    held: dict[int, list[int]] = {}
+    for u in g.nodes():
+        pu = position[u]
+        held[u] = [v for v in g.adj[u] if pu < position[v]]
+    for s in [x for x, fars in held.items() if len(fars) > MAX_EDGE_CERTS]:
+        while len(held[s]) > MAX_EDGE_CERTS:
+            parent = {s: s}
+            queue = [s]
+            end = None
+            for u in queue:  # grows as it goes: breadth-first
+                for v in held[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        if len(held[v]) < MAX_EDGE_CERTS:
+                            end = v
+                            break
+                        queue.append(v)
+                if end is not None:
+                    break
+            else:
+                raise NonPlanarError(
+                    f"{len(queue)} nodes span more than {MAX_EDGE_CERTS * len(queue)} "
+                    "edges, so the graph is not planar"
+                )
+            while end != s:
+                u = parent[end]
+                held[u].remove(end)
+                insort(held[end], u)
+                end = u
+    return held
+
+
+def _packed_bytes(
+    x: int, fars: list[int], slots: dict[Edge, tuple[int, int, int, int]], root: int, n: int
+) -> int:
+    """``len(pack_certificate(...))`` for ``x`` holding the edges to ``fars``,
+    which is not empty.
+
+    It restates the widths ``_walk`` writes, and a test keeps the two equal:
+    a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
+    step bits, and ``far`` and ``root_id`` take the widest id among them.
+    """
+    id_bits, idx_bits = _field_widths(max(root, *fars), n)
+    bits = 2 + idx_bits + id_bits + len(fars) * (id_bits + 1 + 2 * idx_bits)
+    copies: set[int] = set()
+    for v in fars:
+        c = slots[(x, v) if x < v else (v, x)]
+        copies.update(c)
+        if c[0] != c[2] or c[1] != c[3]:  # a tree edge: two tour steps
+            bits += 2
+    return 2 + (bits + 2 * idx_bits * len(copies) + 7) // 8
+
+
+def _shrink_largest(
+    held: dict[int, list[int]], slots: dict[Edge, tuple[int, int, int, int]], root: int, n: int
+) -> None:
+    """Lower the largest certificate among nodes holding three, in place.
+
+    A tree edge names four tour copies and a chord two, and a copy that two
+    held edges share is sent once, so which endpoint holds an edge changes
+    the sizes.  Round by round, every node holding three whose packed size
+    is the largest, ``top``, in ascending id order, searches breadth-first
+    along held edges for a path to a node holding fewer than three, or a
+    cycle back to itself, after whose reversal every node on it packs fewer
+    than ``top`` bytes.  When all of them find one, the next round aims
+    lower; the first search that finds none ends the lowering.  No count
+    rises above three: a path ends at a node holding fewer, and a cycle
+    keeps every count.
+
+    Only nodes holding three take part: one holding two names at most
+    eight copies, where three can name twelve.  A graph where no node
+    holds three (a tree, a grid) costs one pass over the nodes.
+    """
+
+    def size(x: int, fars: list[int]) -> int:
+        return _packed_bytes(x, fars, slots, root, n)
+
+    # per node: its size after it gives up one held edge for another, kept
+    # until its held edges change
+    swapped: dict[int, dict[tuple[int, int], int]] = {}
+
+    def size_swapped(u: int, out: int, into: int) -> int:
+        memo = swapped.setdefault(u, {})
+        b = memo.get((out, into))
+        if b is None:
+            b = memo[out, into] = size(u, [v for v in held[u] if v != out] + [into])
+        return b
+
+    def search(x: int, top: int) -> list[int] | None:
+        """A path or cycle from ``x`` after which every node on it packs
+        fewer than ``top`` bytes, or None."""
+        parent: dict[int, int | None] = {x: None}
+        first: dict[int, int] = {}  # the path's first step from x
+        queue = [x]
+        for u in queue:  # grows as it goes: breadth-first
+            back = parent[u]
+            for w in held[u]:
+                if w in parent and w != x:
+                    continue
+                # u would give up w and take back the edge it was reached by
+                if u != x and size_swapped(u, w, back) >= top:
+                    continue
+                if w == x:  # a cycle: x gives up its first step and takes u
+                    if size_swapped(x, first[u], u) >= top:
+                        continue
+                    path = [x]
+                else:
+                    parent[w] = u
+                    first[w] = w if u == x else first[u]
+                    if len(held[w]) >= MAX_EDGE_CERTS or size(w, held[w] + [u]) >= top:
+                        queue.append(w)
+                        continue
+                    path = [w]
+                while u is not None:
+                    path.append(u)
+                    u = parent[u]
+                return path[::-1]
+        return None
+
+    sizes = {x: size(x, fars) for x, fars in held.items() if len(fars) == MAX_EDGE_CERTS}
+    while sizes:
+        top = max(sizes.values())
+        for x in sorted(x for x, b in sizes.items() if b == top):
+            if sizes[x] < top:  # lowered on an earlier node's path
+                continue
+            path = search(x, top)
+            if path is None:
+                return
+            for a, b in zip(path, path[1:]):
+                held[a].remove(b)
+                insort(held[b], a)
+            for y in path:
+                swapped.pop(y, None)
+                if len(held[y]) == MAX_EDGE_CERTS:
+                    sizes[y] = size(y, held[y])
+                else:
+                    sizes.pop(y, None)
 
 
 # --- verifier ----------------------------------------------------------------
@@ -470,19 +643,19 @@ def _walk(
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
     endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
-    most five, so their count takes 3 bits.
+    most three, so their count takes 2 bits.
     """
     top_id = (1 << id_bits) - 1
     if cert is None:
         held_count = held_n = held_root = None
     else:
         held_count, held_n, held_root = len(cert.edge_certs), cert.n, cert.tree_sub.root_id
-    count = field("count", 3, 0, MAX_EDGE_CERTS, held_count)
+    count = field("count", 2, 0, MAX_EDGE_CERTS, held_count)
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
     nv = 2 * n - 1
     root_id = field("root_id", id_bits, 1, top_id, held_root)
-    if pack:  # the leading 1 bit, then count's 3 bits
-        acc = ((1 << 3 | count) << idx_bits | n) << id_bits | root_id
+    if pack:  # the leading 1 bit, then count's 2 bits
+        acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id
     # copy index -> the interval certificate its first slot carried
     sent: dict[int, PopCertificate | None] = {}
     edge_certs = []

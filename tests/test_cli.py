@@ -185,18 +185,22 @@ def test_verify_rejects_files_in_the_depth_layout(tmp_path, capsys, name):
 
 
 #: Certificate files ``prove`` wrote while the layout still sent a copy's
-#: interval (``lo``, ``hi``) with every slot that named the copy, and the
-#: lines ``verify`` prints for them now.  A certificate that names no copy
-#: twice has the same bytes in both layouts, so it still decodes; any other
-#: fails to decode, and so do its neighbors' views.
+#: interval (``lo``, ``hi``) with every slot that named the copy, and its
+#: edge certificate count in 3 bits, the lines ``verify`` prints for them
+#: now, and the nodes whose certificates moved.  The count now takes 2 bits,
+#: which shifts every later field, and no certificate in these files
+#: decodes.  In the wheel, node 2 held three edges and packed the largest
+#: certificate (16 bytes): it now passes one to node 1, which passes one to
+#: node 5, and the largest is 12 bytes.
 _EVERY_INTERVAL_FILES = {
     "edge": (
         build_graph([(1, 2)]),
         "1 020329a4d9acd1a0\n2 01030a\n",
         (
             "node 1: reject [phase 1] own certificate does not decode",
-            "node 2: reject [phase 1] certificate of neighbor 1 does not decode",
+            "node 2: reject [phase 1] own certificate does not decode",
         ),
+        set(),
     ),
     "wheel-6": (
         generate("wheel", n=6),
@@ -211,9 +215,10 @@ _EVERY_INTERVAL_FILES = {
             "node 2: reject [phase 1] own certificate does not decode",
             "node 3: reject [phase 1] own certificate does not decode",
             "node 4: reject [phase 1] own certificate does not decode",
-            "node 5: reject [phase 1] certificate of neighbor 1 does not decode",
-            "node 6: reject [phase 1] certificate of neighbor 1 does not decode",
+            "node 5: reject [phase 1] own certificate does not decode",
+            "node 6: reject [phase 1] own certificate does not decode",
         ),
+        {1, 2, 5},
     ),
     "grid-3x3": (
         generate("grid", w=3, h=3),
@@ -232,19 +237,17 @@ _EVERY_INTERVAL_FILES = {
             "node 3: reject [phase 1] own certificate does not decode",
             "node 4: reject [phase 1] own certificate does not decode",
             "node 5: reject [phase 1] own certificate does not decode",
-            "node 6: reject [phase 1] certificate of neighbor 3 does not decode",
-            "node 7: reject [phase 1] certificate of neighbor 4 does not decode",
-            "node 8: reject [phase 1] certificate of neighbor 5 does not decode",
-            # its view is certificates 6, 8 and 9, which name no copy twice
-            "node 9: accept",
+            "node 6: reject [phase 1] own certificate does not decode",
+            "node 7: reject [phase 1] own certificate does not decode",
+            "node 8: reject [phase 1] own certificate does not decode",
+            "node 9: reject [phase 1] own certificate does not decode",
         ),
+        set(),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
-def test_verify_judges_files_in_the_every_interval_layout(tmp_path, capsys, name):
-    g, text, lines = _EVERY_INTERVAL_FILES[name]
+def _verify_prints(tmp_path, capsys, g, text, lines):
     certs = tmp_path / "certs.txt"
     certs.write_text(text)
     assert main(["verify", _graph_file(tmp_path, g), str(certs)]) == 3
@@ -254,27 +257,118 @@ def test_verify_judges_files_in_the_every_interval_layout(tmp_path, capsys, name
 
 
 @pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
+def test_verify_judges_files_in_the_every_interval_layout(tmp_path, capsys, name):
+    _verify_prints(tmp_path, capsys, *_EVERY_INTERVAL_FILES[name][:3])
+
+
+def _bits(data: bytes) -> str:
+    return "".join(f"{b:08b}" for b in data[2:])
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
 def test_honest_bytes_are_the_every_interval_layout_without_its_repeats(name):
-    # The earlier layout sent lo and hi (idx_bits each) after every index or
-    # step field; this one only after the first naming a copy.  Cutting the
+    # The earlier layout sent the count in 3 bits, and lo and hi (idx_bits
+    # each) after every index or step field; this one sends the count in 2
+    # bits, and lo and hi only after the first field naming a copy.  No node
+    # of these graphs held more than three certificates, so the count's first
+    # bit was 0.  Where a node kept its certificates, cutting that bit and the
     # repeats' windows out of the old bits gives the new ones.
-    g, text, _ = _EVERY_INTERVAL_FILES[name]
+    g, text, _, moved = _EVERY_INTERVAL_FILES[name]
+    certs = prove_planar(g)
+    kept = set()
     for x, old in parse_certificates(text).items():
-        cert = prove_planar(g)[x]
-        new, nbits = pack_certificate_with_bits(cert)
-        assert new[:2] == old[:2], x
-        bits = "".join(f"{b:08b}" for b in old[2:])
-        fields = certificate_bit_fields(cert)
-        cut, at = [], 0
+        new, nbits = pack_certificate_with_bits(certs[x])
+        bits = _bits(old)
+        assert bits[0] == "0", x
+        fields = certificate_bit_fields(certs[x])
+        cut, at = [], 1
         for f, after in zip(fields, fields[1:] + (None,)):
             cut.append(bits[at : at + f.width])
             at += f.width
             if f.name in ("index", "step") and (after is None or after.name != "lo"):
                 at += 2 * old[1]  # a repeated copy's interval
-        payload = "".join(f"{b:08b}" for b in new[2:])
-        assert payload[:nbits] == "".join(cut), x
-        assert "1" not in payload[nbits:] + bits[at:], x  # padding only
-        assert (new == old) == (at == nbits), x  # no repeat, same bytes
+        payload = _bits(new)
+        if (
+            new[:2] == old[:2]
+            and payload[:nbits] == "".join(cut)
+            and "1" not in payload[nbits:] + bits[at:]  # padding only
+        ):
+            kept.add(x)
+    assert set(certs) - kept == moved
+
+
+#: Certificate files ``prove`` wrote while a node held up to five edge
+#: certificates and the count took 3 bits, the lines ``verify`` prints for
+#: them now, and the nodes whose certificates moved.  Node 1 of the maximal
+#: planar graph held four, and node 2 of the wheel packed the largest
+#: certificate; lowering the largest (18 bytes to 15 in the maximal planar
+#: graph) moved edges at every node of that graph.
+_THREE_BIT_COUNT_FILES = {
+    "wheel-6": (
+        generate("wheel", n=6),
+        "1 03044c6ac751332cc740\n"
+        "2 03046c4c8743b4f91d6a66cd28ed1ec0\n"
+        "3 03044c499b2c7658b8d7b0\n"
+        "4 03044c49572c76d498ef77b0\n"
+        "5 03042c751303b0f77b\n"
+        "6 01040d\n",
+        (
+            "node 1: reject [phase 1] own certificate does not decode",
+            "node 2: reject [phase 1] own certificate does not decode",
+            "node 3: reject [phase 1] own certificate does not decode",
+            "node 4: reject [phase 1] own certificate does not decode",
+            "node 5: reject [phase 1] own certificate does not decode",
+            "node 6: reject [phase 1] own certificate does not decode",
+        ),
+        {1, 2, 5},
+    ),
+    "rmp-7-s1": (
+        generate("random_maximal_planar", n=7, seed=1),
+        "1 0305872e10be17b42f1dd4d185f8d295dcd319c0\n"
+        "2 0305473873b528679c671e8500\n"
+        "3 03056728c3b8e76d882f85ec21bcc319c0\n"
+        "4 030567244239a17d9017a94ca1ba495ca218\n"
+        "5 03054728b434e76e2d2860\n"
+        "6 0305273e52ba67250c2140\n"
+        "7 01050780\n",
+        (
+            "node 1: reject [phase 1] own certificate does not decode",
+            "node 2: reject [phase 1] own certificate does not decode",
+            "node 3: reject [phase 1] own certificate does not decode",
+            "node 4: reject [phase 1] own certificate does not decode",
+            "node 5: reject [phase 1] own certificate does not decode",
+            "node 6: reject [phase 1] own certificate does not decode",
+            "node 7: reject [phase 1] own certificate does not decode",
+        ),
+        {1, 2, 3, 4, 5, 6, 7},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREE_BIT_COUNT_FILES))
+def test_verify_judges_files_in_the_three_bit_count_layout(tmp_path, capsys, name):
+    _verify_prints(tmp_path, capsys, *_THREE_BIT_COUNT_FILES[name][:3])
+
+
+@pytest.mark.parametrize("name", sorted(_THREE_BIT_COUNT_FILES))
+def test_honest_bytes_are_the_three_bit_count_layout_without_its_first_bit(name):
+    # A node that kept its certificates sends the same fields with the
+    # count's first bit, a 0, cut; the others' certificates moved, which
+    # happens only where some node held more than three or where the
+    # largest certificate shrank.
+    g, text, _, moved = _THREE_BIT_COUNT_FILES[name]
+    certs = prove_planar(g)
+    kept, most, largest = set(), 0, 0
+    for x, old in parse_certificates(text).items():
+        new, nbits = pack_certificate_with_bits(certs[x])
+        bits = _bits(old)
+        most = max(most, int(bits[:3], 2))
+        largest = max(largest, len(old))
+        if new[:2] == old[:2] and bits[: 1 + nbits] == "0" + _bits(new)[:nbits] and "1" not in bits[1 + nbits :]:
+            kept.add(x)
+    assert set(certs) - kept == moved
+    shrank = max(len(pack_certificate(c)) for c in certs.values()) < largest
+    assert (most > 3 or shrank) == bool(moved)
 
 
 def test_verify_non_hex_line_is_a_parse_error(tmp_path, capsys):

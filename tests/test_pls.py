@@ -22,7 +22,9 @@ from planarcert.pls import (
     NodeCertificate,
     TreeSub,
     Verdict,
+    _held_edges,
     _in_range,
+    _packed_bytes,
     _set_field,
     _walk,
     _widths,
@@ -129,7 +131,7 @@ def test_path_is_all_tree_edges_with_full_intervals():
                 assert (pc.lo, pc.hi) == (0, 2 * n)
 
 
-def test_edge_cert_assignment_respects_degeneracy_bound():
+def test_edge_cert_assignment_holds_at_most_three():
     base = generate("random_maximal_planar", n=60, seed=4)
     graphs = [
         generate("grid", w=9, h=7),
@@ -137,21 +139,103 @@ def test_edge_cert_assignment_respects_degeneracy_bound():
         *(generate("random_maximal_planar", n=n, seed=s) for n, s in ((100, 5), (64, 11), (200, 12))),
         relabel(base, {v: 3 * v + 7 for v in base.nodes()}),  # ids with gaps
     ]
+    overloaded = 0  # nodes the degeneracy order alone would give four or five
     for g in graphs:
-        certs = prove_planar(g)
         position = degeneracy_order(g).position()
+        overloaded += sum(sum(position[x] < position[v] for v in g.neighbors(x)) > 3 for x in g.nodes())
+        certs = prove_planar(g)
         seen: dict[tuple[int, int], int] = {}
         for x, cert in certs.items():
-            assert len(cert.edge_certs) <= MAX_EDGE_CERTS
+            assert len(cert.edge_certs) <= MAX_EDGE_CERTS == 3
             held = [ec.far for ec in cert.edge_certs]
             assert held == sorted(held), "edge certificates out of far-endpoint order"
             for ec in cert.edge_certs:
                 assert g.has_edge(x, ec.far)
                 e = norm_edge(x, ec.far)
-                assert position[x] < position[ec.far]
                 assert e not in seen, "edge certified at both endpoints"
                 seen[e] = x
         assert set(seen) == set(g.edges())
+        assert _all_accept(g, certs)
+    assert overloaded > 0
+
+
+def test_holder_orientation_refuses_more_than_three_edges_per_node():
+    # K8 has 28 edges, more than 3 per node, so no orientation gives every
+    # node at most three; K7 has exactly 3 per node, and every node gets 3.
+    with pytest.raises(NonPlanarError, match="not planar"):
+        _held_edges(generate("complete", k=8))
+    held = _held_edges(generate("complete", k=7))
+    assert [len(fars) for fars in held.values()] == [3] * 7
+    assert sorted(norm_edge(x, v) for x, fars in held.items() for v in fars) == generate("complete", k=7).edges()
+
+
+def _holders_and_slots(certs):
+    """Every node's far ends, and every edge's slots as ``prove_planar``
+    keys them: copies of the smaller id, the larger, the smaller, the larger."""
+    held, slots = {}, {}
+    for x, cert in certs.items():
+        held[x] = [ec.far for ec in cert.edge_certs]
+        for ec in cert.edge_certs:
+            if x < ec.far:
+                slots[x, ec.far] = (ec.i, ec.j, ec.i2, ec.j2)
+            else:
+                slots[ec.far, x] = (ec.j, ec.i, ec.j2, ec.i2)
+    return held, slots
+
+
+def test_packed_bytes_is_the_packed_length():
+    # The holder search sizes certificates without packing them.  Leaves
+    # (one copy on both tour steps), chords, shared copies and ids of every
+    # width must all come out as pack_certificate writes them.
+    base = generate("random_maximal_planar", n=60, seed=4)
+    for g in (
+        build_graph([(1, 2)]),
+        generate("wheel", n=6),
+        generate("grid", w=6, h=5),
+        generate("tree", n=70, seed=2),
+        generate("random_maximal_planar", n=300, seed=1),
+        relabel(base, {v: 3 * v + 7 for v in base.nodes()}),
+    ):
+        certs = prove_planar(g)
+        held, slots = _holders_and_slots(certs)
+        root = min(g.nodes())
+        for x, cert in certs.items():
+            if held[x]:
+                assert _packed_bytes(x, held[x], slots, root, g.n) == len(pack_certificate(cert)), x
+
+
+def test_prover_lowers_the_largest_certificate():
+    # Against the holders the count bound alone gives, the prover's largest
+    # certificate is never larger, and on maximal planar graphs smaller.
+    # Graphs where no node holds three (grid, tree) keep those holders.
+    lowered = 0
+    for g in (
+        generate("grid", w=9, h=7),
+        generate("tree", n=80, seed=3),
+        *(generate("random_maximal_planar", n=n, seed=s) for n, s in ((100, 5), (64, 11), (200, 12))),
+    ):
+        certs = prove_planar(g)
+        held, slots = _holders_and_slots(certs)
+        before = _held_edges(g)
+        root = min(g.nodes())
+
+        def largest(holders):
+            return max(_packed_bytes(x, fars, slots, root, g.n) for x, fars in holders.items() if fars)
+
+        assert largest(held) <= largest(before)
+        if max(map(len, before.values())) < MAX_EDGE_CERTS:
+            assert held == before
+        lowered += largest(held) < largest(before)
+    assert lowered > 0
+
+
+def test_largest_certificate_is_steady_across_seeds():
+    # At n = 1024 the largest packed certificate of a random maximal planar
+    # graph was 344 or 368 bits by seed with the count bound alone, and 408
+    # with up to five edge certificates per node.
+    for seed in range(4):
+        certs = prove_planar(generate("random_maximal_planar", n=1024, seed=seed))
+        assert max(8 * len(pack_certificate(c)) for c in certs.values()) == 320, seed
 
 
 def test_parent_rule_matches_prover_tree():
@@ -186,8 +270,9 @@ def test_parent_rule_matches_prover_tree():
 
 
 def test_node_with_no_assigned_certs_still_verifies():
-    # The last node in the degeneracy order never holds an edge certificate;
-    # it must reconstruct all of its copies from its neighbors' certificates.
+    # On a star no node holds more than three, so holders follow the
+    # degeneracy order, and its last node holds no edge certificate; it must
+    # reconstruct all of its copies from its neighbors' certificates.
     g = build_graph([(1, k) for k in range(2, 8)])  # star
     certs = prove_planar(g)
     position = degeneracy_order(g).position()
@@ -674,10 +759,10 @@ def _repeat_edits(cert: NodeCertificate):
 #: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
 #: concatenated in node order.
 _PACKED_PINS = {
-    "grid": "02ddfe1a04beba2d",
-    "random_maximal_planar": "0269974f5a7edca2",
-    "tree": "c5f03648a9c677e5",
-    "complete": "296d57a1f35af07e",
+    "grid": "420058164baa98be",
+    "random_maximal_planar": "7668cc5524e84166",
+    "tree": "7370da057690d616",
+    "complete": "a5cf5620814ae590",
 }
 
 
