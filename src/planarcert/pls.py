@@ -6,16 +6,17 @@ graph edge gets one edge certificate carrying the tour positions of its
 virtual endpoints together with their interval certificates; the certificate
 is stored at one endpoint, its holder, and no node holds more than three of
 them.  Holders start from a degeneracy order, where each edge goes to the
-endpoint peeled first, and nodes that then hold four or five pass edges on
-along paths of held edges (``_held_edges``).  Three suffice because a planar
-graph has arboricity at most 3.  Which endpoint holds an edge also sets how
-many tour copies a certificate names, so the prover then lowers the
-largest packed certificate by path and cycle reversals that keep every
-count at most three (``_shrink_largest``): its size does not hinge on one
-node that happens to hold two tree edges with no copy in common.  The
-verifier reassembles its local slice of the virtual graph from its own and
-its neighbors' certificates, replays the interval checks for every tour
-copy it owns, and checks the spanning tree and the tour around it.
+endpoint peeled first, which gives a planar graph's nodes at most five.
+Which endpoint holds an edge also sets how many tour copies a certificate
+names, so one search (``_held_edges``) then lowers the largest packed
+certificate by path and cycle reversals along held edges.  A node holding
+more than three counts as infinitely large, so overloaded nodes pass edges
+on first, and three suffice because a planar graph has arboricity at most
+3.  The largest size then does not hinge on one node that happens to hold
+two tree edges with no copy in common.  The verifier reassembles its local
+slice of the virtual graph from its own and its neighbors' certificates,
+replays the interval checks for every tour copy it owns, and checks the
+spanning tree and the tour around it.
 
 No certificate carries a tree depth, because the tour checks already make
 parent pointers acyclic.  Let x be an accepting node with parent p, where
@@ -77,6 +78,7 @@ from __future__ import annotations
 import functools
 import gc
 from bisect import insort
+from math import inf
 from typing import NamedTuple
 
 from .embedding import NonPlanarWitness, RotationSystem, planar_embed, validate_rotation
@@ -247,8 +249,7 @@ def prove_planar(
 
     # Each certificate goes to the node that holds its edge, oriented to it,
     # in ascending order of ``far``.
-    held = _held_edges(g)
-    _shrink_largest(held, slots, root, g.n)
+    held = _held_edges(g, slots, root)
     tree_sub = TreeSub(root_id=root)
     certs: dict[int, NodeCertificate] = {}
     for x, fars in held.items():
@@ -263,51 +264,107 @@ def prove_planar(
     return certs
 
 
-def _held_edges(g: Graph) -> dict[int, list[int]]:
+def _held_edges(
+    g: Graph, slots: dict[Edge, tuple[int, int, int, int]], root: int
+) -> dict[int, list[int]]:
     """Who holds each edge's certificate: every node's far ends, ascending.
 
-    No node holds more than ``MAX_EDGE_CERTS``.  Each edge starts at the
-    endpoint that comes first in the degeneracy order, which gives a planar
-    graph's nodes at most five.  Then each node holding more than three, in
-    ascending id order, searches breadth-first along held edges, far ends in
-    ascending order, for the nearest node holding fewer than three, and the
-    edges of that path change holder: the overloaded node gives one up, the last node takes
-    one, and the nodes between keep their counts.  Every subgraph of a
-    planar graph has at most 3n - 6 edges, so the nodes such a search
+    Each edge starts at the endpoint that comes first in the degeneracy
+    order.  A tree edge names four tour copies and a chord two, and a copy
+    that two held edges share is sent once, so the holders set the packed
+    sizes.  Round by round, every node holding three or more whose size is
+    the largest, ``top``, in ascending id order, searches breadth-first along
+    held edges for a path to a node holding fewer than three, or a cycle
+    back to itself, after whose reversal every node on it packs fewer than
+    ``top`` bytes.  When all of them find one, the next round aims lower;
+    the first search that finds none ends the lowering.  No count rises
+    above three: a path ends at a node holding fewer, and a cycle keeps
+    every count.  A graph where no node holds three costs one pass.
+
+    A node holding more than ``MAX_EDGE_CERTS`` has size inf, so those
+    rounds come first.  While ``top`` is inf the search sizes no node, and
+    an overloaded node searches again until it holds three.  Every subgraph
+    of a planar graph has at most 3n - 6 edges, so the nodes such a search
     reaches cannot all hold three or more; a graph where they do is not
-    planar, and raises NonPlanarError.  When no node holds more than three,
-    this costs one pass over the edges.
+    planar, and raises NonPlanarError.
     """
     position = degeneracy_order(g).position()
     held: dict[int, list[int]] = {}
     for u in g.nodes():
         pu = position[u]
         held[u] = [v for v in g.adj[u] if pu < position[v]]
-    for s in [x for x, fars in held.items() if len(fars) > MAX_EDGE_CERTS]:
-        while len(held[s]) > MAX_EDGE_CERTS:
-            parent = {s: s}
-            queue = [s]
-            end = None
-            for u in queue:  # grows as it goes: breadth-first
-                for v in held[u]:
-                    if v not in parent:
-                        parent[v] = u
-                        if len(held[v]) < MAX_EDGE_CERTS:
-                            end = v
-                            break
-                        queue.append(v)
-                if end is not None:
-                    break
-            else:
-                raise NonPlanarError(
-                    f"{len(queue)} nodes span more than {MAX_EDGE_CERTS * len(queue)} "
-                    "edges, so the graph is not planar"
-                )
-            while end != s:
-                u = parent[end]
-                held[u].remove(end)
-                insort(held[end], u)
-                end = u
+
+    def size(x: int, fars: list[int]) -> float:
+        if len(fars) > MAX_EDGE_CERTS:
+            return inf
+        return _packed_bytes(x, fars, slots, root, g.n)
+
+    # per node: its size after it gives up one held edge for another, kept
+    # until its held edges change
+    swapped: dict[int, dict[tuple[int, int], float]] = {}
+
+    def size_swapped(u: int, out: int, into: int) -> float:
+        memo = swapped.setdefault(u, {})
+        b = memo.get((out, into))
+        if b is None:
+            b = memo[out, into] = size(u, [v for v in held[u] if v != out] + [into])
+        return b
+
+    def search(x: int, top: float) -> list[int] | None:
+        """A path or cycle from ``x`` after which every node on it packs
+        fewer than ``top`` bytes, or None; NonPlanarError if ``top`` is inf."""
+        parent: dict[int, int | None] = {x: None}
+        first: dict[int, int] = {}  # the path's first step from x
+        queue = [x]
+        for u in queue:  # grows as it goes: breadth-first
+            back = parent[u]
+            for w in held[u]:
+                if w in parent and w != x:
+                    continue
+                # u would give up w and take back the edge it was reached by
+                if u != x and top < inf and size_swapped(u, w, back) >= top:
+                    continue
+                if w == x:  # a cycle: x gives up its first step and takes u
+                    if size_swapped(x, first[u], u) >= top:
+                        continue
+                    path = [x]
+                else:
+                    parent[w] = u
+                    first[w] = w if u == x else first[u]
+                    # w ends the path holding at most three, so only a finite
+                    # top needs its size
+                    if len(held[w]) >= MAX_EDGE_CERTS or top < inf and size(w, held[w] + [u]) >= top:
+                        queue.append(w)
+                        continue
+                    path = [w]
+                while u is not None:
+                    path.append(u)
+                    u = parent[u]
+                return path[::-1]
+        if top == inf:
+            raise NonPlanarError(
+                f"{len(queue)} nodes span more than {MAX_EDGE_CERTS * len(queue)} "
+                "edges, so the graph is not planar"
+            )
+        return None
+
+    sizes = {x: size(x, fars) for x, fars in held.items() if len(fars) >= MAX_EDGE_CERTS}
+    while sizes:
+        top = max(sizes.values())
+        for x in sorted(x for x, b in sizes.items() if b == top):
+            while sizes.get(x) == top:  # until lowered, on its own path or an earlier one
+                path = search(x, top)
+                if path is None:
+                    return held
+                for a, b in zip(path, path[1:]):
+                    held[a].remove(b)
+                    insort(held[b], a)
+                for y in path:
+                    swapped.pop(y, None)
+                    if len(held[y]) >= MAX_EDGE_CERTS:
+                        sizes[y] = size(y, held[y])
+                    else:
+                        sizes.pop(y, None)
     return held
 
 
@@ -330,92 +387,6 @@ def _packed_bytes(
         if c[0] != c[2] or c[1] != c[3]:  # a tree edge: two tour steps
             bits += 2
     return 2 + (bits + 2 * idx_bits * len(copies) + 7) // 8
-
-
-def _shrink_largest(
-    held: dict[int, list[int]], slots: dict[Edge, tuple[int, int, int, int]], root: int, n: int
-) -> None:
-    """Lower the largest certificate among nodes holding three, in place.
-
-    A tree edge names four tour copies and a chord two, and a copy that two
-    held edges share is sent once, so which endpoint holds an edge changes
-    the sizes.  Round by round, every node holding three whose packed size
-    is the largest, ``top``, in ascending id order, searches breadth-first
-    along held edges for a path to a node holding fewer than three, or a
-    cycle back to itself, after whose reversal every node on it packs fewer
-    than ``top`` bytes.  When all of them find one, the next round aims
-    lower; the first search that finds none ends the lowering.  No count
-    rises above three: a path ends at a node holding fewer, and a cycle
-    keeps every count.
-
-    Only nodes holding three take part: one holding two names at most
-    eight copies, where three can name twelve.  A graph where no node
-    holds three (a tree, a grid) costs one pass over the nodes.
-    """
-
-    def size(x: int, fars: list[int]) -> int:
-        return _packed_bytes(x, fars, slots, root, n)
-
-    # per node: its size after it gives up one held edge for another, kept
-    # until its held edges change
-    swapped: dict[int, dict[tuple[int, int], int]] = {}
-
-    def size_swapped(u: int, out: int, into: int) -> int:
-        memo = swapped.setdefault(u, {})
-        b = memo.get((out, into))
-        if b is None:
-            b = memo[out, into] = size(u, [v for v in held[u] if v != out] + [into])
-        return b
-
-    def search(x: int, top: int) -> list[int] | None:
-        """A path or cycle from ``x`` after which every node on it packs
-        fewer than ``top`` bytes, or None."""
-        parent: dict[int, int | None] = {x: None}
-        first: dict[int, int] = {}  # the path's first step from x
-        queue = [x]
-        for u in queue:  # grows as it goes: breadth-first
-            back = parent[u]
-            for w in held[u]:
-                if w in parent and w != x:
-                    continue
-                # u would give up w and take back the edge it was reached by
-                if u != x and size_swapped(u, w, back) >= top:
-                    continue
-                if w == x:  # a cycle: x gives up its first step and takes u
-                    if size_swapped(x, first[u], u) >= top:
-                        continue
-                    path = [x]
-                else:
-                    parent[w] = u
-                    first[w] = w if u == x else first[u]
-                    if len(held[w]) >= MAX_EDGE_CERTS or size(w, held[w] + [u]) >= top:
-                        queue.append(w)
-                        continue
-                    path = [w]
-                while u is not None:
-                    path.append(u)
-                    u = parent[u]
-                return path[::-1]
-        return None
-
-    sizes = {x: size(x, fars) for x, fars in held.items() if len(fars) == MAX_EDGE_CERTS}
-    while sizes:
-        top = max(sizes.values())
-        for x in sorted(x for x, b in sizes.items() if b == top):
-            if sizes[x] < top:  # lowered on an earlier node's path
-                continue
-            path = search(x, top)
-            if path is None:
-                return
-            for a, b in zip(path, path[1:]):
-                held[a].remove(b)
-                insort(held[b], a)
-            for y in path:
-                swapped.pop(y, None)
-                if len(held[y]) == MAX_EDGE_CERTS:
-                    sizes[y] = size(y, held[y])
-                else:
-                    sizes.pop(y, None)
 
 
 # --- verifier ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from lifts import _lift
 from soundness_search import (
     find_accepting_assignment,
     find_accepting_intervals_for_ranks,
@@ -30,7 +31,6 @@ from planarcert.lowerbound import (
 from planarcert.minors import has_biclique_minor, has_clique_minor
 from planarcert.pop import is_path_outerplanar
 from planarcert.sim import (
-    _lift,
     attack,
     honest_assignment,
     planarity_verifier,

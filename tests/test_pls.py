@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,8 @@ def test_edge_cert_assignment_holds_at_most_three():
         generate("tree", n=80, seed=3),
         *(generate("random_maximal_planar", n=n, seed=s) for n, s in ((100, 5), (64, 11), (200, 12))),
         relabel(base, {v: 3 * v + 7 for v in base.nodes()}),  # ids with gaps
+        # an overloaded node's path runs through another overloaded node
+        generate("random_maximal_planar", n=29, seed=18),
     ]
     overloaded = 0  # nodes the degeneracy order alone would give four or five
     for g in graphs:
@@ -162,9 +165,13 @@ def test_edge_cert_assignment_holds_at_most_three():
 def test_holder_orientation_refuses_more_than_three_edges_per_node():
     # K8 has 28 edges, more than 3 per node, so no orientation gives every
     # node at most three; K7 has exactly 3 per node, and every node gets 3.
+    # Every edge is given the slots of one chord.
+    def held_edges(g):
+        return _held_edges(g, {e: (1, 2, 1, 2) for e in g.edges()}, min(g.nodes()))
+
     with pytest.raises(NonPlanarError, match="not planar"):
-        _held_edges(generate("complete", k=8))
-    held = _held_edges(generate("complete", k=7))
+        held_edges(generate("complete", k=8))
+    held = held_edges(generate("complete", k=7))
     assert [len(fars) for fars in held.values()] == [3] * 7
     assert sorted(norm_edge(x, v) for x, fars in held.items() for v in fars) == generate("complete", k=7).edges()
 
@@ -204,6 +211,43 @@ def test_packed_bytes_is_the_packed_length():
                 assert _packed_bytes(x, held[x], slots, root, g.n) == len(pack_certificate(cert)), x
 
 
+def _count_bound_holders(g):
+    """Holders set by the count bound alone: from the degeneracy orientation,
+    each node holding more than three moves edges along breadth-first paths
+    of held edges to the nearest node holding fewer than three."""
+    position = degeneracy_order(g).position()
+    held: dict[int, list[int]] = {}
+    for u in g.nodes():
+        pu = position[u]
+        held[u] = [v for v in g.adj[u] if pu < position[v]]
+    for s in [x for x, fars in held.items() if len(fars) > MAX_EDGE_CERTS]:
+        while len(held[s]) > MAX_EDGE_CERTS:
+            parent = {s: s}
+            queue = [s]
+            end = None
+            for u in queue:  # grows as it goes: breadth-first
+                for v in held[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        if len(held[v]) < MAX_EDGE_CERTS:
+                            end = v
+                            break
+                        queue.append(v)
+                if end is not None:
+                    break
+            else:
+                raise NonPlanarError(
+                    f"{len(queue)} nodes span more than {MAX_EDGE_CERTS * len(queue)} "
+                    "edges, so the graph is not planar"
+                )
+            while end != s:
+                u = parent[end]
+                held[u].remove(end)
+                insort(held[end], u)
+                end = u
+    return held
+
+
 def test_prover_lowers_the_largest_certificate():
     # Against the holders the count bound alone gives, the prover's largest
     # certificate is never larger, and on maximal planar graphs smaller.
@@ -216,7 +260,7 @@ def test_prover_lowers_the_largest_certificate():
     ):
         certs = prove_planar(g)
         held, slots = _holders_and_slots(certs)
-        before = _held_edges(g)
+        before = _count_bound_holders(g)
         root = min(g.nodes())
 
         def largest(holders):

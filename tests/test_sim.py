@@ -9,6 +9,7 @@ import types
 
 import pytest
 
+from lifts import _lift
 from planarcert.embedding import (
     RotationSystem,
     canonical_rotation,
@@ -34,7 +35,6 @@ from planarcert.sim import (
     _cached_verdict,
     _decode,
     _edit_one_field,
-    _lift,
     _planar_template,
     _replay_graph,
     attack,
