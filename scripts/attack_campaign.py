@@ -15,7 +15,7 @@ integer).
 import sys
 
 from planarcert.graphs import generate
-from planarcert.sim import attack, attack_report
+from planarcert.sim import DEFAULT_TRIALS, attack, attack_report
 
 
 def run(trials: int, seed: int) -> int:
@@ -42,7 +42,7 @@ def main(argv: list[str]) -> int:
     try:
         if len(argv) > 2:
             raise ValueError
-        trials = int(argv[0]) if argv else 1000
+        trials = int(argv[0]) if argv else DEFAULT_TRIALS
         seed = int(argv[1]) if len(argv) > 1 else 0
         if trials < 1:
             raise ValueError

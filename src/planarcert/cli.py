@@ -38,6 +38,7 @@ from .pls import Verdict, prove_planar
 from .pls import verify_node_planarity  # noqa: F401
 from .pop import is_path_outerplanar
 from .sim import (
+    DEFAULT_TRIALS,
     Assignment,
     Origin,
     attack,
@@ -330,7 +331,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="run adversarial certificate campaigns")
     p.add_argument("graph")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "human"), default="human")
     p.set_defaults(func=_cmd_attack)

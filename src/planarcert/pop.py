@@ -8,8 +8,10 @@ The certification scheme for this property gives every node its rank on the
 line and one interval: the shortest edge (in rank space) that strictly covers
 the node, or the full range if none does. The verifier re-derives everything
 locally. Two virtual ranks 0 and n+1 with an edge between them close the
-range; the rank-1 and rank-n nodes run the virtual nodes' checks themselves,
-which pins the certificates at the two ends of the line.
+range: the rank-1 and rank-n nodes see their fixed certificates as
+neighbors, and the virtual ranks' own checks come down to one rule there,
+which pins the end ranks' intervals to (0, n+1).  One stack sweep along the
+line both checks that no edges cross and reads off every rank's interval.
 
 Certificates use plain integers: the interval bound "minus infinity" is
 stored as -1 and "plus infinity" as n+2, so all checks are ordinary
@@ -79,29 +81,17 @@ def virtual_certificate(n: int, rank: int) -> PopCertificate:
     return PopCertificate(n=n, rank=rank, lo=NEG_INF, hi=pos_inf(n))
 
 
-def _spans_noncrossing(spans: list[tuple[int, int]]) -> bool:
-    """True iff every two spans, given in sweep order (start ascending, then
-    end descending), are disjoint (up to touching) or nested.
-
-    The ends of the open spans wait on a stack: those are nested, so a new
-    span crosses one of them iff it ends past the innermost one still open.
-    """
-    stack: list[int] = []
-    for a, b in spans:
-        while stack and stack[-1] <= a:
-            stack.pop()
-        if stack and b > stack[-1]:
-            return False
-        stack.append(b)
-    return True
-
-
 def is_path_outerplanar(g: Graph, order, *, sweep: list | None = None) -> bool:
     """True iff order is a Hamiltonian path of g along which no edges cross.
 
-    A list passed as ``sweep`` receives g's edges as rank spans in sweep
-    order, the list the crossing check ran on, once order is a path of g;
-    ``pop_prove`` reads its certificates off that list.  The spans come
+    One sweep along the line checks the nesting and reads off the intervals.
+    The open spans wait on a stack, innermost last.  At each rank x the
+    spans that end at x leave; the top is then x's narrowest covering span,
+    or the virtual (0, n+1) if the stack is empty; then the spans that start
+    at x enter, farthest first.  Open spans are nested, so a span crosses
+    one of them iff it ends past the top.  When the verdict is True, a list
+    passed as ``sweep`` receives each rank's covering span, ranks 1..n in
+    order; ``pop_prove`` reads its certificates off it.  The spans come
     straight off the adjacency, with no sort: walking the line backwards,
     each node's rank is the end of a span to every earlier neighbor, so the
     ends of the spans that start at one rank arrive farthest first.
@@ -121,17 +111,26 @@ def is_path_outerplanar(g: Graph, order, *, sweep: list | None = None) -> bool:
     # the order is a path iff each rank's nearest later neighbor is the next
     if not all(ends[a] and ends[a][-1] == a + 1 for a in range(1, n)):
         return False
-    spans = [(a, b) for a in range(1, n + 1) for b in ends[a]]
+    cover: list[tuple[int, int]] = []
+    stack: list[tuple[int, int]] = []
+    for x in range(1, n + 1):
+        while stack and stack[-1][1] <= x:
+            stack.pop()
+        cover.append(stack[-1] if stack else (0, n + 1))
+        for b in ends[x]:
+            if stack and b > stack[-1][1]:
+                return False
+            stack.append((x, b))
     if sweep is not None:
-        sweep[:] = spans
-    return _spans_noncrossing(spans)
+        sweep[:] = cover
+    return True
 
 
 def shortest_covering_interval(spans, x: int, n: int) -> tuple[int, int]:
     """Narrowest span (a, b) with a < x < b; defaults to the virtual (0, n+1).
 
     Brute force over the spans; well-defined for arbitrary (even crossing)
-    span families, which the honest prover's sweep is not.
+    span families, which the sweep in ``is_path_outerplanar`` is not.
     """
     best = (0, n + 1)
     for a, b in spans:
@@ -143,46 +142,55 @@ def shortest_covering_interval(spans, x: int, n: int) -> tuple[int, int]:
 def pop_prove(g: Graph, w: PopWitness) -> dict[int, PopCertificate]:
     """Honest certificates for a valid witness: rank + shortest covering span.
 
-    Single sweep along the line: spans sorted by (start asc, end desc) are
-    pushed on a stack; valid witnesses have laminar spans, so the innermost
-    live span — the certificate interval — is always on top.
+    The intervals are the ones the sweep in ``is_path_outerplanar`` hands back.
     """
-    spans: list[tuple[int, int]] = []
-    if not is_path_outerplanar(g, w.order, sweep=spans):
+    cover: list[tuple[int, int]] = []
+    if not is_path_outerplanar(g, w.order, sweep=cover):
         raise WitnessError("order is not a path-outerplanarity witness for this graph")
     n = g.n
-    certs: dict[int, PopCertificate] = {}
-    stack: list[tuple[int, int]] = []
-    next_span = 0
-    for x, v in enumerate(w.order, start=1):
-        while next_span < len(spans) and spans[next_span][0] < x:
-            stack.append(spans[next_span])
-            next_span += 1
-        while stack and stack[-1][1] <= x:
-            stack.pop()
-        lo, hi = stack[-1] if stack else (0, n + 1)
-        certs[v] = PopCertificate(n=n, rank=x, lo=lo, hi=hi)
-    return certs
+    return {
+        v: PopCertificate(n=n, rank=x, lo=lo, hi=hi)
+        for x, (v, (lo, hi)) in enumerate(zip(w.order, cover), start=1)
+    }
 
 
-def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: int) -> int | None:
-    """Run the interval checks for one (possibly virtual) rank x."""
-    lo, hi = own.lo, own.hi
-    top = pos_inf(n)
-    # structural rank checks
+def pop_verify_node(
+    rank: int, own: PopCertificate, neighbor_certs: dict[int, PopCertificate]
+) -> int | None:
+    """One node's verdict: None to accept, else the first failing check code.
+
+    neighbor_certs is keyed by claimed rank and must cover exactly the real
+    neighbors.  Ranks 1 and n also see the fixed certificates of virtual
+    ranks 0 and n+1 as neighbors (no extra communication); those decide the
+    bounds, boundary and endpoint codes there.  The virtual ranks' own
+    checks come down to one rule.  Rank 0's neighbors are rank 1 and the
+    fixed rank n+1, so its structure, bounds, boundary and endpoint checks
+    hold whenever its right chain does, and that chain holds iff rank 1's
+    interval is (0, n+1); rank n+1 mirrors this with its left chain and
+    rank n.  So an end rank whose own checks pass rejects any other
+    interval: rank 1 with the right-chain code, rank n with the left.
+    """
+    n = own.n
+    if own.rank != rank or not (1 <= rank <= n):
+        return REJECT_PATH_STRUCTURE
+    nbrs = neighbor_certs
     for r, c in nbrs.items():
-        if c.rank != r or c.n != n or r == x or not (0 <= r <= n + 1):
+        if c.rank != r or c.n != n or r == rank or not (1 <= r <= n):
             return REJECT_PATH_STRUCTURE
-    for required in (x - 1, x + 1):
-        if 0 <= required <= n + 1 and required not in nbrs:
-            return REJECT_PATH_STRUCTURE
+    if (rank > 1 and rank - 1 not in nbrs) or (rank < n and rank + 1 not in nbrs):
+        return REJECT_PATH_STRUCTURE
+    if rank == 1:
+        nbrs = {**nbrs, 0: virtual_certificate(n, 0)}
+    if rank == n:
+        nbrs = {**nbrs, n + 1: virtual_certificate(n, n + 1)}
+    lo, hi = own.lo, own.hi
     # own interval strictly covers the rank; neighbors stay inside it
-    if not (NEG_INF <= lo < x < hi <= top):
+    if not (NEG_INF <= lo < rank < hi <= pos_inf(n)):
         return REJECT_INTERVAL_BOUNDS
-    # ranks[:split] lie left of x and ranks[split:] right of it, so ranks[0]
-    # and ranks[last] are the outermost neighbors on their sides
+    # ranks[:split] lie left of rank and ranks[split:] right of it, so
+    # ranks[0] and ranks[last] are the outermost neighbors on their sides
     ranks = sorted(nbrs)
-    split = bisect_left(ranks, x)
+    split = bisect_left(ranks, rank)
     last = len(ranks) - 1
     if split <= last and ranks[last] > hi:
         return REJECT_INTERVAL_BOUNDS
@@ -191,11 +199,11 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
     # chains: consecutive same-side neighbors pin each other's intervals
     for t in range(split, last):
         c = nbrs[ranks[t]]
-        if c.lo != x or c.hi != ranks[t + 1]:
+        if c.lo != rank or c.hi != ranks[t + 1]:
             return REJECT_RIGHT_CHAIN
     for t in range(split - 1, 0, -1):
         c = nbrs[ranks[t]]
-        if c.lo != ranks[t - 1] or c.hi != x:
+        if c.lo != ranks[t - 1] or c.hi != rank:
             return REJECT_LEFT_CHAIN
     # boundaries: the outermost same-side neighbor strictly inside [lo, hi]
     # must carry [lo, hi] itself
@@ -209,53 +217,19 @@ def _verify_at(x: int, own: PopCertificate, nbrs: dict[int, PopCertificate], n: 
             return REJECT_LEFT_BOUNDARY
     # neighbor intervals ending exactly here: far end adjacent, hence in
     # [lo, hi], so the interval nests strictly inside (an interval ending
-    # here at both ends has its far end at x, which is no neighbor)
+    # here at both ends has its far end here, which is no neighbor)
     for c in nbrs.values():
-        if c.lo == x:
+        if c.lo == rank:
             far = c.hi
-        elif c.hi == x:
+        elif c.hi == rank:
             far = c.lo
         else:
             continue
         if far not in nbrs:
             return REJECT_ENDPOINT_ADJACENCY
-    return None
-
-
-def pop_verify_node(
-    rank: int, own: PopCertificate, neighbor_certs: dict[int, PopCertificate]
-) -> int | None:
-    """One node's verdict: None to accept, else the first failing check code.
-
-    neighbor_certs is keyed by claimed rank and must cover exactly the real
-    neighbors. The rank-1 node additionally runs the checks of virtual rank 0
-    and the rank-n node those of virtual rank n+1; both virtual certificates
-    are fixed, so no extra communication is implied.
-    """
-    n = own.n
-    if own.rank != rank or not (1 <= rank <= n):
-        return REJECT_PATH_STRUCTURE
-    for r in neighbor_certs:
-        if not 1 <= r <= n:
-            return REJECT_PATH_STRUCTURE
-    certs = neighbor_certs
-    if rank == 1:
-        certs = {**certs, 0: virtual_certificate(n, 0)}
-    if rank == n:
-        certs = {**certs, n + 1: virtual_certificate(n, n + 1)}
-    code = _verify_at(rank, own, certs, n)
-    if code is not None:
-        return code
-    if rank == 1:
-        side = {1: own, n + 1: virtual_certificate(n, n + 1)}
-        code = _verify_at(0, virtual_certificate(n, 0), side, n)
-        if code is not None:
-            return code
-    if rank == n:
-        side = {0: virtual_certificate(n, 0), n: own}
-        code = _verify_at(n + 1, virtual_certificate(n, n + 1), side, n)
-        if code is not None:
-            return code
+    # the virtual ranks' checks (docstring)
+    if (rank == 1 or rank == n) and (lo, hi) != (0, n + 1):
+        return REJECT_RIGHT_CHAIN if rank == 1 else REJECT_LEFT_CHAIN
     return None
 
 

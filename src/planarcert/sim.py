@@ -37,6 +37,7 @@ from .pls import (
     Verdict,
     _collector_paused,
     _field_widths,
+    _reject,
     _set_field,
     certificate_bit_fields,
     certificate_size_bits,
@@ -145,18 +146,12 @@ def _verify_pairs(x: int, own: bytes, pairs: Iterable[tuple[int, bytes]]) -> Ver
     """The verdict on a view given as (neighbor, bytes) pairs, in view order."""
     own_cert = _decode(own)
     if own_cert is None:
-        return Verdict(
-            decision="reject", reason="own certificate does not decode", phase=PHASE_COLLECT
-        )
+        return _reject(PHASE_COLLECT, "own certificate does not decode")
     decoded: dict[int, NodeCertificate] = {}
     for y, data in pairs:
         cert = _decode(data)
         if cert is None:
-            return Verdict(
-                decision="reject",
-                reason=f"certificate of neighbor {y} does not decode",
-                phase=PHASE_COLLECT,
-            )
+            return _reject(PHASE_COLLECT, f"certificate of neighbor {y} does not decode")
         decoded[y] = cert
     return verify_node_planarity(x, own_cert, decoded)
 

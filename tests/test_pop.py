@@ -19,7 +19,6 @@ from planarcert.pop import (
     REJECT_RIGHT_CHAIN,
     PopCertificate,
     PopWitness,
-    _spans_noncrossing,
     is_path_outerplanar,
     pop_prove,
     pop_verify_all,
@@ -128,14 +127,15 @@ def test_definition_requires_permutation():
 )
 @settings(max_examples=500)
 def test_sweep_matches_pairwise_oracle(spans):
-    in_sweep_order = sorted(spans, key=lambda s: (s[0], -s[1]))
-    assert _spans_noncrossing(in_sweep_order) == _pairs_noncrossing(spans)
+    # The spans ride on the path 1..31, whose own spans (a, a+1) cross none.
+    g = build_graph([(a, a + 1) for a in range(1, 31)] + spans)
+    assert is_path_outerplanar(g, range(1, 32)) == _pairs_noncrossing(spans)
 
 
-def test_sweep_is_every_edge_in_sweep_order_for_any_order():
-    # The spans come off the adjacency with no sort.  The reference maps
-    # every edge into rank space and sorts by (start, -end); the verdict is
-    # the definition: a Hamiltonian path along which no two spans cross.
+def test_sweep_is_every_covering_interval_for_any_order():
+    # The spans come off the adjacency with no sort.  The verdict is the
+    # definition: a Hamiltonian path along which no two spans cross.  When
+    # it holds, the sweep hands back each rank's narrowest covering span.
     rng = random.Random(3)
     paths = crossings = 0
     for _ in range(400):
@@ -147,17 +147,16 @@ def test_sweep_is_every_edge_in_sweep_order_for_any_order():
         g = build_graph(edges, nodes=ids)
         order = tuple(ids) if rng.random() < 0.5 else tuple(rng.sample(ids, n))
         rank = {v: r for r, v in enumerate(order, start=1)}
-        want = sorted(
-            (sorted((rank[u], rank[v])) for u, v in g.edges()), key=lambda s: (s[0], -s[1])
-        )
-        want = [tuple(s) for s in want]
+        spans = [tuple(sorted((rank[u], rank[v]))) for u, v in g.edges()]
         is_path = all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
         sweep: list = []
-        assert is_path_outerplanar(g, order, sweep=sweep) == (is_path and _pairs_noncrossing(want))
+        verdict = is_path_outerplanar(g, order, sweep=sweep)
+        assert verdict == (is_path and _pairs_noncrossing(spans))
         if is_path:
             paths += 1
-            crossings += not _pairs_noncrossing(want)
-            assert sweep == want
+            crossings += not verdict
+        if verdict:
+            assert sweep == [shortest_covering_interval(spans, x, n) for x in range(1, n + 1)]
     assert paths > 100 and crossings > 10
 
 

@@ -44,7 +44,21 @@ def test_build_corpus_files_prove_and_verify(tmp_path):
     done = _run_script("build_corpus.py", str(tmp_path / "corpus"))
     assert done.returncode == 0, done.stderr
     graph = tmp_path / "corpus" / "wheel-16.txt"
-    assert f"wrote {graph} " in done.stdout
+    assert f"wrote {graph}\n" in done.stdout
     certs = tmp_path / "wheel-16.certs"
     assert main(["prove", str(graph), "--out", str(certs)]) == EXIT_ACCEPT
     assert main(["verify", str(graph), str(certs)]) == EXIT_ACCEPT
+
+
+def test_every_corpus_file_rebuilds_from_its_own_first_line(tmp_path):
+    done = _run_script("build_corpus.py", str(tmp_path / "corpus"))
+    assert done.returncode == 0, done.stderr
+    files = sorted((tmp_path / "corpus").glob("*.txt"))
+    assert len(files) == 24
+    again = tmp_path / "again.txt"
+    for path in files:
+        data = path.read_bytes()
+        head, _, tokens = data.decode().partition("\n")[0].partition("# gen ")
+        assert head == "" and tokens, path.name
+        assert main(["gen", *tokens.split(), "--out", str(again)]) == EXIT_ACCEPT
+        assert again.read_bytes() == data, path.name

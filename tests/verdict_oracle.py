@@ -39,8 +39,8 @@ from planarcert.pop import (
     virtual_certificate,
 )
 
-# The nesting check ``pop._verify_at`` dropped once it was shown unable to
-# fail; the oracle keeps it, so the comparison shows it never decides.
+# The nesting check ``pop.pop_verify_node`` dropped once it was shown unable
+# to fail; the oracle keeps it, so the comparison shows it never decides.
 REJECT_ENDPOINT_NESTING = 17
 
 
