@@ -176,21 +176,28 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
     Vertices are stacked into faces, then diagonals are flipped.  The faces
     are kept as one oriented map, ``apex[(u, v)] = w`` iff ``(u, v, w)`` is
     a counterclockwise face, which makes both steps O(1).
+
+    Each index is drawn as ``random.Random(seed).randrange(size)`` would draw
+    it: the rejection loop over ``getrandbits`` that ``randrange`` runs, inlined.
     """
-    rng = random.Random(seed)
-    apex: dict[Edge, int] = {}
-
-    def add_face(a: int, b: int, c: int) -> None:
-        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
-
-    # K4: node 4 inside the triangle 1, 2, 3
-    for face in ((1, 2, 4), (2, 3, 4), (3, 1, 4), (1, 3, 2)):
-        add_face(*face)
+    getrandbits = random.Random(seed).getrandbits
+    # K4: node 4 inside the triangle 1, 2, 3; its counterclockwise faces are
+    # (1, 2, 4), (2, 3, 4), (3, 1, 4) and (1, 3, 2)
+    apex: dict[Edge, int] = {
+        (1, 2): 4, (2, 4): 1, (4, 1): 2,
+        (2, 3): 4, (3, 4): 2, (4, 2): 3,
+        (3, 1): 4, (1, 4): 3, (4, 3): 1,
+        (1, 3): 2, (3, 2): 1, (2, 1): 3,
+    }
     adj = {a: {b for b in range(1, 5) if b != a} for a in range(1, 5)}
     faces = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     for w in range(5, n + 1):
-        idx = rng.randrange(len(faces))
+        size = len(faces)
+        k = size.bit_length()
+        idx = getrandbits(k)
+        while idx >= size:
+            idx = getrandbits(k)
         a, b, c = faces[idx]
         # split face (a,b,c) into three around w
         faces[idx] = (a, b, w)
@@ -198,31 +205,39 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
         faces.append((b, c, w))
         if apex[(a, b)] != c:
             a, b = b, a  # now (a, b, c) is counterclockwise
-        add_face(a, b, w)
-        add_face(b, c, w)
-        add_face(c, a, w)
-        for u in (a, b, c):
-            adj[u].add(w)
+        # the counterclockwise faces (a, b, w), (b, c, w) and (c, a, w)
+        apex[(a, b)] = apex[(b, c)] = apex[(c, a)] = w
+        apex[(b, w)], apex[(w, a)], apex[(c, w)] = a, b, b
+        apex[(w, b)], apex[(a, w)], apex[(w, c)] = c, c, a
+        adj[a].add(w)
+        adj[b].add(w)
+        adj[c].add(w)
         adj[w] = {a, b, c}
 
     # Diagonal flips for variety; each flip preserves the triangulation.
     edge_list = sorted(e for e in apex if e[0] < e[1])
     for _ in range(3 * n):
-        u, v = edge_list[rng.randrange(len(edge_list))]
+        size = len(edge_list)
+        k = size.bit_length()
+        idx = getrandbits(k)
+        while idx >= size:
+            idx = getrandbits(k)
+        u, v = edge_list[idx]
         if (u, v) not in apex:
             continue
         x, y = apex[(u, v)], apex[(v, u)]
-        a, b = sorted((x, y))
+        a, b = (x, y) if x < y else (y, x)
         if b in adj[a]:
             continue
-        # flip: replace edge {u,v} by {x,y}
+        # flip: replace edge {u,v} by {x,y}, with the counterclockwise faces
+        # (x, u, y) and (y, v, x)
         del apex[(u, v)], apex[(v, u)]
         adj[u].discard(v)
         adj[v].discard(u)
         adj[a].add(b)
         adj[b].add(a)
-        add_face(x, u, y)
-        add_face(y, v, x)
+        apex[(x, u)], apex[(u, y)], apex[(y, x)] = y, x, u
+        apex[(y, v)], apex[(v, x)], apex[(x, y)] = x, y, v
         edge_list.append((a, b))
 
     # ids 1..n, and stacking and flipping keep the triangulation connected
@@ -341,22 +356,40 @@ class DegeneracyOrder:
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
-    """Peel minimum-degree nodes (ties to the smallest id) and record the order."""
-    deg = {v: len(g.adj[v]) for v in g.adj}
-    heap: list[tuple[int, int]] = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    removed: set[int] = set()
+    """Peel minimum-degree nodes (ties to the smallest id) and record the order.
+
+    A bucket queue: one min-heap of ids per degree.  A node enters the bucket
+    of its new degree each time that degree drops, and an entry whose node
+    has since left or dropped further is skipped when popped.  Removing a
+    node lowers each neighbor's degree by at most one, so the scan for the
+    next least degree restarts one bucket lower.  Each pop takes the least
+    id of the least degree, so the order is "least degree, then least id".
+    """
+    adj = g.adj
+    deg = {v: len(nb) for v, nb in adj.items()}
+    buckets: list[list[int]] = [[] for _ in range(max(deg.values(), default=0) + 1)]
+    for v in sorted(deg):  # ascending, so every bucket is already a heap
+        buckets[deg[v]].append(v)
     order: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue
-        removed.add(v)
+    d = 0
+    for _ in range(len(deg)):
+        while True:
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+                continue
+            v = heapq.heappop(bucket)
+            if deg[v] == d:
+                break
+        deg[v] = -1  # removed
         order.append(v)
-        for w in g.adj[v]:
-            if w not in removed:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+        for w in adj[v]:
+            k = deg[w]
+            if k > 0:  # still there: it had v as a neighbor
+                deg[w] = k - 1
+                heapq.heappush(buckets[k - 1], w)
+        if d:
+            d -= 1
     return DegeneracyOrder(order=tuple(order))
 
 

@@ -400,19 +400,19 @@ def attack(
         accepts = 0
         hist: dict[int, int] = {}
         for t in range(trials):
-            rng = random.Random(f"{seed}/{strategy}/{t}")
             if strategy == "honest":
                 a = honest_a
             elif strategy == "random-fields":
                 a = random_assignment(g, f"{seed}/random/{t}")
             elif strategy == "template-edits":
+                rng = random.Random(f"{seed}/{strategy}/{t}")
                 k = EDIT_BUDGETS[t % len(EDIT_BUDGETS)]
                 certs = dict(template_bytes)
                 for x in rng.sample(nodes, min(k, len(nodes))):
                     certs[x] = _edit_one_field(template_fields[x], certs[x], rng)
                 a = Assignment(certs, Origin("mutated", base=template_kind, edits=k))
             elif strategy == "swap":
-                x, y = rng.sample(nodes, 2)
+                x, y = random.Random(f"{seed}/{strategy}/{t}").sample(nodes, 2)
                 certs = dict(template_bytes)
                 certs[x], certs[y] = certs[y], certs[x]
                 a = Assignment(certs, Origin("mutated", base=template_kind, edits=2))

@@ -268,6 +268,79 @@ def test_faces_match_the_rescanning_tracer():
         )
 
 
+def _euler_verdict(g: Graph, rot: RotationSystem) -> bool:
+    """validate_rotation's answer, from set comparisons, the rescanning
+    tracer and Euler's formula; a ring that is no permutation is False."""
+    if set(rot.rotation) != set(g.adj):
+        return False
+    for v, nb in g.adj.items():
+        ring = rot.rotation[v]
+        if len(ring) != len(nb) or set(ring) != set(nb):
+            return False
+    if g.m == 0:
+        return g.n == 1
+    return g.connected and g.n - g.m + len(_faces_by_rescanning(g, rot)) == 2
+
+
+def test_validate_rotation_counts_the_faces_it_lists():
+    # validate_rotation counts faces in no fixed order; faces() lists them
+    # in order.  Both must give Euler's verdict on honest, scrambled and
+    # broken rotations alike.
+    rng = random.Random(7)
+    corpus = [
+        build_graph([(1, 2)]),
+        generate("grid", w=5, h=4),
+        generate("wheel", n=7),
+        generate("tree", n=25, seed=1),
+        generate("complete", k=4),
+    ]
+    corpus += [generate("random_maximal_planar", n=n, seed=s) for n in (6, 28, 200) for s in (0, 1)]
+    verdicts = set()
+    for g in corpus:
+        rot = _embed_ok(g)
+        cases = [rot]
+        cases += [
+            canonical_rotation({v: rng.sample(ring, len(ring)) for v, ring in rot.rotation.items()})
+            for _ in range(4)
+        ]
+        v = max(g.adj, key=lambda u: len(g.adj[u]))  # degree 2 or more, except on K2
+        ring = list(rot.rotation[v])
+        cases += [
+            RotationSystem({**rot.rotation, v: tuple(ring + ring[:1])}),  # a neighbor twice
+            RotationSystem({**rot.rotation, v: tuple(ring[1:])}),  # a neighbor missing
+            RotationSystem({**rot.rotation, v: tuple(ring[:1] * len(ring))}),  # one neighbor, repeated
+            RotationSystem({u: r for u, r in rot.rotation.items() if u != v}),  # a node missing
+            RotationSystem({**rot.rotation, max(g.adj) + 1: ()}),  # an extra node
+        ]
+        for case in cases:
+            want = _euler_verdict(g, case)
+            verdicts.add(want)
+            assert validate_rotation(g, case) is want
+            if want:
+                assert g.n - g.m + len(faces(g, case)) == 2
+        # rings holding entries that are not ints, or cannot be sorted
+        for odd in ("x", None, 2.5, (1,), [1]):
+            bad = RotationSystem({**rot.rotation, v: tuple(ring[1:]) + (odd,)})
+            assert validate_rotation(g, bad) is False
+    assert verdicts == {True, False}
+
+
+def test_validate_rotation_on_the_smallest_and_disconnected_graphs():
+    assert validate_rotation(build_graph([], nodes=[3]), RotationSystem({3: ()}))
+    assert not validate_rotation(build_graph([], nodes=[3]), RotationSystem({3: (3,)}))
+    assert not validate_rotation(build_graph([], nodes=[3, 4]), RotationSystem({3: (), 4: ()}))
+    k2 = build_graph([(1, 2)])
+    assert validate_rotation(k2, RotationSystem({1: (2,), 2: (1,)}))
+    assert not validate_rotation(k2, RotationSystem({1: (2,), 2: ()}))
+    assert not validate_rotation(k2, RotationSystem({1: (2,), 2: (1,), 3: ()}))
+    # two triangles: every ring a permutation, but no connected embedding
+    two = build_graph([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    rot = RotationSystem({v: nb for v, nb in two.adj.items()})
+    assert not two.connected
+    assert validate_rotation(two, rot) is _euler_verdict(two, rot) is False
+    assert len(faces(two, rot)) == 4
+
+
 def _reference_embed(g: Graph) -> RotationSystem | None:
     """networkx's left-right test: its clockwise rings, reversed and made canonical."""
     ng = nx.Graph()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import deque
 
 import pytest
@@ -230,6 +231,53 @@ def test_degeneracy_tie_break_smallest_id():
     assert degeneracy_order(g).order[0] == 1
 
 
+def _heap_degeneracy_order(g) -> tuple[int, ...]:
+    """Reference peel: one binary heap of (degree, id) with lazy deletion."""
+    deg = {v: len(g.adj[v]) for v in g.adj}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    removed: set[int] = set()
+    order: list[int] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != deg[v]:
+            continue
+        removed.add(v)
+        order.append(v)
+        for w in g.adj[v]:
+            if w not in removed:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return tuple(order)
+
+
+def test_degeneracy_matches_the_heap_peel():
+    # The bucket peel breaks ties as the heap does: least degree, then
+    # least id, on every family, on ids with gaps, and on graphs where
+    # many nodes share a degree (cycles, complete and bipartite graphs,
+    # and isolated nodes beside them).
+    base = generate("random_maximal_planar", n=60, seed=4)
+    graphs = [
+        generate("grid", w=1, h=1),
+        generate("grid", w=9, h=7),
+        generate("grid", w=32, h=32),
+        build_graph([(1, k) for k in range(2, 12)]),  # star
+        build_graph([(7, k) for k in range(1, 7)]),  # star centred on the largest id
+        generate("wheel", n=4),
+        generate("wheel", n=17),
+        build_graph([(k, k % 40 + 1) for k in range(1, 41)]),  # C40
+        generate("complete", k=6),
+        generate("complete_bipartite", p=4, q=7),
+        generate("petersen"),
+        build_graph([(1, 2), (3, 4), (5, 6), (2, 3)], nodes=[9, 10, 11]),
+        relabel(base, {v: 3 * v + 7 for v in base.nodes()}),  # ids with gaps
+    ]
+    graphs += [generate("tree", n=n, seed=s) for n in (1, 2, 3, 50, 300) for s in (0, 1)]
+    graphs += [generate("random_maximal_planar", n=n, seed=s) for n in (28, 1024) for s in range(4)]
+    for g in graphs:
+        assert degeneracy_order(g).order == _heap_degeneracy_order(g), g
+
+
 # --- contraction -----------------------------------------------------------
 
 
@@ -337,6 +385,43 @@ def test_triangulation_is_what_build_graph_builds(n, seed):
     mapping = {v: 3 * v + 7 for v in g.nodes()}
     shifted = build_graph([(mapping[u], mapping[v]) for u, v in apex])
     assert relabel(g, mapping).adj == shifted.adj
+
+
+#: (n, seed) -> digests of ``_triangulate``'s sorted edge list and of its
+#: faces, each a tuple starting at its least id, sorted.  The generator draws
+#: through ``getrandbits``, so a stream that drifts between Python versions
+#: shows here.
+_TRIANGULATION_PINS = {
+    (4, 0): ("c67e52e000632cfc", "a5b576cd8cd87327"),
+    (4, 1): ("c67e52e000632cfc", "a5b576cd8cd87327"),
+    (4, 2): ("c67e52e000632cfc", "a5b576cd8cd87327"),
+    (5, 0): ("b1de164952d569a5", "a6b64d35f31b8522"),
+    (5, 1): ("8373d21c4f8dd3d7", "63cd416bafecd93a"),
+    (5, 2): ("c40676226c3125cc", "3e7d2353187f7a74"),
+    (28, 0): ("0d04c959afcddb02", "d88777fee110e6d0"),
+    (28, 1): ("73aa4c3eadb29bed", "1f56e12d54825d33"),
+    (28, 2): ("13194cd3cdc88f5d", "eeb893b957762704"),
+    (1024, 0): ("d5c97eaf9b37ff0b", "ba63b6f8d29f148e"),
+    (1024, 1): ("49baca8d4cf60ab4", "39bd9f6e96252992"),
+    (1024, 2): ("19189a6f6af23be7", "7d67ac24997339e3"),
+}
+
+
+def _face_triples(apex):
+    out = set()
+    for (u, v), w in apex.items():
+        f = (u, v, w)
+        k = f.index(min(f))
+        out.add(f[k:] + f[:k])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n, seed", sorted(_TRIANGULATION_PINS))
+def test_triangulation_is_pinned(n, seed):
+    g, apex = _triangulate(n, seed)
+    digest = lambda obj: hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+    assert (digest(g.edges()), digest(_face_triples(apex))) == _TRIANGULATION_PINS[n, seed]
+    assert len(_face_triples(apex)) == 2 * n - 4
 
 
 @settings(max_examples=40)

@@ -23,6 +23,8 @@ from planarcert.pls import (
     NodeCertificate,
     TreeSub,
     Verdict,
+    _edge_costs,
+    _field_widths,
     _held_edges,
     _in_range,
     _packed_bytes,
@@ -206,9 +208,10 @@ def test_packed_bytes_is_the_packed_length():
         certs = prove_planar(g)
         held, slots = _holders_and_slots(certs)
         root = min(g.nodes())
+        costs, idx_bits = _edge_costs(slots), _field_widths(root, g.n)[1]
         for x, cert in certs.items():
             if held[x]:
-                assert _packed_bytes(x, held[x], slots, root, g.n) == len(pack_certificate(cert)), x
+                assert _packed_bytes(x, held[x], costs, root, idx_bits) == len(pack_certificate(cert)), x
 
 
 def _count_bound_holders(g):
@@ -262,15 +265,43 @@ def test_prover_lowers_the_largest_certificate():
         held, slots = _holders_and_slots(certs)
         before = _count_bound_holders(g)
         root = min(g.nodes())
+        costs, idx_bits = _edge_costs(slots), _field_widths(root, g.n)[1]
 
         def largest(holders):
-            return max(_packed_bytes(x, fars, slots, root, g.n) for x, fars in holders.items() if fars)
+            return max(_packed_bytes(x, fars, costs, root, idx_bits) for x, fars in holders.items() if fars)
 
         assert largest(held) <= largest(before)
         if max(map(len, before.values())) < MAX_EDGE_CERTS:
             assert held == before
         lowered += largest(held) < largest(before)
     assert lowered > 0
+
+
+def test_holder_search_sizes_no_node_in_the_overload_rounds(monkeypatch):
+    # While a node holds more than three, no node is sized.  The overload
+    # rounds move edges as the count bound alone does, so the first sizes
+    # taken are those of the nodes holding three after it, in ascending id
+    # order, and each of them once.
+    sized: list[tuple[int, list[int]]] = []
+
+    def recording(x, fars, *rest):
+        sized.append((x, list(fars)))
+        return _packed_bytes(x, fars, *rest)
+
+    monkeypatch.setattr("planarcert.pls._packed_bytes", recording)
+    graphs = [
+        generate("random_maximal_planar", n=29, seed=18),
+        *(generate("random_maximal_planar", n=n, seed=s) for n, s in ((100, 5), (64, 11), (200, 12))),
+    ]
+    overloaded = 0
+    for g in graphs:
+        position = degeneracy_order(g).position()
+        overloaded += sum(sum(position[x] < position[v] for v in g.neighbors(x)) > 3 for x in g.nodes())
+        sized.clear()
+        prove_planar(g)
+        first = [(x, fars) for x, fars in _count_bound_holders(g).items() if len(fars) == MAX_EDGE_CERTS]
+        assert sized[: len(first)] == first
+    assert overloaded > 0
 
 
 def test_largest_certificate_is_steady_across_seeds():
