@@ -88,6 +88,7 @@ from .pop import (
     REJECT_REASONS,
     PopCertificate,
     PopWitness,
+    _new,
     pop_prove,
     pop_verify_node,
 )
@@ -250,7 +251,8 @@ def prove_planar(
     # Each certificate goes to the node that holds its edge, oriented to it,
     # in ascending order of ``far``.
     held = _held_edges(g, slots, root)
-    tree_sub = TreeSub(root_id=root)
+    tree_sub = _new(TreeSub, (root,))
+    n = g.n
     certs: dict[int, NodeCertificate] = {}
     for x, fars in held.items():
         ecs = []
@@ -259,8 +261,10 @@ def prove_planar(
                 i, j, i2, j2 = slots[x, v]
             else:
                 j, i, j2, i2 = slots[v, x]
-            ecs.append(EdgeCertificate(v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2]))
-        certs[x] = NodeCertificate(edge_certs=tuple(ecs), tree_sub=tree_sub, n=g.n)
+            ecs.append(_new(EdgeCertificate, (
+                v, i, j, i2, j2, pop_certs[i], pop_certs[j], pop_certs[i2], pop_certs[j2]
+            )))
+        certs[x] = _new(NodeCertificate, (tuple(ecs), tree_sub, n))
     return certs
 
 
@@ -597,13 +601,6 @@ class Field(NamedTuple):
     value: int
 
 
-#: The four slots of an edge certificate the walk has none to read from.
-_UNHELD = ((None, None),) * 4
-#: Builds a named tuple from a plain one without the Python-level ``__new__``
-#: each class defines; decoding builds a dozen of them per certificate.
-_new = tuple.__new__
-
-
 def _walk(
     field,
     id_bits: int,
@@ -631,17 +628,27 @@ def _walk(
     holder, so it sends one id (``far``), and the tree parent.  So decoding
     does not depend on which node holds the certificate.
 
-    Given a certificate, the walk checks the forced values as it goes and
-    raises ParameterError on one the layout cannot carry: a slot whose copy
-    index is not the one written or derived from the step bit, whose
-    interval certificate's size or rank is not the forced one, or which
-    repeats a copy with another interval than its first slot's.  With
-    ``build=True`` it rebuilds a certificate from the returned values,
-    refilling what the wire leaves out, and a repeated copy shares its first
-    slot's interval object.  With ``pack=True`` it returns the returned
-    values packed instead, each in its field's width, after a leading 1 bit
-    that marks where the fields begin.  Otherwise it returns None.  Only
-    decoding builds, and only encoding packs.
+    The walk takes one of two branches per edge certificate, so that no
+    field's value needs a test of its own:
+
+    - without a certificate (drawing or decoding), every value is None.  With
+      ``build=True`` the walk rebuilds a certificate from the returned
+      values, refilling what the wire leaves out, and a repeated copy shares
+      its first slot's interval object.  Only a walk with ``pack=True`` keeps
+      the packed accumulator, so decoding builds none;
+    - given a certificate (packing or listing its fields), each edge
+      certificate is unpacked once and every value read off it.  The walk
+      always accumulates here, and builds nothing.  It checks the forced
+      values as it goes, on the unpacked interval certificates, and raises
+      ParameterError on one the layout cannot carry: a slot whose copy index
+      is not the one written or derived from the step bit, whose interval
+      certificate's size or rank is not the forced one, or which repeats a
+      copy with another interval than its first slot's.
+
+    With ``pack=True`` the walk returns the returned values packed, each in
+    its field's width, after a leading 1 bit that marks where the fields
+    begin; with ``build=True`` and no certificate, the rebuilt certificate;
+    otherwise None.
 
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -657,70 +664,88 @@ def _walk(
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
     nv = 2 * n - 1
     root_id = field("root_id", id_bits, 1, top_id, held_root)
-    if pack:  # the leading 1 bit, then count's 2 bits
+    if pack or cert is not None:  # the leading 1 bit, then count's 2 bits
         acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id
-    # copy index -> the interval certificate its first slot carried
+    # copy index -> the interval certificate its first slot carried, or None
+    # when the walk builds nothing
     sent: dict[int, PopCertificate | None] = {}
     edge_certs = []
     for e in range(count):
         if cert is None:
-            held_far = held_second = None
-            held = _UNHELD
+            far = field("far", id_bits, 1, top_id, None)
+            # 0: the certificate is one chord, whose single slot pair fills
+            # both slots; 1: a second pair follows (a tree edge's second tour
+            # step), which takes a tour of at least two nodes.
+            second = field("second", 1, 0, 1 if n > 1 else 0, None)
+            if pack:
+                acc = (acc << id_bits | far) << 1 | second
+            slots = []  # each slot's copy index, then its interval certificate
+            k = 0
+            for s in range(4 if second else 2):
+                if second and s & 1:
+                    # the far end of a tour step, next to its near end k
+                    up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0, None)
+                    k += 2 * up - 1
+                    if pack:
+                        acc = acc << 1 | up
+                else:
+                    k = field("index", idx_bits, 1, nv, None)
+                    if pack:
+                        acc = acc << idx_bits | k
+                if k not in sent:
+                    lo = field("lo", idx_bits, 0, nv + 3, None)
+                    hi = field("hi", idx_bits, 0, nv + 3, None)
+                    if pack:
+                        acc = (acc << idx_bits | lo) << idx_bits | hi
+                    sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else None
+                if build:
+                    slots += (k, sent[k])
+            if build:
+                if not second:
+                    slots *= 2
+                i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
+                edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
         else:
-            held_far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = cert.edge_certs[e]
-            held = ((i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2))
-            held_second = int((i2, pop_i2, j2, pop_j2) != (i, pop_i, j, pop_j))
-        far = field("far", id_bits, 1, top_id, held_far)
-        # 0: the certificate is one chord, whose single slot pair fills both
-        # slots; 1: a second pair follows (a tree edge's second tour step),
-        # which takes a tour of at least two nodes.
-        second = field("second", 1, 0, int(n > 1), held_second)
-        if pack:
+            # the same fields, each with its value in ``cert``: slot s names
+            # copy ec[1 + s] with interval ec[5 + s]
+            ec = cert.edge_certs[e]
+            held_far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = ec
+            far = field("far", id_bits, 1, top_id, held_far)
+            held_second = 1 if (i2, pop_i2, j2, pop_j2) != (i, pop_i, j, pop_j) else 0
+            second = field("second", 1, 0, 1 if n > 1 else 0, held_second)
             acc = (acc << id_bits | far) << 1 | second
-        slots = []  # each slot's copy index, then its interval certificate
-        k = 0
-        for s in range(4 if second else 2):
-            held_k, held_pc = held[s]
-            if second and s & 1:
-                # the far end of a tour step, next to its near end k
-                up = field(
-                    "step", 1, int(k == 1), int(k < nv), None if held_k is None else int(held_k > k)
-                )
-                k += 2 * up - 1
-                if pack:
+            k = 0
+            for s in range(4 if second else 2):
+                held_k = ec[1 + s]
+                if second and s & 1:
+                    up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0, 1 if held_k > k else 0)
+                    k += 2 * up - 1
                     acc = acc << 1 | up
-            else:
-                k = field("index", idx_bits, 1, nv, held_k)
-                if pack:
+                else:
+                    k = field("index", idx_bits, 1, nv, held_k)
                     acc = acc << idx_bits | k
-            if held_k is not None and (held_k != k or held_pc.n != nv or held_pc.rank != k):
-                raise ParameterError(
-                    f"cannot pack copy {held_k} with interval size {held_pc.n} and rank "
-                    f"{held_pc.rank}: the layout forces copy {k}, size {nv} and rank {k}"
-                )
-            pc = sent.get(k, False)  # False: no earlier slot named copy k
-            if pc is False:
-                lo = field("lo", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.lo + 1)
-                hi = field("hi", idx_bits, 0, nv + 3, None if held_pc is None else held_pc.hi + 1)
-                if pack:
+                pc_n, pc_rank, pc_lo, pc_hi = held_pc = ec[5 + s]
+                if held_k != k or pc_n != nv or pc_rank != k:
+                    raise ParameterError(
+                        f"cannot pack copy {held_k} with interval size {pc_n} and rank "
+                        f"{pc_rank}: the layout forces copy {k}, size {nv} and rank {k}"
+                    )
+                pc = sent.get(k)
+                if pc is None:
+                    lo = field("lo", idx_bits, 0, nv + 3, pc_lo + 1)
+                    hi = field("hi", idx_bits, 0, nv + 3, pc_hi + 1)
                     acc = (acc << idx_bits | lo) << idx_bits | hi
-                pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else held_pc
-            elif held_pc is not None and held_pc != pc:
-                raise ParameterError(
-                    f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
-                    "the layout sends a copy's interval once per certificate"
-                )
-            slots += (k, pc)
-        if build:
-            if not second:
-                slots *= 2
-            i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
-            edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
+                    sent[k] = held_pc
+                elif pc is not held_pc and pc != held_pc:
+                    raise ParameterError(
+                        f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
+                        "the layout sends a copy's interval once per certificate"
+                    )
     if pack:
         return acc
-    if not build:
-        return None
-    return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
+    if build and cert is None:
+        return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
+    return None
 
 
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:
@@ -729,7 +754,10 @@ def _field_widths(top_id: int, n: int) -> tuple[int, int]:
 
 
 def _widths(cert: NodeCertificate) -> tuple[int, int]:
-    top_id = max([cert.tree_sub.root_id] + [ec.far for ec in cert.edge_certs])
+    top_id = cert.tree_sub.root_id
+    for ec in cert.edge_certs:
+        if ec.far > top_id:
+            top_id = ec.far
     return _field_widths(top_id, cert.n)
 
 

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .embedding import RotationSystem, canonical_rotation, planar_embed
+from .embedding import RotationSystem, planar_embed
 from .errors import FirewallViolation, FormatError, ParameterError
 from .graphs import Graph, _embedded_random_maximal_planar, build_graph, generate, relabel
 from .pls import (
@@ -315,15 +315,20 @@ def _replay_graph(g: Graph, seed: int) -> tuple[Graph, RotationSystem | None]:
     """A planar graph over exactly g's node ids, structurally unrelated.
 
     A random maximal planar donor (n >= 4) comes with the rotation system of
-    its generator's embedding; a tree donor comes with None.
+    its generator's embedding; a tree donor comes with None.  Each generator
+    ring starts at its least neighbor, and the ids map 1..n onto g's sorted
+    ids in increasing order, so every ring stays canonical under the map.
+    When g's ids are exactly 1..n, the donor is returned as generated.
     """
     ids = g.nodes()
     n = len(ids)
-    label = {k + 1: ids[k] for k in range(n)}
     if n < 4:
-        return relabel(generate("tree", n=n, seed=seed), label), None
+        return relabel(generate("tree", n=n, seed=seed), dict(enumerate(ids, start=1))), None
     donor, rings = _embedded_random_maximal_planar(n, seed)
-    rot = canonical_rotation({label[v]: [label[u] for u in ring] for v, ring in rings.items()})
+    if ids[-1] == n:  # distinct positive ids, so exactly 1..n
+        return donor, RotationSystem({v: tuple(ring) for v, ring in rings.items()})
+    label = dict(enumerate(ids, start=1))
+    rot = RotationSystem({label[v]: tuple([label[u] for u in ring]) for v, ring in rings.items()})
     return relabel(donor, label), rot
 
 

@@ -39,9 +39,9 @@ from planarcert.pls import (
     verify_node_planarity,
 )
 from planarcert.embedding import planar_embed
-from planarcert.pop import PopCertificate
+from planarcert.pop import PopCertificate, PopWitness, pop_prove
 from planarcert.sim import planarity_verifier
-from planarcert.transform import dfs_mapping, spanning_tree_dfs
+from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
 
 
 def _cycle(n: int):
@@ -674,6 +674,61 @@ def test_pack_round_trip_on_corpus():
             again = unpack_certificate(data)
             assert again == cert
             assert pack_certificate(again) == data
+
+
+def _assert_named_classes(cert) -> None:
+    assert type(cert) is NodeCertificate
+    assert type(cert.tree_sub) is TreeSub
+    assert type(cert.edge_certs) is tuple
+    for ec in cert.edge_certs:
+        assert type(ec) is EdgeCertificate
+        assert all(type(pc) is PopCertificate for _, pc in ec.bindings())
+
+
+def test_certificates_are_built_as_their_named_classes():
+    # The prover, pop_prove and decoding build named tuples from plain ones.
+    # A named tuple compares equal to the plain tuple of its values, so only
+    # the class shows that the right one was built.
+    for g in _planar_corpus():
+        for cert in prove_planar(g).values():
+            _assert_named_classes(cert)
+            _assert_named_classes(unpack_certificate(pack_certificate(cert)))
+        rot = planar_embed(g)
+        t = spanning_tree_dfs(g, rot, min(g.nodes()))
+        induced = induce_graph(g, rot, t, dfs_mapping(t))
+        order = tuple(range(1, induced.n_virtual + 1))
+        pops = pop_prove(induced.virtual_graph(), PopWitness(order=order))
+        assert len(pops) == len(order)
+        assert all(type(pc) is PopCertificate for pc in pops.values())
+
+
+#: sha256 of the honest certificates' packed bytes, concatenated in node
+#: order, at the benchmark's sizes (seed 101), where ids take up to 11 bits
+#: and indices 12.
+_PACKED_PINS_AT_SCALE = {
+    "grid": "bb2395c903998120b6bb5f559e56b6cb423a886f41fe226157b4ddf5fc8ae1fa",
+    "random_maximal_planar": "82d371dd924ed59e7d85164e77b9076626da7043575a3cd7ec78a20287b61c9c",
+    "tree": "bc0683acc3a02b4b4765050e6315c918d0666027912ae77e7250ccfe5ff9b99f",
+}
+
+
+def test_packed_bytes_are_pinned_at_the_benchmark_size():
+    graphs = {
+        "grid": generate("grid", w=32, h=32),
+        "random_maximal_planar": generate("random_maximal_planar", n=1024, seed=101),
+        "tree": generate("tree", n=1024, seed=101),
+    }
+    for kind, g in graphs.items():
+        digest = hashlib.sha256()
+        id_bits = set()
+        for x, cert in sorted(prove_planar(g).items()):
+            data = pack_certificate(cert)
+            id_bits.add(data[0])
+            assert data[1] == 12
+            digest.update(data)
+            assert unpack_certificate(data) == cert
+        assert max(id_bits) == 11
+        assert digest.hexdigest() == _PACKED_PINS_AT_SCALE[kind], kind
 
 
 def test_pack_rejects_malformed():

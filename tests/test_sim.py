@@ -499,6 +499,8 @@ def test_replay_donor_rotation_is_the_generators_embedding():
             expected = generate("random_maximal_planar", n=g.n, seed=seed)
             assert donor == relabel(expected, label)
             assert validate_rotation(donor, rot)
+            # canonical as built: each ring is a tuple from its least neighbor
+            assert all(type(ring) is tuple and ring[0] == min(ring) for ring in rot.rotation.values())
             ref = planar_embed(donor)
             mirror = canonical_rotation({v: ring[::-1] for v, ring in ref.rotation.items()})
             assert rot in (ref, mirror)
