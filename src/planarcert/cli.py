@@ -97,10 +97,6 @@ def _witness_report(w: NonPlanarWitness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rotation_dict(g: Graph, rot: RotationSystem) -> dict[int, tuple[int, ...]]:
-    return {v: tuple(rot.order_at(v)) for v in g.nodes()}
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -110,7 +106,7 @@ def _cmd_embed(args) -> int:
     if isinstance(result, NonPlanarWitness):
         sys.stdout.write(_witness_report(result))
         return EXIT_WITNESS
-    _emit(write_graph(g, _rotation_dict(g, result)), args.out)
+    _emit(write_graph(g, result.rotation), args.out)
     return EXIT_ACCEPT
 
 
@@ -299,7 +295,7 @@ def _cmd_oracle_check(args) -> int:
             ok = ok and good
     if args.scope in ("lowerbound", "all"):
         report = validate_lowerbound_claims(
-            k_range=(4, 5), p_range=(1, 2, 3), q_range=(2, 3), cap=args.cap
+            k_range=(4, 5), p_range=(1, 2, 3), q_range=(2, 3)
         )
         print(report.render())
         ok = ok and report.all_ok
@@ -352,7 +348,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-check", help="re-run structural validations")
     p.add_argument("--scope", choices=("pop", "lowerbound", "all"), default="all")
-    p.add_argument("--cap", type=int, default=80)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

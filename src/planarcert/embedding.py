@@ -456,16 +456,47 @@ def planar_embed(
     )
 
 
-def _check_permutations(g: Graph, rot: RotationSystem) -> bool:
-    """True iff rot has a ring for exactly g's nodes, each a permutation of
-    the node's neighbors.  A ring that cannot be sorted is not one."""
-    rotation = rot.rotation
-    if len(rotation) != len(g.adj):
-        return False
+def _ring_matches(ring, nb: tuple[int, ...]) -> bool:
+    """True iff ``ring`` orders exactly the neighbors ``nb``, which are sorted
+    as ``Graph.adj`` holds them.  A ring that cannot be sorted does not."""
     try:
-        return all(v in rotation and tuple(sorted(rotation[v])) == nb for v, nb in g.adj.items())
+        return tuple(sorted(ring)) == nb
     except TypeError:
         return False
+
+
+def _check_permutations(g: Graph, rot: RotationSystem) -> bool:
+    """True iff rot has a ring for exactly g's nodes, each a permutation of
+    the node's neighbors."""
+    rotation = rot.rotation
+    return len(rotation) == len(g.adj) and all(
+        v in rotation and _ring_matches(rotation[v], nb) for v, nb in g.adj.items()
+    )
+
+
+def _face_cycles(rot: RotationSystem) -> list[list[tuple[int, int]]]:
+    """The faces of a rotation already known to permute every neighborhood,
+    each a cycle of directed edges, in no fixed order.
+
+    O(m): ``nxt[(u, v)]`` is the neighbor just before u in the
+    counterclockwise order at v, so the face goes on from (u, v) along
+    (v, nxt[(u, v)]).  That step permutes the directed edges, one cycle per
+    face, so each cycle is popped from the map until it closes.
+    """
+    nxt: dict[tuple[int, int], int] = {}
+    for v, ring in rot.rotation.items():
+        for k, u in enumerate(ring):
+            nxt[u, v] = ring[k - 1]
+    out = []
+    while nxt:
+        start, w = nxt.popitem()
+        face = [start]
+        cur = (start[1], w)
+        while cur != start:
+            face.append(cur)
+            cur = (cur[1], nxt.pop(cur))
+        out.append(face)
+    return out
 
 
 def faces(g: Graph, rot: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
@@ -478,69 +509,19 @@ def faces(g: Graph, rot: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
     """
     if not _check_permutations(g, rot):
         raise StructuralError("rotation is not a neighbor permutation of the graph")
-    return _trace_faces(rot)
-
-
-def _before(rot: RotationSystem) -> dict[tuple[int, int], int]:
-    """``before[(v, u)]``: the neighbor just before u in the counterclockwise
-    order at v.  Its keys are exactly the directed edges."""
-    before = {}
-    for v, ring in rot.rotation.items():
-        for k, u in enumerate(ring):
-            before[(v, u)] = ring[k - 1]
-    return before
-
-
-def _trace_faces(rot: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
-    """``faces`` on a rotation already known to permute every neighborhood.
-
-    O(m log m), for the order alone: one map gives each step in O(1), and
-    the directed edges are scanned once in sorted order, so the first one
-    not yet on a face starts the next face.
-    """
-    before = _before(rot)
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[tuple[int, int], ...]] = []
-    for start in sorted(before):
-        if start in seen:
-            continue
-        face = []
-        cur = start
-        while True:
-            face.append(cur)
-            seen.add(cur)
-            u, v = cur
-            cur = (v, before[(v, u)])
-            if cur == start:
-                break
-        out.append(tuple(face))
+    out = []
+    for face in _face_cycles(rot):
+        k = face.index(min(face))
+        out.append(tuple(face[k:] + face[:k]))
+    out.sort()
     return out
-
-
-def _count_faces(rot: RotationSystem) -> int:
-    """``len(faces(...))`` on a rotation already known to permute every
-    neighborhood, in O(m): each face is walked once, in no fixed order.
-
-    The walk steps from ``(v, u)``, at v having come from u, to
-    ``(before[(v, u)], v)``.  That is a permutation of the keys, one cycle
-    per face, so each cycle is popped from the map until it closes.
-    """
-    before = _before(rot)
-    count = 0
-    while before:
-        start, w = before.popitem()
-        key = (w, start[0])
-        while key != start:
-            key = (before.pop(key), key[0])
-        count += 1
-    return count
 
 
 def validate_rotation(g: Graph, rot: RotationSystem) -> bool:
     """True iff rot permutes every neighborhood and passes the Euler test.
 
-    It counts the faces and never lists them.  Any RotationSystem gets True
-    or False: rings of any entries, or of none, never raise.
+    Any RotationSystem gets True or False: rings of any entries, or of none,
+    never raise.
     """
     if not _check_permutations(g, rot):
         return False
@@ -548,4 +529,4 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> bool:
         return g.n == 1  # a single node embeds with one (outer) face
     if not g.connected:
         return False
-    return g.n - g.m + _count_faces(rot) == 2
+    return g.n - g.m + len(_face_cycles(rot)) == 2

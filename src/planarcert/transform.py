@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import RotationSystem
+from .embedding import RotationSystem, _ring_matches
 from .errors import ParameterError, StructuralError
 from .graphs import Edge, Graph, build_graph, contract_edges, norm_edge, relabel
 
@@ -98,7 +98,7 @@ class InducedGraph:
 def _checked_ring(g: Graph, rot: RotationSystem, v: int) -> tuple[int, ...]:
     """The rotation at ``v``, which must order exactly ``v``'s neighbors."""
     ring = rot.rotation.get(v, ())
-    if len(ring) != g.degree(v) or set(ring) != set(g.neighbors(v)):
+    if not _ring_matches(ring, g.adj[v]):
         raise StructuralError(f"rotation at {v} does not match its neighbors")
     return ring
 
@@ -196,27 +196,21 @@ def induce_graph(
     visit, the one that steps down to ``w``.
 
     ``t`` must be the tree ``spanning_tree_dfs`` grows on ``rot`` and ``fm``
-    its tour, as ``dfs_mapping`` builds it.  The pass checks each ring
-    without building a set: it must have one entry per neighbor, hold the
-    parent, meet the children in the order the tree visited them, and name
-    every non-tree neighbor, which takes up the rest of its entries, so it
-    names each once.  A ring that does not order exactly the node's
-    neighbors raises StructuralError.  Each chord end is then a copy of its
-    own endpoint (the tour steps from ``u`` down to each child), so a chord
-    names its edge and no two edges share one.
+    its tour, as ``dfs_mapping`` builds it.  A ring that does not order
+    exactly the node's neighbors, or meets its children in another order
+    than the tree visited them, raises StructuralError.  Each chord end is
+    then a copy of its own endpoint (the tour steps from ``u`` down to each
+    child), so a chord names its edge and no two edges share one.
     """
     if t.n != g.n or fm.n != g.n:
         raise ParameterError("graph, tree, and tour disagree on node count")
     ends: dict[tuple[int, int], int] = {}
     for u in g.nodes():
-        ring = rot.rotation.get(u, ())
         parent = t.parent[u]
-        if len(ring) != g.degree(u) or (parent is not None and parent not in ring):
-            raise StructuralError(f"rotation at {u} does not match its neighbors")
         kids = t.children_order[u]
         left = len(kids)
         at = fm.copies[u][-1]
-        for v in reversed(_scan_order(ring, parent)):
+        for v in reversed(_scan_order(_checked_ring(g, rot, u), parent)):
             if t.parent.get(v) == u:  # a child
                 left -= 1
                 if left < 0 or kids[left] != v:
@@ -231,8 +225,6 @@ def induce_graph(
     for u, v in g.edges():
         if t.parent[u] == v or t.parent[v] == u:
             continue  # a tree edge
-        if (u, v) not in ends or (v, u) not in ends:
-            raise StructuralError(f"rotation does not name the edge {(u, v)} at both ends")
         cotree_map[(u, v)] = norm_edge(ends[(u, v)], ends[(v, u)])
     return InducedGraph(n_virtual=fm.n_virtual, cotree_map=cotree_map)
 

@@ -636,7 +636,7 @@ def test_oracle_check_pop_scope(capsys):
 
 
 def test_oracle_check_lowerbound_scope(capsys):
-    code = main(["oracle-check", "--scope", "lowerbound", "--cap", "80"])
+    code = main(["oracle-check", "--scope", "lowerbound"])
     out = capsys.readouterr().out
     assert code == 0
     assert "all checks passed" in out

@@ -364,6 +364,19 @@ def test_a_ring_that_does_not_match_its_neighbors_raises():
                 for w in changed
             )
         assert kinds == {"parent", "child", "other"}
+    # Nor on a ring entry that is no node id: one that cannot be hashed, or
+    # one that cannot be compared with the others.
+    g = generate("wheel", n=6)
+    rot = _embed(g)
+    ring = rot.order_at(2)
+    for entry in ([ring[0]], str(ring[0])):
+        bad = type(rot)({**rot.rotation, 2: (entry,) + ring[1:]})
+        for root in (1, 2):
+            t = spanning_tree_dfs(g, rot, root)
+            with pytest.raises(StructuralError):
+                spanning_tree_dfs(g, bad, root)
+            with pytest.raises(StructuralError):
+                induce_graph(g, bad, t, dfs_mapping(t))
 
 
 # --- contraction round-trip ------------------------------------------------
