@@ -42,8 +42,7 @@ def run(directory: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for name, tokens in instances():
-        # absolute, so that $PLANARCERT_CORPUS never redirects a bare file name
-        path = (out / f"{name}.txt").absolute()
+        path = out / f"{name}.txt"
         code = main(["gen", *tokens.split(), "--out", str(path)])
         if code != EXIT_ACCEPT:
             return code

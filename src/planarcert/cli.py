@@ -9,14 +9,14 @@ Subcommands: ``embed``, ``prove``, ``verify``, ``attack``, ``gen``, ``sweep``,
     64  parse, usage, or parameter error
     65  certificate file does not match the graph
 
-``--out`` names without a directory separator land in ``$PLANARCERT_CORPUS``
-when that variable is set, so corpus scripts can stay path-free.
+``--out`` names the output file as given; without it, output goes to
+stdout.  ``gen`` takes ``key=value`` parameters, integers only for the
+families of ``graphs.GENERATORS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -56,8 +56,6 @@ EXIT_REJECT = 3
 EXIT_PARSE = 64
 EXIT_MISMATCH = 65
 
-CORPUS_ENV = "PLANARCERT_CORPUS"
-
 
 class _UsageError(Exception):
     """Bad flags or arguments; reported on stderr with exit 64."""
@@ -72,18 +70,11 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _resolve_out(name: str) -> Path:
-    corpus = os.environ.get(CORPUS_ENV)
-    if corpus and os.sep not in name:
-        return Path(corpus) / name
-    return Path(name)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = _resolve_out(out)
+        path = Path(out)
         path.write_text(text)
         print(f"wrote {path}")
 

@@ -299,7 +299,10 @@ def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
     # Embedding: half-edge 2e leaves tail[e], 2e + 1 leaves head[e].  Each
     # node's out-edges start in nesting order; a DFS then inserts every
     # incoming half-edge beside its reference.  A tree edge's half-edge goes
-    # just counterclockwise of its head's leftmost one and becomes leftmost.
+    # just counterclockwise of its head's leftmost out-edge.  ``leftmost``
+    # also gives the ring walk below a half-edge to start from, and where
+    # it starts does not matter: planar_embed rotates every ring to start at
+    # its least neighbor.
     cw = [0] * (2 * m)
     ccw = [0] * (2 * m)
     leftmost = [-1] * n
@@ -333,15 +336,15 @@ def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
                 i += 1
                 w = head[e]
                 h = 2 * e + 1
-                if parent[w] == e:  # h becomes w's leftmost half-edge
+                if parent[w] == e:  # w's parent edge: w is entered
                     lm = leftmost[w]
-                    if lm < 0:
+                    if lm < 0:  # a leaf with no out-edge
                         cw[h] = ccw[h] = h
+                        leftmost[w] = h
                     else:
                         p = ccw[lm]
                         cw[h], ccw[h] = lm, p
                         cw[p] = ccw[lm] = h
-                    leftmost[w] = h
                     left_ref[v] = right_ref[v] = 2 * e
                     ind[v] = i
                     stack.append(v)
@@ -357,8 +360,6 @@ def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
                     p = ccw[l_]
                     cw[h], ccw[h] = l_, p
                     cw[p] = ccw[l_] = h
-                    if leftmost[w] == l_:
-                        leftmost[w] = h
                     left_ref[w] = h
     rings: list[list[int]] = []
     for v in range(n):

@@ -324,9 +324,11 @@ GENERATORS = {
 def generate(kind: str, **params) -> Graph:
     """Build the named kind from exactly the parameters ``GENERATORS`` lists.
 
-    Randomized kinds take ``seed`` like any other parameter, so outputs stay
-    reproducible.  ``subdivide`` takes a graph, so it is a function of its
-    own rather than a kind.
+    Every parameter must be an ``int``: any other value, a bool included,
+    raises ParameterError rather than being converted.  Randomized kinds
+    take ``seed`` like any other parameter, so outputs stay reproducible.
+    ``subdivide`` takes a graph, so it is a function of its own rather than
+    a kind.
     """
     if kind not in GENERATORS:
         raise ParameterError(f"unknown generator kind '{kind}'")
@@ -335,7 +337,10 @@ def generate(kind: str, **params) -> Graph:
         raise ParameterError(
             f"generator '{kind}' takes ({', '.join(names)}), got ({', '.join(params)})"
         )
-    return gen(*(int(params[name]) for name in names))
+    for name in names:
+        if type(params[name]) is not int:
+            raise ParameterError(f"generator '{kind}' takes integer {name}, got {params[name]!r}")
+    return gen(*(params[name] for name in names))
 
 
 # --- degeneracy -----------------------------------------------------------

@@ -219,11 +219,16 @@ def _nontrivial_permutation(p: int) -> tuple[int, ...]:
     return (2, 1) + tuple(range(3, p + 1))
 
 
+#: The minor oracle's node cap for the claims: twice the oracle's default,
+#: as the largest instance ``oracle-check`` checks, the glued paths at q = 3,
+#: has 66 nodes.
+CLAIM_CAP = 2 * DEFAULT_CAP
+
+
 def validate_lowerbound_claims(
     k_range: Sequence[int],
     p_range: Sequence[int],
     q_range: Sequence[int],
-    cap: int = 2 * DEFAULT_CAP,
 ) -> ClaimReport:
     """Re-derive every structural claim the hard instances rely on.
 
@@ -240,7 +245,7 @@ def validate_lowerbound_claims(
                         "block-chain",
                         f"k={k}, p={p}, perm={perm}",
                         f"no K_{k} minor",
-                        not has_clique_minor(g, k, cap=cap),
+                        not has_clique_minor(g, k, cap=CLAIM_CAP),
                     )
                 )
                 if p >= 2:
@@ -250,7 +255,7 @@ def validate_lowerbound_claims(
                             "block-cycle",
                             f"k={k}, p={p}, perm={perm}",
                             f"contains a K_{k} minor",
-                            has_clique_minor(c, k, cap=cap),
+                            has_clique_minor(c, k, cap=CLAIM_CAP),
                         )
                     )
     for q in q_range:
@@ -261,11 +266,11 @@ def validate_lowerbound_claims(
                 "crossed-paths",
                 f"n={n}, q={q}",
                 "no K_{2,3} minor (outerplanar)",
-                not has_biclique_minor(g, 2, 3, cap=cap),
+                not has_biclique_minor(g, 2, 3, cap=CLAIM_CAP),
             )
         )
         j = gen_glued_instance(n, q)
-        ok = has_biclique_minor(j, q, q, cap=cap) and glued_contracts_to_biclique(
+        ok = has_biclique_minor(j, q, q, cap=CLAIM_CAP) and glued_contracts_to_biclique(
             j, n, q
         )
         checks.append(

@@ -575,18 +575,16 @@ def verify_node_planarity(
                 PHASE_TREE, "visits do not interleave the children subtours"
             )
 
-    # Phase 3: interval checks for every owned copy.
+    # Phase 3: interval checks for every owned copy.  Tour neighbors k ± 1
+    # enter nbr when a certificate names them (no copy is 0 or nv + 1), and
+    # pop_verify_node rejects a missing one as a path-structure fault.
     for k in copies:
         nbr: dict[int, PopCertificate] = {}
-        if k > 1:
-            pc = get(k - 1)
-            if pc is None:
-                return _reject(PHASE_POP, f"no certificate for tour neighbor {k - 1}")
+        pc = get(k - 1)
+        if pc is not None:
             nbr[k - 1] = pc
-        if k < nv:
-            pc = get(k + 1)
-            if pc is None:
-                return _reject(PHASE_POP, f"no certificate for tour neighbor {k + 1}")
+        pc = get(k + 1)
+        if pc is not None:
             nbr[k + 1] = pc
         for partner in chord_at.get(k, ()):
             nbr[partner] = pop_table[partner]
@@ -615,8 +613,7 @@ def _walk(
     idx_bits: int,
     cert: NodeCertificate | None = None,
     build: bool = False,
-    pack: bool = False,
-) -> NodeCertificate | int | None:
+) -> NodeCertificate | int:
     """The wire layout: every field in order, with its legal range.
 
     ``field(name, width, lo, hi, value)`` is called once per field and returns
@@ -642,23 +639,22 @@ def _walk(
     changes both:
 
     - without a certificate (drawing or decoding), every value is None.  With
-      ``build=True`` the walk rebuilds a certificate from the returned
-      values, refilling what the wire leaves out, and a repeated copy shares
-      its first slot's interval object.  Only a walk with ``pack=True`` keeps
-      the packed accumulator, so decoding builds none;
-    - given a certificate (packing or listing its fields), each edge
-      certificate is unpacked once and every value read off it.  The walk
-      always accumulates here, and builds nothing.  It checks the forced
+      ``build=True`` (decoding) the walk rebuilds a certificate from the
+      returned values, refilling what the wire leaves out, and a repeated
+      copy shares its first slot's interval object; it packs nothing.
+      Without it (drawing), the walk packs and builds nothing;
+    - given a certificate (packing or listing its fields), ``build`` is
+      False, each edge certificate is unpacked once and every value read off
+      it.  The walk packs here, and builds nothing.  It checks the forced
       values as it goes, on the unpacked interval certificates, and raises
       ParameterError on one the layout cannot carry: a slot whose copy index
       is not the one written or derived from the step bit, whose interval
       certificate's size or rank is not the forced one, or which repeats a
       copy with another interval than its first slot's.
 
-    With ``pack=True`` the walk returns the returned values packed, each in
-    its field's width, after a leading 1 bit that marks where the fields
-    begin; with ``build=True`` and no certificate, the rebuilt certificate;
-    otherwise None.
+    With ``build=True`` the walk returns the rebuilt certificate; otherwise
+    the returned values packed, each in its field's width, after a leading 1
+    bit that marks where the fields begin.
 
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
@@ -674,7 +670,7 @@ def _walk(
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
     nv = 2 * n - 1
     root_id = field("root_id", id_bits, 1, top_id, held_root)
-    if pack or cert is not None:  # the leading 1 bit, then count's 2 bits
+    if not build:  # the leading 1 bit, then count's 2 bits
         acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id
     # copy index -> the interval certificate its first slot carried, or None
     # when the walk builds nothing
@@ -687,7 +683,7 @@ def _walk(
             # both slots; 1: a second pair follows (a tree edge's second tour
             # step), which takes a tour of at least two nodes.
             second = field("second", 1, 0, 1 if n > 1 else 0, None)
-            if pack:
+            if not build:
                 acc = (acc << id_bits | far) << 1 | second
             slots = []  # each slot's copy index, then its interval certificate
             k = 0
@@ -696,16 +692,16 @@ def _walk(
                     # the far end of a tour step, next to its near end k
                     up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0, None)
                     k += 2 * up - 1
-                    if pack:
+                    if not build:
                         acc = acc << 1 | up
                 else:
                     k = field("index", idx_bits, 1, nv, None)
-                    if pack:
+                    if not build:
                         acc = acc << idx_bits | k
                 if k not in sent:
                     lo = field("lo", idx_bits, 0, nv + 3, None)
                     hi = field("hi", idx_bits, 0, nv + 3, None)
-                    if pack:
+                    if not build:
                         acc = (acc << idx_bits | lo) << idx_bits | hi
                     sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else None
                 if build:
@@ -751,11 +747,9 @@ def _walk(
                         f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
                         "the layout sends a copy's interval once per certificate"
                     )
-    if pack:
-        return acc
-    if build and cert is None:
+    if build:
         return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
-    return None
+    return acc
 
 
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:
@@ -815,7 +809,7 @@ def encode_fields(
     in bits, padding excluded.  No certificate object is built; given one,
     the walk checks its forced values as it writes.
     """
-    acc = _walk(choose, id_bits, idx_bits, cert, pack=True)
+    acc = _walk(choose, id_bits, idx_bits, cert)
     nbits = acc.bit_length() - 1  # the walk's leading 1 bit is no field
     pad = -nbits % 8
     # padded, the leading 1 bit fills a byte of its own, which is dropped

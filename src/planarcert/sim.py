@@ -355,9 +355,7 @@ class AttackSummary:
 
     @property
     def total_accepts(self) -> int:
-        return sum(
-            o.accepts for o in self.outcomes if o.strategy != "honest"
-        )
+        return sum(o.accepts for o in self.outcomes)
 
 
 def attack(
@@ -368,16 +366,14 @@ def attack(
 ) -> AttackSummary:
     """Run dishonest assignments against the verifier and tally outcomes.
 
-    The default strategy list is the four adversarial families; pass
-    ``["honest", ...]`` explicitly to include the completeness control arm
-    (planar graphs only).  Identical (graph, strategies, trials, seed)
-    inputs give an identical summary.
+    The strategies are the four adversarial families, all of them by
+    default.  Identical (graph, strategies, trials, seed) inputs give an
+    identical summary.
     """
     chosen = tuple(strategies) if strategies is not None else DEFAULT_STRATEGIES
-    known = set(DEFAULT_STRATEGIES) | {"honest"}
-    bad = [s for s in chosen if s not in known]
+    bad = [s for s in chosen if s not in DEFAULT_STRATEGIES]
     if bad:
-        raise ParameterError(f"unknown strategies {bad}; pick from {sorted(known)}")
+        raise ParameterError(f"unknown strategies {bad}; pick from {sorted(DEFAULT_STRATEGIES)}")
     if trials < 1:
         raise ParameterError("trials must be positive")
     if not g.connected:
@@ -386,8 +382,6 @@ def attack(
         raise ParameterError("the swap strategy needs a graph with at least two nodes")
 
     planar = planar_embed(g, counterexample=False) is not None
-    if "honest" in chosen and not planar:
-        raise ParameterError("the honest control arm needs a planar graph")
 
     template_fields: dict[int, tuple[Field, ...]] | None = None
     template_bytes: dict[int, bytes] | None = None
@@ -398,16 +392,13 @@ def attack(
         template_fields = {x: certificate_bit_fields(c) for x, c in template_objs.items()}
 
     nodes = g.nodes()
-    honest_a = honest_assignment(g) if "honest" in chosen else None
     replay_pool: dict[int, dict[int, bytes]] = {}
     outcomes = []
     for strategy in chosen:
         accepts = 0
         hist: dict[int, int] = {}
         for t in range(trials):
-            if strategy == "honest":
-                a = honest_a
-            elif strategy == "random-fields":
+            if strategy == "random-fields":
                 a = random_assignment(g, f"{seed}/random/{t}")
             elif strategy == "template-edits":
                 rng = random.Random(f"{seed}/{strategy}/{t}")

@@ -244,7 +244,7 @@ def test_criterion_7_hard_instance_structure_validated(capsys):
         capsys, 7, "minor oracle confirms every hard-instance structural claim"
     ):
         report = validate_lowerbound_claims(
-            k_range=(4, 5), p_range=(1, 2, 3, 4), q_range=(3,), cap=80
+            k_range=(4, 5), p_range=(1, 2, 3, 4), q_range=(3,)
         )
         assert report.all_ok, "\n" + report.render()
         assert len(report.checks) == 28

@@ -439,15 +439,24 @@ def test_attack_refuses_swap_on_a_one_node_graph(tmp_path, capsys):
 
 
 def test_prove_and_embed_run_without_networkx(tmp_path):
-    """The package needs no third-party module: block networkx and run both."""
+    """The package needs no third-party module: with networkx, numpy,
+    hypothesis and pytest blocked, every module imports, and prove, verify,
+    embed and attack run."""
     grid = _graph_file(tmp_path, generate("grid", w=4, h=4), "grid.txt")
+    certs = str(tmp_path / "grid.certs")
     k5 = _graph_file(tmp_path, generate("complete", k=5), "k5.txt")
     code = (
-        "import sys\n"
-        "sys.modules['networkx'] = None\n"
+        "import importlib, pkgutil, sys\n"
+        "for name in ('networkx', 'numpy', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "import planarcert\n"
+        "for info in pkgutil.iter_modules(planarcert.__path__):\n"
+        "    importlib.import_module('planarcert.' + info.name)\n"
         "from planarcert.cli import main\n"
-        f"assert main(['prove', {grid!r}]) == 0\n"
+        f"assert main(['prove', {grid!r}, '--out', {certs!r}]) == 0\n"
+        f"assert main(['verify', {grid!r}, {certs!r}]) == 0\n"
         f"assert main(['embed', {k5!r}]) == 2\n"
+        f"assert main(['attack', {k5!r}, '--trials', '5']) == 0\n"
     )
     env = dict(os.environ)
     src = str(Path(planarcert.__file__).resolve().parents[1])
@@ -457,6 +466,7 @@ def test_prove_and_embed_run_without_networkx(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "non-planar: K5-subdivision" in proc.stdout
+    assert "global: accept" in proc.stdout and "accepted: 0" in proc.stdout
 
 
 # --- gen ----------------------------------------------------------------------
@@ -518,14 +528,6 @@ def test_gen_fallthrough_generator_with_seed(capsys):
     assert (g.n, g.m) == (10, 3 * 10 - 6)
 
 
-def test_gen_out_joins_corpus_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PLANARCERT_CORPUS", str(tmp_path))
-    assert main(["gen", "grid", "w=2", "h=3", "--out", "grid2x3.txt"]) == 0
-    assert "wrote" in capsys.readouterr().out
-    g, _ = parse_graph((tmp_path / "grid2x3.txt").read_text())
-    assert g.n == 6
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -544,6 +546,9 @@ def test_gen_out_joins_corpus_dir(tmp_path, capsys, monkeypatch):
         ["gen", "tree", "n=5", "seed=3", "--seed", "4"],  # two seeds that disagree
         ["gen", "tree", "n=5", "seed=x"],  # a seed is an integer
         ["gen", "grid", "w=2", "h=2", "--seed", "3"],  # nor through --seed
+        ["gen", "grid", "w=true", "h=2"],  # a size is an integer, not a flag
+        ["gen", "blocks", "k=4", "p=3", "cycle=1"],  # a cycle range is two ids
+        ["gen", "glued", "n=24", "q=2", "bogus=1"],  # a parameter glued does not take
     ],
 )
 def test_gen_bad_requests_are_parse_errors(argv, capsys):

@@ -64,6 +64,7 @@ def test_graph_comments_and_blank_lines_ignored():
         "2 2\n1 2\n1 1\n",  # self-loop
         "2 2\n1 2\n1 2\n",  # repeated edge
         "3 3\n1 2\n2 3\n2 1\n",  # repeated edge, other orientation
+        "2 1\n1 -2\n",  # a node id below 1
     ],
 )
 def test_graph_parse_rejects(text):

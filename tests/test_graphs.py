@@ -180,6 +180,21 @@ def test_parameters_a_kind_does_not_take_are_refused():
         generate("petersen", n=10)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("grid", {"w": True, "h": 2}),
+        ("complete", {"k": True}),
+        ("wheel", {"n": 5.9}),
+        ("tree", {"n": 6, "seed": 2.5}),
+        ("grid", {"w": "3", "h": 2}),
+    ],
+)
+def test_parameters_that_are_not_integers_are_refused(kind, params):
+    with pytest.raises(ParameterError, match="takes integer"):
+        generate(kind, **params)
+
+
 # --- degeneracy ------------------------------------------------------------
 
 
@@ -297,6 +312,20 @@ def test_contract_c4_to_k2():
     g = build_graph([(1, 2), (2, 3), (3, 4), (1, 4)])
     got = contract_edges(g, [(1, 2), (3, 4)])
     assert got.edges() == [(1, 3)]
+
+
+@pytest.mark.parametrize(
+    "contracted",
+    [
+        [(3, 4), (2, 3), (1, 2)],  # descending: a chain that find compresses
+        [(1, 2), (2, 3), (1, 3), (3, 4)],  # (1, 3) joins two merged ends
+        [(4, 3), (3, 2), (2, 1)],  # the larger id first in every edge
+    ],
+)
+def test_contracting_a_cycle_in_any_edge_order_leaves_its_least_id(contracted):
+    g = build_graph([(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (4, 5)])
+    got = contract_edges(g, contracted)
+    assert got.nodes() == [1, 5] and got.edges() == [(1, 5)]
 
 
 def test_contract_requires_graph_edges():

@@ -42,6 +42,7 @@ from planarcert.embedding import planar_embed
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
 from planarcert.sim import planarity_verifier
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
+from verdict_oracle import oracle_verify_node_planarity
 
 
 def _cycle(n: int):
@@ -545,8 +546,9 @@ _CRAFTED_VIEWS = [
      "children subtours are not contiguous"),
     (3, [(2, 2, 1, 3, 2), (3, 2, 3, 3, 4)], {}, PHASE_TREE,
      "visits do not interleave the children subtours"),
+    # no certificate names copy 5, copy 4's tour neighbor
     (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], {}, PHASE_POP,
-     "no certificate for tour neighbor 5"),
+     "copy 4: rank neighborhood is not consistent with a spanning path"),
     # a lone node that claims n = 2 and holds no edge certificate (packed:
     # 01030a) owns no copy at all, so neither tour endpoint
     (2, [], {}, PHASE_TREE, "root does not own the tour endpoints"),
@@ -571,6 +573,7 @@ def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
     for c in (own, *view.values()):
         assert unpack_certificate(pack_certificate(c)) == c
     assert verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
+    assert oracle_verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
 
 
 @pytest.mark.parametrize("k", [3, 4])

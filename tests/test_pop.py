@@ -289,6 +289,13 @@ def test_tampered_rank_is_caught():
     assert any(code is not None for code in verdicts.values())
 
 
+def test_rank_outside_one_to_n_is_caught():
+    fan = build_graph(FAN)
+    certs = pop_prove(fan, PopWitness(order=(1, 2, 3, 4, 5)))
+    certs[5] = PopCertificate(n=5, rank=6, lo=4, hi=7)
+    assert pop_verify_all(fan, certs)[5] == REJECT_PATH_STRUCTURE
+
+
 def test_boundary_inheritance_reject_code():
     fan = build_graph(FAN)
     certs = pop_prove(fan, PopWitness(order=(1, 2, 3, 4, 5)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -377,6 +378,25 @@ def test_a_ring_that_does_not_match_its_neighbors_raises():
                 spanning_tree_dfs(g, bad, root)
             with pytest.raises(StructuralError):
                 induce_graph(g, bad, t, dfs_mapping(t))
+
+
+def test_a_tree_the_rotation_did_not_grow_raises():
+    # induce_graph meets each node's children in ring order.  A tree grown on
+    # the mirrored rotation meets them the other way round at a node with two
+    # children, and a child list that also names a node which is no child is
+    # never used up.
+    g = generate("grid", w=3, h=3)
+    rot = _embed(g)
+    mirror = type(rot)({v: ring[::-1] for v, ring in rot.rotation.items()})
+    t = spanning_tree_dfs(g, mirror, 2)
+    with pytest.raises(StructuralError, match="does not match its tree children"):
+        induce_graph(g, rot, t, dfs_mapping(t))
+    t = spanning_tree_dfs(g, rot, 2)
+    fm = dfs_mapping(t)
+    u = next(v for v, kids in t.children_order.items() if kids)
+    padded = replace(t, children_order={**t.children_order, u: (u,) + t.children_order[u]})
+    with pytest.raises(StructuralError, match="does not match its tree children"):
+        induce_graph(g, rot, padded, fm)
 
 
 # --- contraction round-trip ------------------------------------------------
