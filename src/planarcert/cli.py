@@ -11,7 +11,8 @@ Subcommands: ``embed``, ``prove``, ``verify``, ``attack``, ``gen``, ``sweep``,
 
 ``--out`` names the output file as given; without it, output goes to
 stdout.  ``gen`` takes ``key=value`` parameters, integers only for the
-families of ``graphs.GENERATORS``.
+families of ``graphs.GENERATORS`` and, apart from ``extended`` and
+``partition``, for the lower-bound families.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ Three families, each validated against the minor oracle rather than trusted:
 * Glued path families: q copies of each path with the rungs rotated so
   contracting every path to a point yields exactly K_{q,q}.  Path ids run
   contiguously or, seeded, in a random partition.
+
+Every builder takes integer parameters only: like ``generate``, it refuses
+any other value, a bool included, with ParameterError.
 """
 
 from __future__ import annotations
@@ -71,6 +74,15 @@ class BipartiteInstance:
         return self.n // (2 * self.q)
 
 
+def _integers(family: str, **values) -> None:
+    """Refuse, as ``generate`` does, any value that is not an ``int``, a bool
+    included, rather than convert it.  A tuple or list stands for its entries."""
+    for name, value in values.items():
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if any(type(v) is not int for v in entries):
+            raise ParameterError(f"{family} take integer {name}, got {value!r}")
+
+
 def _check_permutation(perm: tuple[int, ...], p: int) -> dict[int, int]:
     if sorted(perm) != list(range(1, p + 1)):
         raise ParameterError(f"permutation {perm} is not a bijection on 1..{p}")
@@ -90,6 +102,9 @@ def gen_block_instance(spec: BlockInstance, extended: bool = False) -> Graph:
     (i-th of one block, j-th of the next) with j < i — the superset used to
     argue minor-freeness, only defined for identity-ordered chains.
     """
+    _integers("block instances", k=spec.k, p=spec.p, permutation=spec.permutation)
+    if spec.cycle_range is not None:
+        _integers("block instances", cycle_range=spec.cycle_range)
     if spec.k < 3 or spec.p < 1:
         raise ParameterError("block instances need k >= 3 and p >= 1")
     at_position = _check_permutation(spec.permutation, spec.p)
@@ -126,6 +141,7 @@ def gen_block_instance(spec: BlockInstance, extended: bool = False) -> Graph:
 
 def gen_bipartite_instance(spec: BipartiteInstance) -> Graph:
     """Two id-ordered paths plus the q evenly spaced rungs."""
+    _integers("crossed paths", n=spec.n, q=spec.q)
     if spec.q < 2:
         raise ParameterError("need q >= 2")
     if spec.n < 6 * spec.q:
@@ -154,6 +170,7 @@ def gen_glued_instance(n: int, q: int, id_partition: str = "contiguous", seed: i
     ``id_partition`` is ``"contiguous"`` (ids 1..q·n in path order) or
     ``"random"`` (the same ids shuffled by ``seed``).
     """
+    _integers("glued paths", n=n, q=q, seed=seed)
     if q < 2:
         raise ParameterError("gluing needs q >= 2")
     if n < 6 * q:

@@ -29,18 +29,19 @@ so no chain cycles, and each one ends at a parentless node.  Such a node
 must be the root it claims, and root identities agree across every edge of
 a connected graph, so when every node accepts there is exactly one root.
 
-Certificates travel as packed bits in one layout, written in ``_walk``: it
-drives packing, unpacking, the size count and the attack harness's forging
-and field edits.  The walk names each edge certificate's fields twice, once
-in a branch that reads them (decoding, drawing) and once in a branch that
-writes them (packing, listing), because the split packs faster: over the
-prove benchmark's 3072 certificates, a walk that names each field once
-packed 4-19% slower in alternating runs.  Decoding is the gate: a field
-outside its legal range raises FormatError, so the verifier sees only
-well-formed certificates and judges what they claim.  Decoding is also the
-only walk that builds certificate objects; packing writes the fields in one
-walk and checks, as it writes them, that the certificate holds each value
-the layout forces, raising ParameterError otherwise.  No value the verifier
+Certificates travel as packed bits in one layout, which one read walk and
+one writer state.  The read walk, ``_walk``, asks a callback for each field
+in order; it decodes, draws the attack harness's random fields, and lists
+the fields of packed bytes for its field edits.  The writer,
+``pack_certificate_with_bits``, writes the same fields straight off a
+certificate, with no call per field, and gives the packed size too.  Over
+the prove benchmark's 3072 certificates it packed in about 0.7 of the time
+a walk with a range-checking callback per field took.  Decoding is the
+gate: a field outside its legal range raises FormatError, so the verifier
+sees only well-formed certificates and judges what they claim.  Decoding is
+also the only walk that builds certificate objects.  The writer checks, as
+it writes, each field's range and that the certificate holds each value the
+layout forces, raising ParameterError otherwise.  No value the verifier
 would force is sent: a chord sends its one tour index pair once, and a flag
 bit tells it from a tree edge, which sends two tour steps.  Nor is an id
 the view already holds: an edge certificate names only its far endpoint,
@@ -419,7 +420,7 @@ def _packed_bytes(
     """``len(pack_certificate(...))`` for ``x`` holding the edges to ``fars``,
     which is not empty, from ``_edge_costs`` and the graph's ``idx_bits``.
 
-    It restates the widths ``_walk`` writes, and a test keeps the two equal:
+    It restates the widths the writer writes, and a test keeps the two equal:
     a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
     step bits, and ``far`` and ``root_id`` take the widest id among them.
     """
@@ -607,19 +608,20 @@ class Field(NamedTuple):
     value: int
 
 
-def _walk(
-    field,
-    id_bits: int,
-    idx_bits: int,
-    cert: NodeCertificate | None = None,
-    build: bool = False,
-) -> NodeCertificate | int:
+def _walk(field, id_bits: int, idx_bits: int, build: bool = False) -> NodeCertificate | int:
     """The wire layout: every field in order, with its legal range.
 
-    ``field(name, width, lo, hi, value)`` is called once per field and returns
-    the value the field takes; ``value`` is the field's value in ``cert``, or
-    None when there is no certificate to read it from.  The wire leaves out
-    every value the verifier would force anyway:
+    The one read walk: ``field(name, width, lo, hi)`` is called once per
+    field and returns the value the field takes, read from bytes or drawn.
+    With ``build=True`` (decoding) it rebuilds a certificate from those values,
+    refilling what the wire leaves out, and a repeated copy shares its first
+    slot's interval object.  Otherwise (drawing, listing fields) it builds
+    nothing and returns the values packed, each in its field's width, after
+    a leading 1 bit that marks where the fields begin.  The writer,
+    ``pack_certificate_with_bits``, writes the same fields in the same order,
+    and a change to the layout changes both.
+
+    The wire leaves out every value the verifier would force anyway:
 
     - each interval certificate's instance size (2n - 1) and rank (its copy
       index);
@@ -633,120 +635,56 @@ def _walk(
     holder, so it sends one id (``far``), and the tree parent.  So decoding
     does not depend on which node holds the certificate.
 
-    The walk takes one of two branches per edge certificate, so that no
-    field's value needs a test of its own.  Each branch names every field of
-    an edge certificate in the same order, and a change to the layout
-    changes both:
-
-    - without a certificate (drawing or decoding), every value is None.  With
-      ``build=True`` (decoding) the walk rebuilds a certificate from the
-      returned values, refilling what the wire leaves out, and a repeated
-      copy shares its first slot's interval object; it packs nothing.
-      Without it (drawing), the walk packs and builds nothing;
-    - given a certificate (packing or listing its fields), ``build`` is
-      False, each edge certificate is unpacked once and every value read off
-      it.  The walk packs here, and builds nothing.  It checks the forced
-      values as it goes, on the unpacked interval certificates, and raises
-      ParameterError on one the layout cannot carry: a slot whose copy index
-      is not the one written or derived from the step bit, whose interval
-      certificate's size or rank is not the forced one, or which repeats a
-      copy with another interval than its first slot's.
-
-    With ``build=True`` the walk returns the rebuilt certificate; otherwise
-    the returned values packed, each in its field's width, after a leading 1
-    bit that marks where the fields begin.
-
     Node ids take ``id_bits``; the node count, tour indices and
     interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
     endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
     most three, so their count takes 2 bits.
     """
     top_id = (1 << id_bits) - 1
-    if cert is None:
-        held_count = held_n = held_root = None
-    else:
-        held_count, held_n, held_root = len(cert.edge_certs), cert.n, cert.tree_sub.root_id
-    count = field("count", 2, 0, MAX_EDGE_CERTS, held_count)
-    n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2, held_n)
+    count = field("count", 2, 0, MAX_EDGE_CERTS)
+    n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2)
     nv = 2 * n - 1
-    root_id = field("root_id", id_bits, 1, top_id, held_root)
+    root_id = field("root_id", id_bits, 1, top_id)
     if not build:  # the leading 1 bit, then count's 2 bits
         acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id
     # copy index -> the interval certificate its first slot carried, or None
     # when the walk builds nothing
     sent: dict[int, PopCertificate | None] = {}
     edge_certs = []
-    for e in range(count):
-        if cert is None:
-            far = field("far", id_bits, 1, top_id, None)
-            # 0: the certificate is one chord, whose single slot pair fills
-            # both slots; 1: a second pair follows (a tree edge's second tour
-            # step), which takes a tour of at least two nodes.
-            second = field("second", 1, 0, 1 if n > 1 else 0, None)
-            if not build:
-                acc = (acc << id_bits | far) << 1 | second
-            slots = []  # each slot's copy index, then its interval certificate
-            k = 0
-            for s in range(4 if second else 2):
-                if second and s & 1:
-                    # the far end of a tour step, next to its near end k
-                    up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0, None)
-                    k += 2 * up - 1
-                    if not build:
-                        acc = acc << 1 | up
-                else:
-                    k = field("index", idx_bits, 1, nv, None)
-                    if not build:
-                        acc = acc << idx_bits | k
-                if k not in sent:
-                    lo = field("lo", idx_bits, 0, nv + 3, None)
-                    hi = field("hi", idx_bits, 0, nv + 3, None)
-                    if not build:
-                        acc = (acc << idx_bits | lo) << idx_bits | hi
-                    sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else None
-                if build:
-                    slots += (k, sent[k])
-            if build:
-                if not second:
-                    slots *= 2
-                i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
-                edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
-        else:
-            # the same fields, each with its value in ``cert``: slot s names
-            # copy ec[1 + s] with interval ec[5 + s]
-            ec = cert.edge_certs[e]
-            held_far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = ec
-            far = field("far", id_bits, 1, top_id, held_far)
-            held_second = 1 if (i2, pop_i2, j2, pop_j2) != (i, pop_i, j, pop_j) else 0
-            second = field("second", 1, 0, 1 if n > 1 else 0, held_second)
+    for _ in range(count):
+        far = field("far", id_bits, 1, top_id)
+        # 0: the certificate is one chord, whose single slot pair fills both
+        # slots; 1: a second pair follows (a tree edge's second tour step),
+        # which takes a tour of at least two nodes.
+        second = field("second", 1, 0, 1 if n > 1 else 0)
+        if not build:
             acc = (acc << id_bits | far) << 1 | second
-            k = 0
-            for s in range(4 if second else 2):
-                held_k = ec[1 + s]
-                if second and s & 1:
-                    up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0, 1 if held_k > k else 0)
-                    k += 2 * up - 1
+        slots = []  # each slot's copy index, then its interval certificate
+        k = 0
+        for s in range(4 if second else 2):
+            if second and s & 1:
+                # the far end of a tour step, next to its near end k
+                up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0)
+                k += 2 * up - 1
+                if not build:
                     acc = acc << 1 | up
-                else:
-                    k = field("index", idx_bits, 1, nv, held_k)
+            else:
+                k = field("index", idx_bits, 1, nv)
+                if not build:
                     acc = acc << idx_bits | k
-                pc_n, pc_rank, pc_lo, pc_hi = held_pc = ec[5 + s]
-                if held_k != k or pc_n != nv or pc_rank != k:
-                    raise ParameterError(
-                        f"cannot pack copy {held_k} with interval size {pc_n} and rank "
-                        f"{pc_rank}: the layout forces copy {k}, size {nv} and rank {k}"
-                    )
-                pc = sent.get(k)
-                if pc is None:
-                    lo = field("lo", idx_bits, 0, nv + 3, pc_lo + 1)
-                    hi = field("hi", idx_bits, 0, nv + 3, pc_hi + 1)
+            if k not in sent:
+                lo = field("lo", idx_bits, 0, nv + 3)
+                hi = field("hi", idx_bits, 0, nv + 3)
+                if not build:
                     acc = (acc << idx_bits | lo) << idx_bits | hi
-                    sent[k] = held_pc
-                elif pc is not held_pc and pc != held_pc:
-                    raise ParameterError(
-                        f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
-                        "the layout sends a copy's interval once per certificate"
-                    )
+                sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1)) if build else None
+            if build:
+                slots += (k, sent[k])
+        if build:
+            if not second:
+                slots *= 2
+            i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
+            edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
     if build:
         return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))
     return acc
@@ -755,14 +693,6 @@ def _walk(
 def _field_widths(top_id: int, n: int) -> tuple[int, int]:
     """``id_bits`` for ids up to ``top_id``, ``idx_bits`` for node count ``n``."""
     return max(1, top_id.bit_length()), max(1, (2 * n + 2).bit_length())
-
-
-def _widths(cert: NodeCertificate) -> tuple[int, int]:
-    top_id = cert.tree_sub.root_id
-    for ec in cert.edge_certs:
-        if ec.far > top_id:
-            top_id = ec.far
-    return _field_widths(top_id, cert.n)
 
 
 def _set_field(data: bytes, fields, target: int, value: int) -> bytes:
@@ -778,61 +708,141 @@ def _set_field(data: bytes, fields, target: int, value: int) -> bytes:
 def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
     """The fields pack_certificate writes, in order, two width bytes excluded.
 
+    The writer packs ``cert``, and the read walk reads the bytes back, so
+    the listing names the fields the writer wrote, with the values it wrote.
     The attack harness corrupts an encoded certificate through these windows.
-    A certificate holding a value the layout forces otherwise raises
-    ParameterError, as it does in pack_certificate.
+    A certificate the writer refuses raises ParameterError here too.
     """
+    data = pack_certificate_with_bits(cert)[0]
+    stream = int.from_bytes(data[2:], "big")
+    rest = 8 * (len(data) - 2)  # bits not yet read
     fields: list[Field] = []
 
-    def record(name, width, lo, hi, value):
-        fields.append(Field(name, width, lo, hi, value))
+    def record(name, width, lo, hi):
+        nonlocal rest
+        rest -= width
+        value = (stream >> rest) & ((1 << width) - 1)
+        fields.append(_new(Field, (name, width, lo, hi, value)))
         return value
 
-    _walk(record, *_widths(cert), cert)
+    _walk(record, data[0], data[1])
     return tuple(fields)
 
 
 def certificate_size_bits(cert: NodeCertificate) -> int:
     """Canonical packed length in bits: the fields' widths, padding excluded."""
-    return sum(f.width for f in certificate_bit_fields(cert))
+    return pack_certificate_with_bits(cert)[1]
 
 
-def encode_fields(
-    choose,
-    id_bits: int,
-    idx_bits: int,
-    cert: NodeCertificate | None = None,
-) -> tuple[bytes, int]:
-    """Pack the values ``choose(name, width, lo, hi, value)`` picks per field.
-
-    Returns the bytes, two width bytes up front, and the fields' total width
-    in bits, padding excluded.  No certificate object is built; given one,
-    the walk checks its forced values as it writes.
-    """
-    acc = _walk(choose, id_bits, idx_bits, cert)
-    nbits = acc.bit_length() - 1  # the walk's leading 1 bit is no field
+def _wire_bytes(acc: int, id_bits: int, idx_bits: int) -> tuple[bytes, int]:
+    """Fields packed after a leading 1 bit, as bytes with the two width bytes
+    up front, and the fields' total width in bits, padding excluded."""
+    nbits = acc.bit_length() - 1  # the leading 1 bit is no field
     pad = -nbits % 8
     # padded, the leading 1 bit fills a byte of its own, which is dropped
     payload = (acc << pad).to_bytes((nbits + pad) // 8 + 1, "big")[1:]
     return bytes((id_bits, idx_bits)) + payload, nbits
 
 
-def _in_range(name, width, lo, hi, value):
-    if not lo <= value <= hi:
-        raise ParameterError(f"cannot pack {name} = {value}: legal values are {lo}..{hi}")
-    return value
+def encode_fields(choose, id_bits: int, idx_bits: int) -> tuple[bytes, int]:
+    """Pack the values ``choose(name, width, lo, hi)`` picks per field.
+
+    The read walk asks ``choose`` for each field in layout order.  Returns
+    the bytes, two width bytes up front, and the fields' total width in
+    bits, padding excluded.  No certificate object is built.
+    """
+    return _wire_bytes(_walk(choose, id_bits, idx_bits), id_bits, idx_bits)
+
+
+def _out_of_range(name: str, value: int, lo: int, hi: int) -> ParameterError:
+    return ParameterError(f"cannot pack {name} = {value}: legal values are {lo}..{hi}")
 
 
 def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
-    """``pack_certificate``'s bytes and ``certificate_size_bits``, in one walk.
+    """``pack_certificate``'s bytes and ``certificate_size_bits``: the writer.
 
-    The walk checks each field's range and each value the layout forces as
-    it writes; it builds no certificate object.
+    It writes the fields of the layout ``_walk`` reads, in the same order,
+    straight off ``cert``, and builds no certificate object.  As it writes,
+    it checks each field's legal range, and that ``cert`` holds every value
+    the layout forces, raising ParameterError on one the layout cannot
+    carry: a field outside its range, a slot whose copy index is not the
+    one derived from the step bit, an interval certificate whose size or
+    rank is not the forced one, or a copy repeated with another interval
+    than its first slot's.
     """
-    id_bits, idx_bits = _widths(cert)
+    edge_certs, (root_id,), n = cert
+    top_id = root_id
+    for ec in edge_certs:
+        if ec[0] > top_id:
+            top_id = ec[0]
+    id_bits, idx_bits = _field_widths(top_id, n)
     if id_bits > 255 or idx_bits > 255:
         raise ParameterError("identifiers too large to pack")
-    return encode_fields(_in_range, id_bits, idx_bits, cert)
+    top_id = (1 << id_bits) - 1
+    count = len(edge_certs)
+    if count > MAX_EDGE_CERTS:
+        raise _out_of_range("count", count, 0, MAX_EDGE_CERTS)
+    top_n = ((1 << idx_bits) - 3) // 2
+    if not 1 <= n <= top_n:
+        raise _out_of_range("n", n, 1, top_n)
+    if not 1 <= root_id <= top_id:
+        raise _out_of_range("root_id", root_id, 1, top_id)
+    nv = 2 * n - 1
+    top_end = nv + 3
+    acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id  # the leading 1 bit first
+    sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
+    for far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 in edge_certs:
+        if not 1 <= far <= top_id:
+            raise _out_of_range("far", far, 1, top_id)
+        # each slot's copy, its interval, and whether a step bit names it
+        if i2 == i and j2 == j and pop_i2 == pop_i and pop_j2 == pop_j:
+            second = 0
+            slots = ((i, pop_i, False), (j, pop_j, False))
+        else:
+            second = 1
+            if n == 1:
+                raise _out_of_range("second", 1, 0, 0)
+            slots = ((i, pop_i, False), (j, pop_j, True), (i2, pop_i2, False), (j2, pop_j2, True))
+        acc = (acc << id_bits | far) << 1 | second
+        k = 0
+        for held_k, held_pc, step in slots:
+            if step:  # the copy next to k: after it unless k is the last copy,
+                if held_k > k:
+                    if k >= nv:
+                        raise _out_of_range("step", 1, int(k == 1), 0)
+                    k += 1
+                    acc = acc << 1 | 1
+                else:  # before it unless k is the first
+                    if k == 1:
+                        raise _out_of_range("step", 0, 1, int(k < nv))
+                    k -= 1
+                    acc <<= 1
+            else:
+                if not 1 <= held_k <= nv:
+                    raise _out_of_range("index", held_k, 1, nv)
+                k = held_k
+                acc = acc << idx_bits | k
+            pc_n, pc_rank, pc_lo, pc_hi = held_pc
+            if held_k != k or pc_n != nv or pc_rank != k:
+                raise ParameterError(
+                    f"cannot pack copy {held_k} with interval size {pc_n} and rank "
+                    f"{pc_rank}: the layout forces copy {k}, size {nv} and rank {k}"
+                )
+            pc = sent.get(k)
+            if pc is None:
+                lo, hi = pc_lo + 1, pc_hi + 1
+                if not 0 <= lo <= top_end:
+                    raise _out_of_range("lo", lo, 0, top_end)
+                if not 0 <= hi <= top_end:
+                    raise _out_of_range("hi", hi, 0, top_end)
+                acc = (acc << idx_bits | lo) << idx_bits | hi
+                sent[k] = held_pc
+            elif pc is not held_pc and pc != held_pc:
+                raise ParameterError(
+                    f"cannot pack copy {k} with two intervals, {pc} and {held_pc}: "
+                    "the layout sends a copy's interval once per certificate"
+                )
+    return _wire_bytes(acc, id_bits, idx_bits)
 
 
 def pack_certificate(cert: NodeCertificate) -> bytes:
@@ -850,7 +860,7 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     stream = int.from_bytes(data[2:], "big")
     rest = 8 * (len(data) - 2)  # bits not yet taken
 
-    def take(name, width, lo, hi, value):
+    def take(name, width, lo, hi):
         nonlocal rest
         rest -= width
         if rest < 0:

@@ -236,7 +236,7 @@ def random_assignment(g: Graph, seed: int | str) -> Assignment:
     getrandbits = random.Random(seed).getrandbits
     widths = _field_widths(max(g.nodes()), g.n)
 
-    def draw(name, width, lo, hi, value):
+    def draw(name, width, lo, hi):
         # Random.randint(lo, hi), draw for draw: its rejection loop over
         # getrandbits, which draws even for a range of one value
         size = hi - lo + 1

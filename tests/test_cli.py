@@ -549,6 +549,15 @@ def test_gen_fallthrough_generator_with_seed(capsys):
         ["gen", "grid", "w=true", "h=2"],  # a size is an integer, not a flag
         ["gen", "blocks", "k=4", "p=3", "cycle=1"],  # a cycle range is two ids
         ["gen", "glued", "n=24", "q=2", "bogus=1"],  # a parameter glued does not take
+        ["gen", "blocks", "k=4", "p=true"],  # a block count is an integer, not a flag
+        ["gen", "blocks", "k=true", "p=3"],
+        ["gen", "blocks", "k=4", "p=3", "perm=true"],
+        ["gen", "blocks", "k=4", "p=3", "cycle=true:3"],
+        ["gen", "crossed", "n=true", "q=3"],
+        ["gen", "crossed", "n=22", "q=true"],
+        ["gen", "glued", "n=true", "q=2"],
+        ["gen", "glued", "n=24", "q=true"],
+        ["gen", "glued", "n=24", "q=2", "seed=true"],
     ],
 )
 def test_gen_bad_requests_are_parse_errors(argv, capsys):

@@ -135,6 +135,28 @@ def test_crossed_paths_structure_q2():
     assert g.m == (6 - 1) + (6 - 1) + 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_block_instance(BlockInstance.path(4, True)),
+        lambda: gen_block_instance(BlockInstance.path(4.0, 2)),
+        lambda: gen_block_instance(BlockInstance.path(4, 3, permutation=(True, 2, 3))),
+        lambda: gen_block_instance(BlockInstance.cycle(4, 3, True, 3)),
+        lambda: gen_bipartite_instance(BipartiteInstance(n=22.0, q=3)),
+        lambda: gen_bipartite_instance(BipartiteInstance(n=22, q="3")),
+        lambda: gen_glued_instance(24.0, 2),
+        lambda: gen_glued_instance(24, 2.0),
+        lambda: gen_glued_instance(18, 3, id_partition="random", seed=True),
+    ],
+    ids=["blocks p", "blocks k", "blocks perm", "blocks cycle", "crossed n", "crossed q",
+         "glued n", "glued q", "glued seed"],
+)
+def test_builders_refuse_values_that_are_not_integers(build):
+    # As generate does: a bool or a float is refused, not converted.
+    with pytest.raises(ParameterError, match="take integer"):
+        build()
+
+
 def test_crossed_paths_parameter_errors():
     with pytest.raises(ParameterError):
         gen_bipartite_instance(BipartiteInstance(n=17, q=3))  # n < 6q

@@ -26,11 +26,9 @@ from planarcert.pls import (
     _edge_costs,
     _field_widths,
     _held_edges,
-    _in_range,
     _packed_bytes,
     _set_field,
     _walk,
-    _widths,
     certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
@@ -734,9 +732,90 @@ def test_packed_bytes_are_pinned_at_the_benchmark_size():
         assert digest.hexdigest() == _PACKED_PINS_AT_SCALE[kind], kind
 
 
+#: sha256 of every ``certificate_bit_fields`` tuple (name, width, lo, hi,
+#: value), each as its repr, over the honest certificates at the benchmark's
+#: sizes (seed 101), in node order.
+_FIELD_LISTING_PIN = "12c5ba54a9ea1842"
+
+
+def test_field_listing_is_pinned_at_the_benchmark_size():
+    # Template edits write through these windows, so the listing read back
+    # from the packed bytes must name the fields, ranges and values that
+    # were written.
+    digest = hashlib.sha256()
+    for g in (
+        generate("grid", w=32, h=32),
+        generate("random_maximal_planar", n=1024, seed=101),
+        generate("tree", n=1024, seed=101),
+    ):
+        for x, cert in sorted(prove_planar(g).items()):
+            for f in certificate_bit_fields(cert):
+                assert type(f) is Field
+                digest.update(repr(tuple(f)).encode())
+    assert digest.hexdigest()[:16] == _FIELD_LISTING_PIN
+
+
 def test_pack_rejects_malformed():
     with pytest.raises(ParameterError):
         pack_certificate(NodeCertificate(edge_certs=(), tree_sub=TreeSub(0), n=2))
+
+
+def _chord(far: int, i: int, j: int, pop_i: PopCertificate, pop_j: PopCertificate) -> EdgeCertificate:
+    return EdgeCertificate(far, i, j, i, j, pop_i, pop_j, pop_i, pop_j)
+
+
+#: One certificate per check the writer makes, and the exact refusal: each
+#: field's range, in layout order, then each value the layout forces.  At
+#: n = 2 copies run 1..3 and stored interval ends 0..6.
+_REFUSALS = [
+    (NodeCertificate(tuple(_full_interval_edge(9, v, 1, 2, 1, 2) for v in (2, 3, 4, 5)), TreeSub(1), 5),
+     "cannot pack count = 4: legal values are 0..3"),
+    (NodeCertificate((), TreeSub(1), 0), "cannot pack n = 0: legal values are 1..0"),
+    (NodeCertificate((), TreeSub(0), 2), "cannot pack root_id = 0: legal values are 1..1"),
+    (NodeCertificate((_full_interval_edge(3, 0, 1, 2, 1, 2),), TreeSub(1), 2),
+     "cannot pack far = 0: legal values are 1..1"),
+    # a tree edge needs a tour of two nodes
+    (NodeCertificate((_full_interval_edge(1, 1, 1, 2, 3, 2),), TreeSub(1), 1),
+     "cannot pack second = 1: legal values are 0..0"),
+    # copy 1 cannot step down to copy 0
+    (NodeCertificate((_full_interval_edge(3, 2, 1, 0, 3, 2),), TreeSub(1), 2),
+     "cannot pack step = 0: legal values are 1..1"),
+    # nor copy 3 = 2n - 1 up to copy 4: the last tour step sets the step's range
+    (NodeCertificate((_full_interval_edge(3, 2, 1, 2, 3, 4),), TreeSub(1), 2),
+     "cannot pack step = 1: legal values are 0..0"),
+    (NodeCertificate((_full_interval_edge(3, 2, 4, 3, 4, 3),), TreeSub(1), 2),
+     "cannot pack index = 4: legal values are 1..3"),
+    (NodeCertificate((_chord(2, 1, 2, PopCertificate(3, 1, -2, 4), PopCertificate(3, 2, 0, 4)),), TreeSub(1), 2),
+     "cannot pack lo = -1: legal values are 0..6"),
+    (NodeCertificate((_chord(2, 1, 2, PopCertificate(3, 1, 0, 6), PopCertificate(3, 2, 0, 4)),), TreeSub(1), 2),
+     "cannot pack hi = 7: legal values are 0..6"),
+    (NodeCertificate((), TreeSub(2**255), 1), "identifiers too large to pack"),
+    # the step from copy 3 gives copy 4, not 5, whatever rank copy 5 claims
+    (NodeCertificate((_full_interval_edge(5, 2, 1, 2, 3, 5),), TreeSub(1), 3),
+     "cannot pack copy 5 with interval size 5 and rank 5: the layout forces copy 4, size 5 and rank 4"),
+    (NodeCertificate((_full_interval_edge(5, 2, 1, 2, 3, 5)._replace(pop_j2=PopCertificate(5, 4, 0, 6)),), TreeSub(1), 3),
+     "cannot pack copy 5 with interval size 5 and rank 4: the layout forces copy 4, size 5 and rank 4"),
+    (NodeCertificate((_chord(2, 1, 2, PopCertificate(4, 1, 0, 4), PopCertificate(3, 2, 0, 4)),), TreeSub(1), 2),
+     "cannot pack copy 1 with interval size 4 and rank 1: the layout forces copy 1, size 3 and rank 1"),
+    (NodeCertificate((_chord(2, 1, 2, PopCertificate(3, 1, 0, 4), PopCertificate(3, 3, 0, 4)),), TreeSub(1), 2),
+     "cannot pack copy 2 with interval size 3 and rank 3: the layout forces copy 2, size 3 and rank 2"),
+    (NodeCertificate((
+        _chord(2, 1, 2, PopCertificate(3, 1, 0, 4), PopCertificate(3, 2, 0, 4)),
+        _chord(3, 1, 3, PopCertificate(3, 1, 0, 3), PopCertificate(3, 3, 0, 4)),
+    ), TreeSub(1), 2),
+     "cannot pack copy 1 with two intervals, PopCertificate(n=3, rank=1, lo=0, hi=4) and "
+     "PopCertificate(n=3, rank=1, lo=0, hi=3): the layout sends a copy's interval once per certificate"),
+]
+
+
+@pytest.mark.parametrize("cert, refusal", _REFUSALS, ids=[r for _, r in _REFUSALS])
+def test_pack_refusals_are_pinned(cert, refusal):
+    # Packing, sizing and listing fields all write the certificate, so each
+    # refuses it with the same text.
+    for write in (pack_certificate, certificate_size_bits, certificate_bit_fields):
+        with pytest.raises(ParameterError) as refused:
+            write(cert)
+        assert str(refused.value) == refusal
 
 
 def test_unpack_rejects_truncation_and_trailing_junk():
@@ -815,6 +894,16 @@ def test_unpack_refills_forced_values():
                 assert ec.bindings()[2:] == ec.bindings()[:2]
 
 
+def _in_range(name, width, lo, hi, value):
+    if not lo <= value <= hi:
+        raise ParameterError(f"cannot pack {name} = {value}: legal values are {lo}..{hi}")
+    return value
+
+
+def _widths(cert: NodeCertificate) -> tuple[int, int]:
+    return _field_widths(max([cert.tree_sub.root_id] + [ec.far for ec in cert.edge_certs]), cert.n)
+
+
 def _old_pack_refuses(cert: NodeCertificate) -> bool:
     """Reference check: write each field the layout reads off ``cert``, each
     in its legal range and a copy's interval with its first slot only, decode
@@ -839,7 +928,7 @@ def _old_pack_refuses(cert: NodeCertificate) -> bool:
     feed = iter(values)
     try:
         rebuilt = _walk(
-            lambda name, width, lo, hi, value: _in_range(name, width, lo, hi, next(feed)),
+            lambda name, width, lo, hi: _in_range(name, width, lo, hi, next(feed)),
             *_widths(cert),
             build=True,
         )
@@ -933,7 +1022,7 @@ def test_pack_refuses_values_the_layout_forces():
         assert digest.hexdigest()[:16] == _PACKED_PINS[kind], kind
     assert outcomes == {True, False}
     assert repeats > 0
-    # Sizing walks the same layout, so it refuses a forced value too.
+    # Sizing and listing fields run the writer, so they refuse a forced value too.
     cert = next(c for c in prove_planar(graphs["complete"]).values() if c.edge_certs)
     ec = cert.edge_certs[0]
     bad_ec = ec._replace(pop_i=ec.pop_i._replace(n=ec.pop_i.n + 1))

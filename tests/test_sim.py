@@ -197,7 +197,7 @@ def test_random_assignment_draws_as_randint_does(monkeypatch):
             calls.clear()
             rng = Logged(seed)
 
-            def randint(name, width, lo, hi, value):
+            def randint(name, width, lo, hi):
                 ranges.add((lo, hi))
                 return rng.randint(lo, hi)
 
