@@ -10,15 +10,19 @@ Subcommands: ``embed``, ``prove``, ``verify``, ``attack``, ``gen``, ``sweep``,
     65  certificate file does not match the graph
 
 ``--out`` names the output file as given; without it, output goes to
-stdout.  ``gen`` takes ``key=value`` parameters, integers only for the
-families of ``graphs.GENERATORS`` and, apart from ``extended`` and
-``partition``, for the lower-bound families.
+stdout.  ``gen`` reads each ``key=value`` by the kind its family declares:
+an integer (every parameter of the ``graphs.GENERATORS`` families, and
+``seed``), ids separated by ``:`` or ``,`` (``perm``; ``cycle`` takes two),
+a flag ``true``/``false``/``1``/``0`` (``extended``) or a word
+(``partition``).  An unknown or repeated key, a value its kind cannot read
+and a missing required parameter each exit 64, naming it and the typed text.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .embedding import NonPlanarWitness, RotationSystem, canonical_rotation, planar_embed
@@ -142,100 +146,96 @@ def _cmd_attack(args) -> int:
     g, _ = parse_graph(_read(args.graph))
     summary = attack(g, trials=args.trials, seed=args.seed)
     text = attack_to_csv(summary) if args.format == "csv" else attack_report(summary)
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text)
     print(f"accepted: {summary.total_accepts}")
     return EXIT_ACCEPT
 
 
-def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    if ":" in value or "," in value:
-        sep = ":" if ":" in value else ","
-        try:
-            return tuple(int(t) for t in value.split(sep))
-        except ValueError:
-            pass
-    return value
+def _ids(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(":" if ":" in text else ","))
 
 
-def _parse_params(pairs: list[str]) -> dict[str, object]:
+def _two_ids(text: str) -> tuple[int, int]:
+    lo, hi = _ids(text)  # ValueError unless there are two
+    return lo, hi
+
+
+def _flag(text: str) -> bool:
+    return {"true": True, "1": True, "false": False, "0": False}[text.lower()]
+
+
+# A reader: what the typed text must be, as refusals name it, and the function
+# that reads it, which raises ValueError or KeyError on any other text.
+_INTEGER = ("an integer", int)
+_IDS = ("ids separated by ':' or ','", _ids)
+_TWO_IDS = ("two ids separated by ':' or ','", _two_ids)
+_FLAG = ("true, false, 1 or 0", _flag)
+_WORD = ("a word", str)
+
+
+def _blocks(k, p, perm=None, cycle=None, extended=False) -> Graph:
+    return gen_block_instance(BlockInstance(k, p, perm or tuple(range(1, p + 1)), cycle), extended)
+
+
+#: Each ``gen`` family's builder and, per parameter, its reader and whether it
+#: is required.  A family is seeded iff it lists ``seed``.
+_FAMILIES = {
+    **{
+        kind: (partial(generate, kind), {name: (_INTEGER, True) for name in names})
+        for kind, (_, names) in GENERATORS.items()
+    },
+    "blocks": (_blocks, {"k": (_INTEGER, True), "p": (_INTEGER, True), "perm": (_IDS, False),
+                         "cycle": (_TWO_IDS, False), "extended": (_FLAG, False)}),
+    "crossed": (lambda n, q: gen_bipartite_instance(BipartiteInstance(n, q)),
+                {"n": (_INTEGER, True), "q": (_INTEGER, True)}),
+    "glued": (lambda n, q, seed, partition="contiguous": gen_glued_instance(n, q, partition, seed),
+              {"n": (_INTEGER, True), "q": (_INTEGER, True), "partition": (_WORD, False),
+               "seed": (_INTEGER, True)}),
+}
+
+
+def _parse_params(family: str, pairs: list[str]) -> dict[str, object]:
+    """Read each ``key=value`` of ``pairs`` with the reader ``family`` gives ``key``."""
+    takes = _FAMILIES[family][1]
     params: dict[str, object] = {}
     for pair in pairs:
-        key, eq, value = pair.partition("=")
+        key, eq, text = pair.partition("=")
         if not eq or not key:
             raise _UsageError(f"parameters look like key=value, got {pair!r}")
+        if key not in takes:
+            raise _UsageError(f"{family} takes {', '.join(takes) or 'no parameter'}, got {pair!r}")
         if key in params:
-            raise _UsageError(f"duplicate parameter {key!r}")
-        params[key] = _coerce(value)
+            raise _UsageError(f"duplicate parameter {key!r} in {pair!r}")
+        (kind, read), _ = takes[key]
+        try:
+            params[key] = read(text)
+        except (KeyError, ValueError):
+            raise _UsageError(f"{key} takes {kind}, got {text!r}") from None
     return params
 
 
-def _gen_graph(construction: str, params: dict[str, object], seed: int) -> Graph:
-    p = dict(params)
-    if construction == "blocks":
-        extended = p.pop("extended", False)
-        if extended not in (True, False):  # _coerce makes true/false bools, 1/0 ints
-            raise _UsageError(f"extended takes true, false, 1 or 0, got {extended!r}")
-        k, blocks = p.pop("k"), p.pop("p")
-        spec = BlockInstance(
-            k=k,
-            p=blocks,
-            permutation=tuple(p.pop("perm", range(1, blocks + 1))),
-            cycle_range=p.pop("cycle", None),
-        )
-        if p:
-            raise _UsageError(f"unknown blocks parameters {sorted(p)}")
-        return gen_block_instance(spec, extended=bool(extended))
-    if construction == "crossed":
-        spec = BipartiteInstance(n=p.pop("n"), q=p.pop("q"))
-        if p:
-            raise _UsageError(f"unknown crossed parameters {sorted(p)}")
-        return gen_bipartite_instance(spec)
-    if construction == "glued":
-        n, q = p.pop("n"), p.pop("q")
-        partition = p.pop("partition", "contiguous")
-        seed = p.pop("seed", seed)
-        if p:
-            raise _UsageError(f"unknown glued parameters {sorted(p)}")
-        return gen_glued_instance(n, q, id_partition=partition, seed=seed)
-    if _takes_seed(construction):
-        p.setdefault("seed", seed)
-    return generate(construction, **p)
-
-
-def _takes_seed(construction: str) -> bool:
-    return construction == "glued" or (
-        construction in GENERATORS and "seed" in GENERATORS[construction][1]
-    )
-
-
 def _cmd_gen(args) -> int:
-    params = _parse_params(args.params)
+    family = args.construction
+    if family not in _FAMILIES:
+        raise _UsageError(f"unknown family {family!r}; gen builds {', '.join(_FAMILIES)}")
+    build, takes = _FAMILIES[family]
+    params = _parse_params(family, args.params)
     # A typed seed= and --seed give one value two ways: they must agree, and
     # the header of a randomized family names it once, as its last token.
-    seed = params.get("seed", 0 if args.seed is None else args.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise _UsageError(f"seed must be an integer, got {seed!r}")
-    if args.seed is not None and seed != args.seed:
-        raise _UsageError(f"seed={seed} disagrees with --seed {args.seed}")
-    if args.seed is not None and not _takes_seed(args.construction):
-        raise _UsageError(f"generator '{args.construction}' takes no seed")
-    try:
-        g = _gen_graph(args.construction, params, seed)
-    except KeyError as exc:
-        raise _UsageError(f"missing required parameter {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise _UsageError(str(exc)) from None
     typed = [t for t in args.params if t.partition("=")[0] != "seed"]
-    if _takes_seed(args.construction):
+    if "seed" in takes:
+        seed = params.setdefault("seed", 0 if args.seed is None else args.seed)
+        if args.seed is not None and seed != args.seed:
+            raise _UsageError(f"seed={seed} disagrees with --seed {args.seed}")
         typed.append(f"seed={seed}")
-    header = " ".join(["# gen", args.construction, *typed])
-    _emit(header + "\n" + write_graph(g), args.out)
+    elif args.seed is not None:
+        raise _UsageError(f"generator '{family}' takes no seed")
+    for name, (_, required) in takes.items():
+        if required and name not in params:
+            request = " ".join([family, *args.params])
+            raise _UsageError(f"missing required parameter {name!r} in {request!r}")
+    header = " ".join(["# gen", family, *typed])
+    _emit(header + "\n" + write_graph(build(**params)), args.out)
     return EXIT_ACCEPT
 
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 from .errors import ParameterError
 from .graphs import Graph, build_graph, contract_edges, generate, relabel
-from .minors import DEFAULT_CAP, has_biclique_minor, has_clique_minor
+from .minors import has_biclique_minor, has_clique_minor
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,8 @@ def gen_block_instance(spec: BlockInstance, extended: bool = False) -> Graph:
     _integers("block instances", k=spec.k, p=spec.p, permutation=spec.permutation)
     if spec.cycle_range is not None:
         _integers("block instances", cycle_range=spec.cycle_range)
+        if not isinstance(spec.cycle_range, (tuple, list)) or len(spec.cycle_range) != 2:
+            raise ParameterError(f"a cycle range is two integers, got {spec.cycle_range!r}")
     if spec.k < 3 or spec.p < 1:
         raise ParameterError("block instances need k >= 3 and p >= 1")
     at_position = _check_permutation(spec.permutation, spec.p)
@@ -236,12 +238,6 @@ def _nontrivial_permutation(p: int) -> tuple[int, ...]:
     return (2, 1) + tuple(range(3, p + 1))
 
 
-#: The minor oracle's node cap for the claims: twice the oracle's default,
-#: as the largest instance ``oracle-check`` checks, the glued paths at q = 3,
-#: has 66 nodes.
-CLAIM_CAP = 2 * DEFAULT_CAP
-
-
 def validate_lowerbound_claims(
     k_range: Sequence[int],
     p_range: Sequence[int],
@@ -262,7 +258,7 @@ def validate_lowerbound_claims(
                         "block-chain",
                         f"k={k}, p={p}, perm={perm}",
                         f"no K_{k} minor",
-                        not has_clique_minor(g, k, cap=CLAIM_CAP),
+                        not has_clique_minor(g, k),
                     )
                 )
                 if p >= 2:
@@ -272,7 +268,7 @@ def validate_lowerbound_claims(
                             "block-cycle",
                             f"k={k}, p={p}, perm={perm}",
                             f"contains a K_{k} minor",
-                            has_clique_minor(c, k, cap=CLAIM_CAP),
+                            has_clique_minor(c, k),
                         )
                     )
     for q in q_range:
@@ -283,13 +279,11 @@ def validate_lowerbound_claims(
                 "crossed-paths",
                 f"n={n}, q={q}",
                 "no K_{2,3} minor (outerplanar)",
-                not has_biclique_minor(g, 2, 3, cap=CLAIM_CAP),
+                not has_biclique_minor(g, 2, 3),
             )
         )
         j = gen_glued_instance(n, q)
-        ok = has_biclique_minor(j, q, q, cap=CLAIM_CAP) and glued_contracts_to_biclique(
-            j, n, q
-        )
+        ok = has_biclique_minor(j, q, q) and glued_contracts_to_biclique(j, n, q)
         checks.append(
             ClaimCheck(
                 "glued-paths",

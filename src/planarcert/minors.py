@@ -11,9 +11,9 @@ that are 2- or 3-connected — splits along cut vertices and 2-separators. The
 search then only ever runs on the highly connected pieces, which keeps
 negative answers affordable on chain- and grid-like inputs.
 
-Intended for validation work on small instances (default cap: 40 nodes);
-positive instances usually resolve quickly, negative ones pay for the full
-search tree of each piece.
+Intended for validation work on small instances (at most ``NODE_CAP``
+nodes); positive instances usually resolve quickly, negative ones pay for
+the full search tree of each piece.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from .errors import ParameterError, ResourceError
 from .graphs import Graph
 
-DEFAULT_CAP = 40
+#: The oracle refuses graphs on more nodes.  The largest instance the
+#: lower-bound claims check, the glued paths at q = 3, has 66.
+NODE_CAP = 80
 _MEMO_LIMIT = 2_000_000
 
 
@@ -357,12 +359,12 @@ def _adj_dict(g: Graph) -> dict[int, set[int]]:
     return {u: set(g.neighbors(u)) for u in g.nodes()}
 
 
-def has_clique_minor(g: Graph, k: int, cap: int = DEFAULT_CAP) -> bool:
+def has_clique_minor(g: Graph, k: int) -> bool:
     """True iff K_k is a minor of g. Exponential search; see module docstring."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    if g.n > cap:
-        raise ResourceError(f"graph has {g.n} nodes, above the cap {cap}")
+    if g.n > NODE_CAP:
+        raise ResourceError(f"graph has {g.n} nodes, above the cap {NODE_CAP}")
     if k == 1:
         return g.n >= 1
     if k == 2:
@@ -372,12 +374,12 @@ def has_clique_minor(g: Graph, k: int, cap: int = DEFAULT_CAP) -> bool:
     return _decide(_adj_dict(g), ("clique", k))
 
 
-def has_biclique_minor(g: Graph, p: int, q: int, cap: int = DEFAULT_CAP) -> bool:
+def has_biclique_minor(g: Graph, p: int, q: int) -> bool:
     """True iff K_{p,q} is a minor of g."""
     if p < 1 or q < 1:
         raise ParameterError("p and q must be >= 1")
-    if g.n > cap:
-        raise ResourceError(f"graph has {g.n} nodes, above the cap {cap}")
+    if g.n > NODE_CAP:
+        raise ResourceError(f"graph has {g.n} nodes, above the cap {NODE_CAP}")
     if p == 1 and q == 1:
         return g.m >= 1
     if g.n < p + q:
@@ -397,13 +399,13 @@ def parse_minor_spec(spec: str) -> tuple:
     return ("clique", int(body))
 
 
-def minor_contains(g: Graph, h, cap: int = DEFAULT_CAP) -> bool:
+def minor_contains(g: Graph, h) -> bool:
     """Decide whether ``h`` (a spec like "K5"/"K3,3" or a parsed tuple) is a minor of g."""
     if isinstance(h, str):
         h = parse_minor_spec(h)
     kind = h[0]
     if kind == "clique":
-        return has_clique_minor(g, h[1], cap=cap)
+        return has_clique_minor(g, h[1])
     if kind == "biclique":
-        return has_biclique_minor(g, h[1], h[2], cap=cap)
+        return has_biclique_minor(g, h[1], h[2])
     raise ParameterError(f"unknown minor kind {kind!r}")

@@ -56,7 +56,8 @@ _REPLAY_POOL = 200  # distinct replay donors per campaign
 
 @dataclass(frozen=True)
 class Origin:
-    """Provenance of a certificate assignment (the control-arm audit trail)."""
+    """Where a certificate assignment came from: the honest prover, random
+    draws, edits of a template, or outside the prover (a file, a replay)."""
 
     kind: str  # honest | random | mutated | external
     base: str | None = None

@@ -488,6 +488,13 @@ def test_gen_block_cycle_and_permutation(capsys):
     assert g.n == 9  # three ordinary blocks of k-1 nodes
 
 
+def test_gen_reads_a_single_id_as_a_permutation(capsys):
+    assert main(["gen", "blocks", "k=4", "p=1", "perm=1"]) == 0
+    body = capsys.readouterr().out.split("\n", 1)[1]
+    assert main(["gen", "blocks", "k=4", "p=1"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[1] == body
+
+
 def test_gen_crossed_and_glued(capsys):
     assert main(["gen", "crossed", "n=22", "q=3"]) == 0
     g, _ = parse_graph(capsys.readouterr().out)
@@ -515,7 +522,7 @@ def test_gen_header_reads_back_as_the_typed_parameters(params, capsys):
     if params[0] == "glued":  # the only randomized family of the three
         assert typed.pop() == "seed=5"
     assert not any(t.startswith("seed=") for t in typed)
-    assert _parse_params(typed) == _parse_params(params[1:])
+    assert _parse_params(params[0], typed) == _parse_params(params[0], params[1:])
     assert main(["gen", params[0], *typed, *seed]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first
 
@@ -528,41 +535,50 @@ def test_gen_fallthrough_generator_with_seed(capsys):
     assert (g.n, g.m) == (10, 3 * 10 - 6)
 
 
+_BAD_GEN_REQUESTS = [  # each request, and what its refusal must name
+    (["gen", "blocks", "k=4"], "missing required parameter 'p' in 'blocks k=4'"),
+    (["gen", "blocks", "k=4", "p=3", "bogus=1"], "blocks takes k, p, perm, cycle, extended, got 'bogus=1'"),
+    (["gen", "blocks", "k=4", "p=3", "k=5"], "duplicate parameter 'k' in 'k=5'"),
+    (["gen", "blocks", "k=4", "p=3", "shape"], "key=value, got 'shape'"),
+    (["gen", "nosuchfamily", "n=4"], "unknown family 'nosuchfamily'"),
+    (["gen", "blocks", "k=2", "p=3"], "k >= 3"),  # module precondition
+    # no argv can name a base graph
+    (["gen", "subdivided", "base=x", "steps=1"], "unknown family 'subdivided'"),
+    (["gen", "grid", "w=2", "h=2", "typo=5"], "grid takes w, h, got 'typo=5'"),
+    (["gen", "grid", "w=2", "h=2", "seed=1"], "grid takes w, h, got 'seed=1'"),  # not randomized
+    (["gen", "crossed", "n=22", "p=2", "q=3"], "crossed takes n, q, got 'p=2'"),
+    # cycle= alone decides the shape
+    (["gen", "blocks", "k=4", "p=3", "shape=cycle", "cycle=1:3"], "got 'shape=cycle'"),
+    (["gen", "blocks", "k=4", "p=2", "extended=no"], "extended takes true, false, 1 or 0, got 'no'"),
+    (["gen", "tree", "n=5", "seed=3", "--seed", "4"], "seed=3 disagrees with --seed 4"),
+    (["gen", "tree", "n=5", "seed=x"], "seed takes an integer, got 'x'"),
+    (["gen", "grid", "w=2", "h=2", "--seed", "3"], "generator 'grid' takes no seed"),
+    (["gen", "grid", "w=true", "h=2"], "w takes an integer, got 'true'"),
+    (["gen", "blocks", "k=4", "p=3", "cycle=1"], "cycle takes two ids separated by ':' or ',', got '1'"),
+    (["gen", "glued", "n=24", "q=2", "bogus=1"], "glued takes n, q, partition, seed, got 'bogus=1'"),
+    (["gen", "blocks", "k=4", "p=true"], "p takes an integer, got 'true'"),
+    (["gen", "blocks", "k=true", "p=3"], "k takes an integer, got 'true'"),
+    (["gen", "blocks", "k=4", "p=3", "perm=true"], "perm takes ids separated by ':' or ',', got 'true'"),
+    (["gen", "blocks", "k=4", "p=3", "cycle=true:3"], "cycle takes two ids separated by ':' or ',', got 'true:3'"),
+    (["gen", "crossed", "n=true", "q=3"], "n takes an integer, got 'true'"),
+    (["gen", "crossed", "n=22", "q=true"], "q takes an integer, got 'true'"),
+    (["gen", "glued", "n=true", "q=2"], "n takes an integer, got 'true'"),
+    (["gen", "glued", "n=24", "q=true"], "q takes an integer, got 'true'"),
+    (["gen", "glued", "n=24", "q=2", "seed=true"], "seed takes an integer, got 'true'"),
+    (["gen", "blocks", "k=4", "p=3", "cycle=1:2:3"], "cycle takes two ids separated by ':' or ',', got '1:2:3'"),
+    (["gen", "blocks", "k=4", "p=3", "perm=1:true:3"], "perm takes ids separated by ':' or ',', got '1:true:3'"),
+    (["gen", "blocks", "k=4", "p=2", "extended=01"], "extended takes true, false, 1 or 0, got '01'"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "blocks", "k=4"],  # missing p
-        ["gen", "blocks", "k=4", "p=3", "bogus=1"],
-        ["gen", "blocks", "k=4", "p=3", "k=5"],  # duplicate key
-        ["gen", "blocks", "k=4", "p=3", "shape"],  # not key=value
-        ["gen", "nosuchfamily", "n=4"],
-        ["gen", "blocks", "k=2", "p=3"],  # module precondition
-        ["gen", "subdivided", "base=x", "steps=1"],  # no argv can name a base graph
-        ["gen", "grid", "w=2", "h=2", "typo=5"],  # a parameter the kind does not take
-        ["gen", "grid", "w=2", "h=2", "seed=1"],  # grid is not randomized
-        ["gen", "crossed", "n=22", "p=2", "q=3"],  # p never shaped the graph
-        ["gen", "blocks", "k=4", "p=3", "shape=cycle", "cycle=1:3"],  # cycle= alone decides
-        ["gen", "blocks", "k=4", "p=2", "extended=no"],  # not a flag value
-        ["gen", "tree", "n=5", "seed=3", "--seed", "4"],  # two seeds that disagree
-        ["gen", "tree", "n=5", "seed=x"],  # a seed is an integer
-        ["gen", "grid", "w=2", "h=2", "--seed", "3"],  # nor through --seed
-        ["gen", "grid", "w=true", "h=2"],  # a size is an integer, not a flag
-        ["gen", "blocks", "k=4", "p=3", "cycle=1"],  # a cycle range is two ids
-        ["gen", "glued", "n=24", "q=2", "bogus=1"],  # a parameter glued does not take
-        ["gen", "blocks", "k=4", "p=true"],  # a block count is an integer, not a flag
-        ["gen", "blocks", "k=true", "p=3"],
-        ["gen", "blocks", "k=4", "p=3", "perm=true"],
-        ["gen", "blocks", "k=4", "p=3", "cycle=true:3"],
-        ["gen", "crossed", "n=true", "q=3"],
-        ["gen", "crossed", "n=22", "q=true"],
-        ["gen", "glued", "n=true", "q=2"],
-        ["gen", "glued", "n=24", "q=true"],
-        ["gen", "glued", "n=24", "q=2", "seed=true"],
-    ],
+    "argv, named", _BAD_GEN_REQUESTS, ids=[f"argv{i}" for i in range(len(_BAD_GEN_REQUESTS))]
 )
-def test_gen_bad_requests_are_parse_errors(argv, capsys):
+def test_gen_bad_requests_are_parse_errors(argv, named, capsys):
     assert main(argv) == 64
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
 
 
 def test_gen_extended_takes_only_flag_values(capsys):

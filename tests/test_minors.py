@@ -192,10 +192,9 @@ def test_monotone_under_edge_addition():
 
 
 def test_cap_enforced():
-    g = generate("grid", w=7, h=7)
     with pytest.raises(ResourceError):
-        has_clique_minor(g, 3, cap=40)
-    assert has_clique_minor(g, 3, cap=49)
+        has_clique_minor(generate("grid", w=9, h=9), 3)  # 81 nodes
+    assert has_clique_minor(generate("grid", w=8, h=10), 3)  # 80, at the cap
 
 
 def test_parse_minor_spec():

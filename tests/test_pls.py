@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import math
 from bisect import insort
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +34,14 @@ from planarcert.pls import (
     certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
+    pack_certificate_with_bits,
     prove_planar,
     unpack_certificate,
     verify_node_planarity,
 )
-from planarcert.embedding import planar_embed
+from planarcert.cli import main as cli_main
+from planarcert.embedding import RotationSystem, planar_embed
+from planarcert.formats import parse_graph
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
 from planarcert.sim import planarity_verifier
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
@@ -663,6 +668,54 @@ def test_size_grows_logarithmically_on_grids():
         ratios.append(worst / math.log2(g.n))
     assert ratios == sorted(ratios, reverse=True), "bits per log2(n) crept up"
     assert ratios[0] <= 75
+
+
+def _worst_share_of_closed_form(g) -> float:
+    """The largest packed field count among ``g``'s honest certificates, over
+    the layout's closed-form ceiling at the certificate's own widths: a node
+    holding three tree edges, each with four new copies, takes
+    11 + 31·idx_bits + 4·id_bits field bits."""
+    worst = 0.0
+    for cert in prove_planar(g).values():
+        data, bits = pack_certificate_with_bits(cert)
+        id_bits, idx_bits = data[0], data[1]
+        closed_form = 11 + 31 * idx_bits + 4 * id_bits
+        assert bits <= closed_form, (cert, bits, closed_form)
+        worst = max(worst, bits / closed_form)
+    return worst
+
+
+def _build_corpus_instances():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.instances())
+
+
+def test_build_corpus_certificates_stay_within_the_closed_form(tmp_path):
+    planar = 0
+    for stem, tokens in _build_corpus_instances():
+        path = tmp_path / f"{stem}.txt"
+        assert cli_main(["gen", *tokens.split(), "--out", str(path)]) == 0
+        g, _ = parse_graph(path.read_text())
+        if isinstance(planar_embed(g), RotationSystem):
+            planar += 1
+            assert _worst_share_of_closed_form(g) <= 1
+    assert planar >= 19  # every corpus file but the five non-planar ones
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("grid", {"w": 32, "h": 32}), ("grid", {"w": 64, "h": 64})]
+    + [
+        (kind, {"n": n, "seed": seed})
+        for kind in ("random_maximal_planar", "tree")
+        for n, seed in ((1024, 0), (4096, 0), (1024, 101))  # 101: the pinned benchmark graphs
+    ],
+)
+def test_certificates_stay_within_the_closed_form_at_scale(kind, params):
+    assert _worst_share_of_closed_form(generate(kind, **params)) <= 1
 
 
 # --- packing -----------------------------------------------------------------
