@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import itertools
 import math
+import random
 from bisect import insort
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from planarcert.pls import (
     _held_edges,
     _packed_bytes,
     _set_field,
-    _walk,
+    _wire_bytes,
     certificate_bit_fields,
     certificate_size_bits,
     pack_certificate,
@@ -43,8 +44,9 @@ from planarcert.cli import main as cli_main
 from planarcert.embedding import RotationSystem, planar_embed
 from planarcert.formats import parse_graph
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
-from planarcert.sim import planarity_verifier
+from planarcert.sim import planarity_verifier, random_assignment
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
+from reference_decoder import reference_unpack, reference_walk
 from verdict_oracle import oracle_verify_node_planarity
 
 
@@ -887,6 +889,66 @@ def test_unpack_rejects_zero_widths():
         unpack_certificate(b"\x00\x04\x00\x00")
 
 
+def _wire(id_bits: int, idx_bits: int, *fields: tuple[int, int]) -> bytes:
+    """The two width bytes, then ``fields``, (value, width) pairs in layout
+    order, padded with zero bits to a byte: a field the padding cannot hold
+    reads as truncated."""
+    acc = 1  # the leading 1 bit that _wire_bytes drops
+    for value, width in fields:
+        acc = acc << width | value
+    return _wire_bytes(acc, id_bits, idx_bits)[0]
+
+
+#: One byte string per check the reader makes, and the exact refusal, in
+#: layout order: length and widths, then per field its truncation and its
+#: range, then trailing data.  Most use 2-bit ids and 3-bit indices, where n
+#: runs 1..2, ids 1..3, and at n = 2 copies 1..3 and stored interval ends
+#: 0..6.  The chord (far 1, 2) and tree edge (far 2, 2) prefixes below give
+#: count 1, n 2 and root 1.
+_CHORD = ((1, 2), (2, 3), (1, 2), (2, 2), (0, 1))
+_TREE = ((1, 2), (2, 3), (1, 2), (2, 2), (1, 1))
+_UNPACK_REFUSALS = [
+    (b"\x02\x03", "certificate bytes too short"),
+    (b"\x00\x03\x00", "implausible field widths"),
+    (b"\x02\x00\x00", "implausible field widths"),
+    (_wire(2, 7, (0, 2)), "certificate bitstream is truncated"),  # at n
+    (_wire(2, 3, (0, 2), (0, 3)), "n = 0 is outside 1..2"),
+    (_wire(2, 3, (0, 2), (3, 3)), "n = 3 is outside 1..2"),
+    (_wire(7, 3, (0, 2), (1, 3)), "certificate bitstream is truncated"),  # at root_id
+    (_wire(2, 3, (0, 2), (2, 3), (0, 2)), "root_id = 0 is outside 1..3"),
+    (_wire(2, 3, (1, 2), (2, 3), (1, 2)), "certificate bitstream is truncated"),  # at far
+    (_wire(2, 3, (1, 2), (2, 3), (1, 2), (0, 2)), "far = 0 is outside 1..3"),
+    (_wire(1, 4, (1, 2), (2, 4), (1, 1), (1, 1)), "certificate bitstream is truncated"),  # at second
+    # a tree edge needs a tour of two nodes
+    (_wire(2, 3, (1, 2), (1, 3), (1, 2), (2, 2), (1, 1)), "second = 1 is outside 0..0"),
+    (_wire(2, 7, (1, 2), (2, 7), (1, 2), (2, 2), (0, 1)), "certificate bitstream is truncated"),  # at index
+    (_wire(2, 3, *_CHORD, (0, 3)), "index = 0 is outside 1..3"),
+    (_wire(2, 3, *_CHORD, (4, 3)), "index = 4 is outside 1..3"),
+    (_wire(2, 7, (1, 2), (2, 7), (1, 2), (2, 2), (0, 1), (1, 7)), "certificate bitstream is truncated"),  # at lo
+    (_wire(2, 3, *_CHORD, (1, 3), (7, 3)), "lo = 7 is outside 0..6"),
+    (_wire(2, 3, *_CHORD, (1, 3), (1, 3)), "certificate bitstream is truncated"),  # at hi
+    (_wire(2, 3, *_CHORD, (1, 3), (1, 3), (7, 3)), "hi = 7 is outside 0..6"),
+    # at the step after copy 2's interval, its repeat i2 = 1 sending none
+    (_wire(4, 4, (1, 2), (2, 4), (1, 4), (2, 4), (1, 1), (1, 4), (0, 4), (4, 4), (1, 1),
+           (0, 4), (4, 4), (1, 4)), "certificate bitstream is truncated"),
+    # copy 1 cannot step down to copy 0
+    (_wire(2, 3, *_TREE, (1, 3), (1, 3), (5, 3), (0, 1)), "step = 0 is outside 1..1"),
+    # nor copy 3 = 2n - 1 up to copy 4
+    (_wire(2, 3, *_TREE, (3, 3), (1, 3), (5, 3), (1, 1)), "step = 1 is outside 0..0"),
+    (_wire(2, 3, (0, 2), (1, 3), (1, 2), (0, 8)), "certificate bitstream has trailing data"),
+    (_wire(2, 3, (0, 2), (1, 3), (1, 2), (1, 1)), "certificate bitstream has trailing data"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, refusal", _UNPACK_REFUSALS, ids=[f"{d.hex()}-{r}" for d, r in _UNPACK_REFUSALS]
+)
+def test_unpack_refusals_are_pinned(data, refusal):
+    with pytest.raises(FormatError) as refused:
+        unpack_certificate(data)
+    assert str(refused.value) == refusal
+
+
 def _slot_copies(cert: NodeCertificate) -> list[int]:
     """The copy each slot the layout sends names, in layout order."""
     return [
@@ -980,10 +1042,9 @@ def _old_pack_refuses(cert: NodeCertificate) -> bool:
                 sent.add(at)
     feed = iter(values)
     try:
-        rebuilt = _walk(
+        rebuilt = reference_walk(
             lambda name, width, lo, hi: _in_range(name, width, lo, hi, next(feed)),
             *_widths(cert),
-            build=True,
         )
     except ParameterError:
         return True
@@ -1107,6 +1168,74 @@ def test_unpack_is_the_single_gate(data):
     except FormatError:
         return
     assert unpack_certificate(pack_certificate(cert)) == cert
+
+
+def _decoded_or_refusal(decode, data: bytes):
+    try:
+        return decode(data)
+    except FormatError as refused:
+        return str(refused)
+
+
+def _assert_decodes_as_the_reference(data: bytes) -> None:
+    """The reader gives the reference decoder's certificate, or its refusal
+    text, and a repeated copy's interval is its first slot's object."""
+    got = _decoded_or_refusal(unpack_certificate, data)
+    want = _decoded_or_refusal(reference_unpack, data)
+    assert type(got) is type(want) and got == want, data.hex()
+    if isinstance(got, str):
+        return
+    _assert_named_classes(got)
+    first: dict[int, PopCertificate] = {}
+    for ec in got.edge_certs:
+        for k, pc in ec.bindings():
+            assert first.setdefault(k, pc) is pc, data.hex()
+
+
+def test_reader_matches_the_reference_decoder():
+    # The prove benchmark's certificates (seed 101), random fields on the
+    # same graphs, short random payloads at small widths, where n = 1 and
+    # steps from the first and the last copy come up often, the pinned
+    # refusals, and each honest certificate with one byte changed, cut short
+    # and extended.
+    rng = random.Random(101)
+    graphs = (
+        generate("grid", w=32, h=32),
+        generate("random_maximal_planar", n=1024, seed=101),
+        generate("tree", n=1024, seed=101),
+    )
+    honest = [pack_certificate(c) for g in graphs for _, c in sorted(prove_planar(g).items())]
+    assert len(honest) == 3072
+    drawn = [b for g in graphs for b in random_assignment(g, 101).certs.values()]
+    small = [
+        bytes((rng.randint(1, 3), rng.randint(3, 4))) + rng.randbytes(rng.randrange(1, 12))
+        for _ in range(20_000)
+    ]
+    for data in honest + drawn + small + [d for d, _ in _UNPACK_REFUSALS]:
+        _assert_decodes_as_the_reference(data)
+    texts = set()
+    for data in honest:
+        at = rng.randrange(len(data))
+        changed = data[:at] + bytes((data[at] ^ rng.randrange(1, 256),)) + data[at + 1 :]
+        cut = data[: rng.randrange(len(data))]
+        extended = data + rng.randbytes(rng.randrange(1, 4))
+        for other in (changed, cut, extended):
+            _assert_decodes_as_the_reference(other)
+            got = _decoded_or_refusal(reference_unpack, other)
+            if isinstance(got, str):
+                texts.add(got)
+    # the edits reach the length refusals and the range refusals of four fields
+    assert {"certificate bytes too short", "certificate bitstream is truncated",
+            "certificate bitstream has trailing data"} <= texts
+    assert {t.split(" = ")[0] for t in texts if " = " in t} >= {"n", "index", "lo", "hi"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64), st.integers(1, 12), st.integers(1, 12))
+def test_reader_matches_the_reference_on_arbitrary_bytes(data, id_bits, idx_bits):
+    # as they come, and after plausible widths, so that most fields are read
+    _assert_decodes_as_the_reference(data)
+    _assert_decodes_as_the_reference(bytes((id_bits, idx_bits)) + data)
 
 
 @settings(max_examples=300, deadline=None)
