@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Mapping
 
 from .errors import ParameterError, StructuralError
 
@@ -83,7 +82,9 @@ def build_graph(edges: Iterable[tuple[int, int]], nodes: Iterable[int] = ()) -> 
     """Build a Graph from an edge list (plus optional isolated nodes).
 
     Duplicate edges are collapsed, orientation is ignored, and self-loops are
-    dropped. The connectivity flag is computed here once.
+    dropped. The connectivity flag is computed here once: the graph is
+    connected iff it has a node and ``_reach`` from the first node covers
+    every node.
     """
     adj_sets: dict[int, set[int]] = {}
     for v in nodes:
@@ -99,22 +100,32 @@ def build_graph(edges: Iterable[tuple[int, int]], nodes: Iterable[int] = ()) -> 
         adj_sets.setdefault(u, set()).add(v)
         adj_sets.setdefault(v, set()).add(u)
     adj = {u: tuple(sorted(nbs)) for u, nbs in adj_sets.items()}
-    return Graph(adj=adj, connected=_is_connected(adj))
+    connected = bool(adj) and len(_reach(adj, next(iter(adj)))) == len(adj)
+    return Graph(adj=adj, connected=connected)
 
 
-def _is_connected(adj: dict[int, tuple[int, ...]]) -> bool:
-    if not adj:
-        return False
-    start = next(iter(adj))
+def _reach(adj: Mapping[int, Iterable[int]], start: int) -> set[int]:
+    """The nodes reachable from ``start``, by a depth-first walk."""
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
-    return len(seen) == len(adj)
+                stack.append(w)
+    return seen
+
+
+def _components(adj: Mapping[int, Iterable[int]]) -> list[set[int]]:
+    """The node sets of the components, in the order of their first node."""
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for s in adj:
+        if s not in seen:
+            comp = _reach(adj, s)
+            seen |= comp
+            comps.append(comp)
+    return comps
 
 
 # --- generators -----------------------------------------------------------
@@ -150,8 +161,6 @@ def _gen_tree(n: int, seed: int) -> Graph:
         raise ParameterError("tree needs at least 1 node")
     if n == 1:
         return build_graph([], nodes=[1])
-    if n == 2:
-        return build_graph([(1, 2)])
     rng = random.Random(seed)
     prufer = [rng.randrange(1, n + 1) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
@@ -401,45 +410,30 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 # --- contraction ----------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {v: v for v in items}
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the smaller id as the class representative
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
 def contract_edges(g: Graph, contracted: Iterable[tuple[int, int]]) -> Graph:
     """Contract a set of edges; each merged class keeps its smallest id.
 
-    Loops and parallel edges created by the contraction are removed.
+    The classes are the components of the contracted edges, and a node that
+    no contracted edge touches is a class of its own.  Loops and parallel
+    edges created by the contraction are removed.
     """
-    uf = _UnionFind(g.adj)
+    merged: dict[int, set[int]] = {}
     for u, v in contracted:
         if not g.has_edge(u, v):
             raise ParameterError(f"edge {(u, v)} not in graph")
-        uf.union(u, v)
-    reps = {uf.find(v) for v in g.adj}
+        merged.setdefault(u, set()).add(v)
+        merged.setdefault(v, set()).add(u)
+    rep = {v: v for v in g.adj}
+    for comp in _components(merged):
+        least = min(comp)
+        for v in comp:
+            rep[v] = least
     edges = set()
     for u, v in g.edges():
-        ru, rv = uf.find(u), uf.find(v)
+        ru, rv = rep[u], rep[v]
         if ru != rv:
             edges.add(norm_edge(ru, rv))
-    return build_graph(edges, nodes=reps)
+    return build_graph(edges, nodes={rep[v] for v in g.adj})
 
 
 def relabel(g: Graph, mapping: dict[int, int]) -> Graph:

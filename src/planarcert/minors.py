@@ -6,9 +6,11 @@ one vertex at a time, kept connected by construction, and the search is cut by
 reachability tests, counting bounds, symmetry breaking, and a dead-state table.
 
 Before searching, the host graph is shrunk by moves that preserve containment
-in both directions: low-degree reductions, component splits, and — for targets
-that are 2- or 3-connected — splits along cut vertices and 2-separators. The
-search then only ever runs on the highly connected pieces, which keeps
+in both directions: low-degree reductions, component splits, and one
+separator search. For a target whose connectivity exceeds s, the graph is
+split along its best separator of s vertices, first s = 1 (a cut vertex) and
+then s = 2: each piece is a component of what remains plus the separator.
+The search then only ever runs on the highly connected pieces, which keeps
 negative answers affordable on chain- and grid-like inputs.
 
 Intended for validation work on small instances (at most ``NODE_CAP``
@@ -19,9 +21,10 @@ the full search tree of each piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ParameterError, ResourceError
-from .graphs import Graph
+from .graphs import Graph, _components, _reach
 
 #: The oracle refuses graphs on more nodes.  The largest instance the
 #: lower-bound claims check, the glued paths at q = 3, has 66.
@@ -187,23 +190,6 @@ def _induced(adj: dict[int, set[int]], keep: set[int]) -> dict[int, set[int]]:
     return {u: adj[u] & keep for u in keep}
 
 
-def _components_of(adj: dict[int, set[int]]) -> list[set[int]]:
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for s in adj:
-        if s in seen:
-            continue
-        comp, stack = {s}, [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _reduce_adj(adj: dict[int, set[int]], target_min_degree: int) -> dict[int, set[int]]:
     """Shrink the host graph without changing the answer.
 
@@ -238,70 +224,37 @@ def _reduce_adj(adj: dict[int, set[int]], target_min_degree: int) -> dict[int, s
     return adj
 
 
-def _cut_vertex_split(adj: dict[int, set[int]]) -> list[set[int]] | None:
-    """Pieces (component plus the cut vertex) for the best articulation point.
+def _separator_split(adj: dict[int, set[int]], size: int) -> list[dict[int, set[int]]] | None:
+    """Pieces for the best separator of ``size`` vertices, or None if none.
 
-    A 2-connected target lives entirely inside one such piece, so testing the
-    pieces separately is exact. Returns None if the graph is 2-connected.
+    The best separator leaves the smallest largest component, ties to the
+    first in ``combinations`` order. Each piece is a component together with
+    the separator, plus an x-y edge for each separator pair {x, y} that stays
+    connected outside that component (the outside walk can then be contracted
+    onto the pair). A target whose connectivity exceeds ``size`` is a minor of
+    the whole graph iff it is a minor of one of the pieces: branch sets
+    avoiding the separator cannot straddle two components without giving the
+    target a separator of ``size`` vertices.
     """
     best = None
-    for c in adj:
-        rest = {u: adj[u] - {c} for u in adj if u != c}
-        comps = _components_of(rest)
+    for sep in combinations(adj, size):
+        cut = set(sep)
+        comps = _components({u: adj[u] - cut for u in adj if u not in cut})
         if len(comps) < 2:
             continue
         score = max(len(comp) for comp in comps)
         if best is None or score < best[0]:
-            best = (score, c, comps)
+            best = (score, cut, comps)
     if best is None:
         return None
-    _, c, comps = best
-    return [comp | {c} for comp in comps]
-
-
-def _connected_avoiding(adj: dict[int, set[int]], allowed: set[int], x: int, y: int) -> bool:
-    seen, stack = {x}, [x]
-    while stack:
-        u = stack.pop()
-        if u == y:
-            return True
-        for w in adj[u]:
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def _two_separator_split(adj: dict[int, set[int]]) -> list[dict[int, set[int]]] | None:
-    """Pieces for the best separating pair {x, y}, or None if 3-connected-ish.
-
-    Each piece is a component of adj - {x, y} together with x and y, plus an
-    x-y edge whenever x and y remain connected outside that component (the
-    outside walk can then be contracted onto the pair). A 3-connected target
-    is a minor of the whole graph iff it is a minor of one of the pieces:
-    branch sets avoiding the pair cannot straddle two components without
-    giving the target a 2-cut.
-    """
-    nodes = list(adj)
-    best = None
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            rest = {u: adj[u] - {x, y} for u in adj if u != x and u != y}
-            comps = _components_of(rest)
-            if len(comps) < 2:
-                continue
-            score = max(len(comp) for comp in comps)
-            if best is None or score < best[0]:
-                best = (score, x, y, comps)
-    if best is None:
-        return None
-    _, x, y, comps = best
+    _, cut, comps = best
     pieces = []
     for comp in comps:
-        sub = _induced(adj, comp | {x, y})
-        if _connected_avoiding(adj, set(adj) - comp, x, y):
-            sub[x].add(y)
-            sub[y].add(x)
+        sub = _induced(adj, comp | cut)
+        for x, y in combinations(cut, 2):
+            if y in _reach(_induced(adj, set(adj) - comp), x):
+                sub[x].add(y)
+                sub[y].add(x)
         pieces.append(sub)
     return pieces
 
@@ -341,17 +294,14 @@ def _decide(adj: dict[int, set[int]], spec: tuple) -> bool:
     adj = _reduce_adj(adj, connectivity)
     if len(adj) < size or sum(len(ns) for ns in adj.values()) // 2 < edges_needed:
         return False
-    comps = _components_of(adj)
+    comps = _components(adj)
     if len(comps) > 1:
         return any(_decide(_induced(adj, comp), spec) for comp in comps)
-    if connectivity >= 2:
-        cut_pieces = _cut_vertex_split(adj)
-        if cut_pieces is not None:
-            return any(_decide(_induced(adj, piece), spec) for piece in cut_pieces)
-    if connectivity >= 3:
-        sep_pieces = _two_separator_split(adj)
-        if sep_pieces is not None:
-            return any(_decide(piece, spec) for piece in sep_pieces)
+    for sep_size in (1, 2):
+        if connectivity > sep_size:
+            pieces = _separator_split(adj, sep_size)
+            if pieces is not None:
+                return any(_decide(piece, spec) for piece in pieces)
     return _base_search(adj, spec)
 
 

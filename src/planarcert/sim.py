@@ -107,31 +107,30 @@ class RunReport:
 class _NeighborView(Mapping):
     """Read-only view of the certificates a node may legally see.
 
-    Any lookup outside the allowed set raises FirewallViolation; iteration
-    never leaves the allowed set.
+    It holds only the neighbors' certificates: any other lookup raises
+    FirewallViolation, and iteration yields the neighbors in id order.
     """
 
-    __slots__ = ("_certs", "_allowed")
+    __slots__ = ("_certs",)
 
-    def __init__(self, certs: dict[int, bytes], allowed: frozenset[int]):
+    def __init__(self, certs: dict[int, bytes]):
         self._certs = certs
-        self._allowed = allowed
 
     def __getitem__(self, key: int) -> bytes:
-        if key not in self._allowed:
+        if key not in self._certs:
             raise FirewallViolation(
                 f"certificate of node {key} is outside the one-round view"
             )
         return self._certs[key]
 
     def __contains__(self, key: object) -> bool:
-        return key in self._allowed
+        return key in self._certs
 
     def __iter__(self):
-        return iter(sorted(self._allowed))
+        return iter(self._certs)
 
     def __len__(self) -> int:
-        return len(self._allowed)
+        return len(self._certs)
 
 
 @lru_cache(maxsize=65536)
@@ -200,15 +199,13 @@ def run_round(
     first_rejector = None
     certs = a.certs
     for x in nodes:
+        pairs = tuple([(y, certs[y]) for y in g.neighbors(x)])
         if verifier is planarity_verifier:
             # identical view ⇒ identical verdict (determinism guarantee), so
             # the built-in verifier's verdicts are safe to memoize
-            verdict = _cached_verdict(
-                x, certs[x], tuple([(y, certs[y]) for y in g.neighbors(x)])
-            )
+            verdict = _cached_verdict(x, certs[x], pairs)
         else:
-            view = _NeighborView(certs, frozenset(g.neighbors(x)))
-            verdict = verifier(x, certs[x], view)
+            verdict = verifier(x, certs[x], _NeighborView(dict(pairs)))
         per_node[x] = verdict
         if first_rejector is None and not verdict.accepted:
             first_rejector = x

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import random
 from collections import deque
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from planarcert.errors import ParameterError, StructuralError
 from planarcert.graphs import (
+    Graph,
     _triangulate,
     build_graph,
     contract_edges,
@@ -18,6 +20,7 @@ from planarcert.graphs import (
     relabel,
     subdivide,
 )
+from reference_contraction import reference_contract_edges
 
 
 # --- construction ----------------------------------------------------------
@@ -102,6 +105,11 @@ def test_tree_is_tree():
     for seed in (1, 2, 9):
         g = generate("tree", n=40, seed=seed)
         assert g.n == 40 and g.m == 39 and g.connected
+
+
+def test_two_node_tree_is_one_edge_for_every_seed():
+    for seed in range(5):
+        assert generate("tree", n=2, seed=seed).adj == {1: (2,), 2: (1,)}
 
 
 def test_random_maximal_planar_edge_count():
@@ -358,6 +366,43 @@ def test_contract_spanning_tree_collapses_to_point():
         tree.append((parent, v))
     got = contract_edges(g, tree)
     assert got.n == 1 and got.m == 0
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    """A graph on scattered ids, often disconnected, sometimes with isolated nodes."""
+    n = rng.randint(1, 14)
+    ids = rng.sample(range(1, 4 * n + 1), n)
+    p = rng.random()
+    edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < p]
+    return build_graph(edges, nodes=ids)
+
+
+def test_connected_flag_matches_a_breadth_first_walk():
+    rng = random.Random(2801)
+    flags = set()
+    for _ in range(400):
+        g = _random_graph(rng)
+        start = next(iter(g.adj))
+        assert g.connected == (len(_bfs_distances(g, start)) == g.n)
+        flags.add(g.connected)
+    assert flags == {False, True}
+    assert not build_graph([]).connected
+
+
+def test_contract_edges_matches_the_union_find_reference():
+    # Random subsets of the edges, in random order and orientation; the
+    # result must equal the reference down to the order of its adjacency.
+    rng = random.Random(2802)
+    for _ in range(400):
+        g = _random_graph(rng)
+        edges = g.edges()
+        chosen = [
+            (v, u) if rng.random() < 0.5 else (u, v)
+            for u, v in rng.sample(edges, rng.randint(0, len(edges)))
+        ]
+        got, want = contract_edges(g, chosen), reference_contract_edges(g, chosen)
+        assert list(got.adj.items()) == list(want.adj.items())
+        assert got.connected == want.connected
 
 
 def test_relabel():

@@ -221,6 +221,21 @@ def test_glued_cliques_chain():
     assert not has_clique_minor(g, 6)
 
 
+def test_separator_pair_edge_carries_the_outside_path():
+    # K5 on 1..5 without the edge {1, 2}; 1 and 2 are joined instead through
+    # a K4 on 6..9.  The best separator is {1, 2}, and the K5 survives only
+    # in the piece {1, ..., 5} with the x-y edge that stands for the path
+    # 1-6-7-2 outside it.
+    import itertools
+
+    edges = [e for e in itertools.combinations(range(1, 6), 2) if e != (1, 2)]
+    edges += list(itertools.combinations(range(6, 10), 2)) + [(1, 6), (2, 7)]
+    g = build_graph(edges)
+    assert has_clique_minor(g, 5)
+    assert not has_clique_minor(g, 6)
+    assert not has_clique_minor(build_graph(edges[:-1]), 5)
+
+
 def test_glued_bicliques_at_cut_vertex():
     # Two K_{2,3} copies sharing one vertex: the shared vertex cannot give
     # two vertex-disjoint sides enough joint attachment for K_{3,3}.

@@ -294,6 +294,24 @@ def test_firewall_view_exposes_exactly_the_neighbors():
     assert seen == {1: [2], 2: [1, 3], 3: [2, 4], 4: [3]}
 
 
+def test_firewall_view_holds_only_the_neighbors_certificates():
+    # The view's own state is the one-round view: a verifier that reads the
+    # view's attributes instead of looking keys up still sees no more.
+    g = _grid33()
+    a = honest_assignment(g)
+    states = {}
+
+    def peek(x, own, view):
+        states[x] = [getattr(view, name) for name in type(view).__slots__]
+        return planarity_verifier(x, own, view)
+
+    run_round(g, a, verifier=peek)
+    assert set(states) == set(g.nodes())
+    for x, state in states.items():
+        assert state == [{y: a.certs[y] for y in g.neighbors(x)}], x
+    assert states[1] == [{2: a.certs[2], 4: a.certs[4]}]
+
+
 def test_memoized_verdicts_match_the_firewalled_path():
     # The built-in verifier's verdicts are memoized on plain tuples, so it
     # never meets the firewall; the same verifier passed in as a callable
