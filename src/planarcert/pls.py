@@ -72,14 +72,14 @@ node more than three.
 
 Certificates and verdicts are immutable named tuples (``TreeSub``,
 ``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
-certificate ``pop.PopCertificate``).  The simulator hands one decoded object
-to every node and round that sees the same bytes, which is sound only
-because no field can be set.  For the same reason every accepting node gets
-one shared accept ``Verdict``: no holder can change it, verdicts compare by
-value, and the simulator's verdict cache already hands one verdict object to
-every node with the same view.  As tuples they compare equal to plain tuples
-of the same values and iterate over their fields; ``._replace`` makes an
-edited copy.
+certificate ``pop.PopCertificate``).  Within one round, or one ``attack``
+call, the simulator hands one decoded object to every node that sees the
+same bytes, which is sound only because no field can be set.  For the same
+reason every accepting node gets one shared accept ``Verdict``: no holder
+can change it, verdicts compare by value, and the simulator's verdict cache
+already hands one verdict object to every node with the same view.  As
+tuples they compare equal to plain tuples of the same values and iterate
+over their fields; ``._replace`` makes an edited copy.
 """
 
 from __future__ import annotations

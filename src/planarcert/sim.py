@@ -9,6 +9,14 @@ are reproducible byte for byte.  A round may stop at its first rejecting
 node, since the global decision, the first rejector and its verdict are
 then already known.
 
+A node's verdict depends on its view alone, so nothing a round decodes is
+needed once the round is over.  The outermost ``run_round`` or ``attack``
+call opens one decode table, through which every certificate it judges is
+decoded at most once, and drops the table when it returns; no decoded
+certificate outlives the call.  The built-in verifier's verdicts stay
+memoized process-wide, keyed on the node, its certificate, the graph's own
+neighbor tuple and the neighbors' certificates.
+
 ``attack`` drives dishonest certificate assignments against the verifier:
 uniformly random field values, honest templates with one corrupted field at
 each of a few distinct nodes, certificates swapped between nodes, and honest
@@ -25,7 +33,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .embedding import RotationSystem, planar_embed
 from .errors import FirewallViolation, FormatError, ParameterError
@@ -133,23 +141,57 @@ class _NeighborView(Mapping):
         return len(self._certs)
 
 
-@lru_cache(maxsize=65536)
-def _decode(data: bytes) -> NodeCertificate | None:
-    """Cached certificate decoding; None for undecodable bytes."""
-    try:
-        return unpack_certificate(data)
-    except FormatError:
-        return None
+class _Decodes(dict):
+    """bytes → decoded certificate, or None; each decoded on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, data: bytes) -> NodeCertificate | None:
+        try:
+            cert = unpack_certificate(data)
+        except FormatError:
+            cert = None
+        self[data] = cert
+        return cert
+
+
+#: The decode table of the running outermost call, or None (see ``_decoding``).
+_decodes: _Decodes | None = None
+
+
+def _decoding(fn):
+    """Open a decode table for a call to ``fn`` and drop it on the way out.
+
+    A call made while a table is open, such as a round inside ``attack``,
+    uses that table instead.
+    """
+
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        global _decodes
+        if _decodes is not None:
+            return fn(*args, **kwargs)
+        _decodes = _Decodes()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _decodes = None
+
+    return scoped
 
 
 def _verify_pairs(x: int, own: bytes, pairs: Iterable[tuple[int, bytes]]) -> Verdict:
-    """The verdict on a view given as (neighbor, bytes) pairs, in view order."""
-    own_cert = _decode(own)
+    """The verdict on a view given as (neighbor, bytes) pairs, in view order.
+
+    It decodes through the open call's table, or a fresh one outside a call.
+    """
+    decodes = _decodes if _decodes is not None else _Decodes()
+    own_cert = decodes[own]
     if own_cert is None:
         return _reject(PHASE_COLLECT, "own certificate does not decode")
     decoded: dict[int, NodeCertificate] = {}
     for y, data in pairs:
-        cert = _decode(data)
+        cert = decodes[data]
         if cert is None:
             return _reject(PHASE_COLLECT, f"certificate of neighbor {y} does not decode")
         decoded[y] = cert
@@ -162,12 +204,16 @@ def planarity_verifier(x: int, own: bytes, neighbors: Mapping[int, bytes]) -> Ve
 
 
 @lru_cache(maxsize=1 << 18)
-def _cached_verdict(x: int, own: bytes, items: tuple[tuple[int, bytes], ...]) -> Verdict:
-    # Sound because the built-in verifier is a pure function of its view.
-    return _verify_pairs(x, own, items)
+def _cached_verdict(
+    x: int, own: bytes, ids: tuple[int, ...], blobs: tuple[bytes, ...]
+) -> Verdict:
+    # Sound because the built-in verifier is a pure function of its view:
+    # the neighbors ``ids`` (the graph's own tuple) and their ``blobs``.
+    return _verify_pairs(x, own, zip(ids, blobs))
 
 
 @_collector_paused
+@_decoding
 def run_round(
     g: Graph,
     a: Assignment,
@@ -180,7 +226,13 @@ def run_round(
     Nodes are evaluated in ``g.nodes()`` order.  With
     ``stop_at_first_reject`` the round ends at the first rejecting node:
     the decision, ``first_rejector``, its verdict and ``stats`` are the full
-    round's, and ``per_node`` holds the evaluated prefix only.
+    round's, and ``per_node`` holds the evaluated prefix only.  Every node
+    needs a certificate of type ``bytes``.
+
+    The round decodes each distinct certificate at most once, into a table
+    that is dropped when it returns; a round inside ``attack`` shares the
+    call's table instead.  The built-in verifier's verdicts are memoized
+    process-wide on the view, so a repeated view decodes nothing.
 
     The cyclic garbage collector is paused for the round, the verifier's
     calls included, and restored on the way out.  The pause is process-wide,
@@ -189,29 +241,36 @@ def run_round(
     nodes = g.nodes()
     if not nodes:
         raise ParameterError("a round needs a graph with at least one node")
-    missing = [v for v in nodes if v not in a.certs]
+    certs = a.certs
+    odd = [v for v in nodes if type(certs.get(v)) is not bytes]  # missing or not bytes
+    missing = [v for v in odd if v not in certs]
     if missing:
         raise ParameterError(f"assignment lacks certificates for nodes {missing}")
-    extra = set(a.certs) - set(nodes)
+    extra = set(certs) - set(nodes)
     if extra:
         raise ParameterError(f"assignment has certificates for non-nodes {sorted(extra)}")
+    if odd:
+        raise ParameterError(
+            f"certificate of node {odd[0]} is {type(certs[odd[0]]).__name__}, not bytes"
+        )
     per_node: dict[int, Verdict] = {}
     first_rejector = None
-    certs = a.certs
+    adj = g.adj
     for x in nodes:
-        pairs = tuple([(y, certs[y]) for y in g.neighbors(x)])
+        ids = adj[x]
+        blobs = tuple([certs[y] for y in ids])
         if verifier is planarity_verifier:
             # identical view ⇒ identical verdict (determinism guarantee), so
             # the built-in verifier's verdicts are safe to memoize
-            verdict = _cached_verdict(x, certs[x], pairs)
+            verdict = _cached_verdict(x, certs[x], ids, blobs)
         else:
-            verdict = verifier(x, certs[x], _NeighborView(dict(pairs)))
+            verdict = verifier(x, certs[x], _NeighborView(dict(zip(ids, blobs))))
         per_node[x] = verdict
         if first_rejector is None and not verdict.accepted:
             first_rejector = x
             if stop_at_first_reject:
                 break
-    sizes = [8 * len(a.certs[x]) for x in nodes]
+    sizes = [8 * len(certs[x]) for x in nodes]
     return RunReport(
         per_node=per_node,
         global_decision="accept" if first_rejector is None else "reject",
@@ -356,6 +415,7 @@ class AttackSummary:
         return sum(o.accepts for o in self.outcomes)
 
 
+@_decoding
 def attack(
     g: Graph,
     strategies: Iterable[str] | None = None,
@@ -365,13 +425,20 @@ def attack(
     """Run dishonest assignments against the verifier and tally outcomes.
 
     The strategies are the four adversarial families, all of them by
-    default.  Identical (graph, strategies, trials, seed) inputs give an
-    identical summary.
+    default; ``trials`` is a positive ``int``.  Identical (graph,
+    strategies, trials, seed) inputs give an identical summary.
+
+    Every trial is one ``run_round``, and all of them decode through one
+    table that lives for the call: a template certificate is decoded once
+    for all of the call's template-edits and swap trials, and the table is
+    dropped when the call returns.  The verdict memo stays process-wide.
     """
     chosen = tuple(strategies) if strategies is not None else DEFAULT_STRATEGIES
     bad = [s for s in chosen if s not in DEFAULT_STRATEGIES]
     if bad:
         raise ParameterError(f"unknown strategies {bad}; pick from {sorted(DEFAULT_STRATEGIES)}")
+    if type(trials) is not int:
+        raise ParameterError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ParameterError("trials must be positive")
     if not g.connected:

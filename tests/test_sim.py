@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import sys
 import types
+from collections import Counter
 
 import pytest
 
@@ -16,7 +18,7 @@ from planarcert.embedding import (
     planar_embed,
     validate_rotation,
 )
-from planarcert import pls
+from planarcert import pls, sim
 from planarcert.errors import FirewallViolation, NonPlanarError, ParameterError
 from planarcert.graphs import build_graph, generate, norm_edge, relabel
 from planarcert.pls import (
@@ -33,7 +35,7 @@ from planarcert.sim import (
     Assignment,
     Origin,
     _cached_verdict,
-    _decode,
+    _Decodes,
     _edit_one_field,
     _planar_template,
     _replay_graph,
@@ -137,6 +139,21 @@ def test_incomplete_assignment_is_a_parameter_error():
     stray[99] = b"\x01\x01\x00"
     with pytest.raises(ParameterError):
         run_round(g, Assignment(stray, a.origin))
+
+
+def test_round_refuses_certificates_that_are_not_bytes():
+    g = _grid33()
+    a = honest_assignment(g)
+    for odd in (bytearray(a.certs[5]), a.certs[5].hex(), memoryview(a.certs[5]), None):
+        certs = dict(a.certs)
+        certs[5] = odd
+        for verifier in (planarity_verifier, _firewalled):
+            with pytest.raises(ParameterError, match=rf"node 5 is {type(odd).__name__}, not bytes"):
+                run_round(g, Assignment(certs, a.origin), verifier)
+    # a missing certificate is named first
+    del certs[1]
+    with pytest.raises(ParameterError, match=r"lacks certificates for nodes \[1\]"):
+        run_round(g, Assignment(certs, a.origin))
 
 
 def test_round_on_a_graph_without_nodes_is_a_parameter_error():
@@ -323,16 +340,20 @@ def test_memoized_verdicts_match_the_firewalled_path():
 
 
 def test_decoded_records_are_shared_and_immutable():
-    # _decode and _cached_verdict hand one object to every node and round
-    # that sees the same bytes; that is sound only if no field can be set.
+    # One call's decode table hands one object to every node that sees the
+    # same bytes, and the verdict memo hands one verdict to every equal
+    # view; that is sound only if no field can be set.
     g = generate("random_maximal_planar", n=12, seed=0)
     certs = honest_assignment(g).certs
     fresh = {x: bytes(bytearray(b)) for x, b in certs.items()}  # equal bytes, other objects
-    x = next(x for x in g.nodes() if _decode(certs[x]).edge_certs)
-    cert = _decode(certs[x])
-    assert _decode(fresh[x]) is cert
-    verdict = _cached_verdict(x, certs[x], tuple((y, certs[y]) for y in g.neighbors(x)))
-    assert _cached_verdict(x, fresh[x], tuple((y, fresh[y]) for y in g.neighbors(x))) is verdict
+    table = _Decodes()
+    x = next(x for x in g.nodes() if table[certs[x]].edge_certs)
+    cert = table[certs[x]]
+    assert table[fresh[x]] is cert
+    ids = g.neighbors(x)
+    verdict = _cached_verdict(x, certs[x], ids, tuple(certs[y] for y in ids))
+    same_ids = tuple(list(ids))  # an equal neighbor tuple, another object
+    assert _cached_verdict(x, fresh[x], same_ids, tuple(fresh[y] for y in ids)) is verdict
     ec = cert.edge_certs[0]
     for record in (cert, cert.tree_sub, ec, ec.pop_i, verdict):
         for name in record._fields:
@@ -340,6 +361,48 @@ def test_decoded_records_are_shared_and_immutable():
                 setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
             record.note = "extra"
+
+
+def test_no_decoded_certificate_outlives_its_call(monkeypatch):
+    # Every certificate decoded is also kept in ``decoded``.  Once the round
+    # or the campaign has returned, that list must hold the only reference.
+    decoded = []
+
+    def keep(data):
+        cert = unpack_certificate(data)
+        decoded.append(cert)
+        return cert
+
+    monkeypatch.setattr(sim, "unpack_certificate", keep)
+    _cached_verdict.cache_clear()  # a memoized verdict decodes nothing
+    g = generate("random_maximal_planar", n=20, seed=3)
+    assert run_round(g, honest_assignment(g)).accepted
+    assert len(decoded) == g.n
+    alone = {sys.getrefcount(c) for c in [object()]}
+    assert {sys.getrefcount(c) for c in decoded} == alone
+    decoded.clear()
+    assert attack(generate("complete_bipartite", p=3, q=3), trials=12, seed=5).total_accepts == 0
+    assert decoded
+    assert {sys.getrefcount(c) for c in decoded} == alone
+
+
+def test_one_attack_call_decodes_each_certificate_once(monkeypatch):
+    # template-edits and swap judge edits of one template on every trial;
+    # the call's decode table decodes each template certificate once for
+    # all of them, where a table per round would decode it again per trial.
+    calls = Counter()
+
+    def count(data):
+        calls[data] += 1
+        return unpack_certificate(data)
+
+    monkeypatch.setattr(sim, "unpack_certificate", count)
+    _cached_verdict.cache_clear()
+    g = generate("petersen")
+    summary = attack(g, strategies=["template-edits", "swap"], trials=30, seed=2)
+    assert summary.total_accepts == 0
+    assert len(calls) > g.n
+    assert max(calls.values()) == 1
 
 
 # --- attack harness -------------------------------------------------------------
@@ -500,6 +563,13 @@ def test_attack_rejects_bad_parameters():
         attack(build_graph([(1, 2), (3, 4)]), trials=5, seed=0)
     with pytest.raises(ParameterError, match="at least two nodes"):
         attack(build_graph([], nodes=[1]), trials=5, seed=0)  # swap is a default
+
+
+def test_attack_refuses_trials_that_are_not_ints():
+    g = generate("complete", k=5)
+    for trials in (True, False, 2.0, "3", None):
+        with pytest.raises(ParameterError, match="trials must be an int"):
+            attack(g, trials=trials, seed=0)
 
 
 def test_replay_donor_rotation_is_the_generators_embedding():
