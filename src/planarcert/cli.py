@@ -131,14 +131,17 @@ def _cmd_verify(args) -> int:
     except ParameterError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    for x in sorted(per_node):
-        v = per_node[x]
-        if v.decision == "accept":
-            print(f"node {x}: accept")
+    # one write: a print per node took twice as long
+    report = []
+    ok = True
+    for x, (decision, reason, phase) in sorted(per_node.items()):
+        if decision == "accept":
+            report.append(f"node {x}: accept\n")
         else:
-            print(f"node {x}: reject [phase {v.phase}] {v.reason}")
-    ok = all(v.decision == "accept" for v in per_node.values())
-    print(f"global: {'accept' if ok else 'reject'}")
+            ok = False
+            report.append(f"node {x}: reject [phase {phase}] {reason}\n")
+    report.append(f"global: {'accept' if ok else 'reject'}\n")
+    sys.stdout.write("".join(report))
     return EXIT_ACCEPT if ok else EXIT_REJECT
 
 

@@ -16,7 +16,7 @@ for bytes handed to ``sim.run_round``.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph, build_graph, norm_edge
+from .graphs import Graph, build_graph
 from .pls import NodeCertificate, pack_certificate_with_bits
 
 
@@ -31,53 +31,79 @@ def write_graph(g: Graph, rot: dict[int, tuple[int, ...]] | None = None) -> str:
 
 
 def _significant_lines(text: str):
+    """Each line that holds a token: its text before any ``#``, and the
+    tokens of that text."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if tokens:
+            yield body, tokens
 
 
-def _int_or_fail(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"{what}: expected an integer, got {token!r}") from None
+def _not_an_int(tokens: list[str], what: str) -> FormatError:
+    """The refusal naming the first of ``tokens`` that ``int`` refuses; it
+    is built only after ``int`` refused one of them."""
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            return FormatError(f"{what}: expected an integer, got {token!r}")
 
 
 def parse_graph(text: str) -> tuple[Graph, dict[int, tuple[int, ...]] | None]:
-    """Parse the shared graph format; returns (graph, rotation or None)."""
-    lines = list(_significant_lines(text))
-    if not lines:
+    """Parse the shared graph format; returns (graph, rotation or None).
+
+    Each line is read in one step: its tokens are split off once and each
+    is turned into an int once; a refusal's text is built only when it is
+    raised.
+    """
+    lines = _significant_lines(text)
+    body, head = next(lines, ("", None))
+    if head is None:
         raise FormatError("empty graph file")
-    head = lines[0].split()
     if len(head) != 2:
-        raise FormatError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = (_int_or_fail(t, "header") for t in head)
+        raise FormatError(f"header must be 'n m', got {body.strip()!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise _not_an_int(head, "header") from None
     edges: set[tuple[int, int]] = set()
     isolated: list[int] = []
     rot: dict[int, tuple[int, ...]] = {}
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "node":
-            if len(parts) != 2:
-                raise FormatError(f"malformed node line {line!r}")
-            isolated.append(_int_or_fail(parts[1], "node line"))
-        elif parts[0] == "rot":
-            if len(parts) < 2 or not parts[1].endswith(":"):
-                raise FormatError(f"malformed rotation line {line!r}")
-            v = _int_or_fail(parts[1][:-1], "rotation line")
+    for body, tokens in lines:
+        kind = tokens[0]
+        if kind == "node":
+            if len(tokens) != 2:
+                raise FormatError(f"malformed node line {body.strip()!r}")
+            try:
+                isolated.append(int(tokens[1]))
+            except ValueError:
+                raise _not_an_int(tokens[1:], "node line") from None
+        elif kind == "rot":
+            if len(tokens) < 2 or not tokens[1].endswith(":"):
+                raise FormatError(f"malformed rotation line {body.strip()!r}")
+            try:
+                v = int(tokens[1][:-1])
+            except ValueError:
+                raise _not_an_int([tokens[1][:-1]], "rotation line") from None
             if v in rot:
                 raise FormatError(f"duplicate rotation line for node {v}")
-            rot[v] = tuple(_int_or_fail(t, "rotation line") for t in parts[2:])
-        elif len(parts) == 2:
-            u, v = (_int_or_fail(t, "edge line") for t in parts)
-            if u == v:
-                raise FormatError(f"self-loop {line!r}: the graph must be simple")
-            if norm_edge(u, v) in edges:
-                raise FormatError(f"repeated edge {line!r}: the graph must be simple")
-            edges.add(norm_edge(u, v))
+            try:
+                rot[v] = tuple(map(int, tokens[2:]))
+            except ValueError:
+                raise _not_an_int(tokens[2:], "rotation line") from None
+        elif len(tokens) == 2:
+            try:
+                u, v = int(kind), int(tokens[1])
+            except ValueError:
+                raise _not_an_int(tokens, "edge line") from None
+            e = (u, v) if u < v else (v, u)
+            if u == v or e in edges:
+                what = "self-loop" if u == v else "repeated edge"
+                raise FormatError(f"{what} {body.strip()!r}: the graph must be simple")
+            edges.add(e)
         else:
-            raise FormatError(f"unrecognized line {line!r}")
+            raise FormatError(f"unrecognized line {body.strip()!r}")
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, file has {len(edges)}")
     try:
@@ -107,15 +133,17 @@ def write_certificates(certs: dict[int, NodeCertificate]) -> str:
 def parse_certificates(text: str) -> dict[int, bytes]:
     """Each node's certificate bytes; a line that is not ``<id> <hex>`` raises."""
     out: dict[int, bytes] = {}
-    for line in _significant_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"certificate line must be '<id> <hex>', got {line!r}")
-        x = _int_or_fail(parts[0], "certificate line")
+    for body, tokens in _significant_lines(text):
+        if len(tokens) != 2:
+            raise FormatError(f"certificate line must be '<id> <hex>', got {body.strip()!r}")
+        try:
+            x = int(tokens[0])
+        except ValueError:
+            raise _not_an_int(tokens, "certificate line") from None
         if x in out:
             raise FormatError(f"duplicate certificate for node {x}")
         try:
-            out[x] = bytes.fromhex(parts[1])
+            out[x] = bytes.fromhex(tokens[1])
         except ValueError:
             raise FormatError(f"node {x}: certificate is not hex") from None
     if not out:

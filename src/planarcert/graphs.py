@@ -84,17 +84,22 @@ def build_graph(edges: Iterable[tuple[int, int]], nodes: Iterable[int] = ()) -> 
     Duplicate edges are collapsed, orientation is ignored, and self-loops are
     dropped. The connectivity flag is computed here once: the graph is
     connected iff it has a node and ``_reach`` from the first node covers
-    every node.
+    every node.  An id that is an ``int`` above 0 passes one test; any other
+    goes to ``_check_id``, which refuses all but a positive int subclass.
     """
     adj_sets: dict[int, set[int]] = {}
     for v in nodes:
-        adj_sets.setdefault(_check_id(v), set())
+        if not (type(v) is int and v > 0):
+            _check_id(v)
+        adj_sets.setdefault(v, set())
     for pair in edges:
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise StructuralError(f"edge must be a pair, got {pair!r}") from None
-        u, v = _check_id(u), _check_id(v)
+        if not (type(u) is int and u > 0 and type(v) is int and v > 0):
+            _check_id(u)
+            _check_id(v)
         if u == v:
             continue
         adj_sets.setdefault(u, set()).add(v)

@@ -448,26 +448,26 @@ def verify_node_planarity(
     """One node's verdict after a single exchange of certificates.
 
     ``neighbor_certs`` must hold the certificate of every graph neighbor of
-    ``x`` and nothing else; that is the one-round view.  Every certificate
-    must be well-formed, as ``unpack_certificate`` returns them: each field
-    in its legal range for the node count that certificate claims.
+    ``x``, never ``x`` itself, and nothing else: the one-round view.  Every
+    certificate must be well-formed, as ``unpack_certificate`` returns them:
+    each field in its legal range for the node count it claims.
     """
     # Phase 1: recover the local virtual-graph slice.  Once the node counts
     # agree, every tour index lies in 1..2n-1, and the layout already put
     # both copies of each tree-edge tour step next to each other.
-    n = own.n
-    for cert in neighbor_certs.values():
-        if cert.n != n:
+    own_ecs, (root_id,), n = own
+    for _, _, cert_n in neighbor_certs.values():
+        if cert_n != n:
             return _reject(PHASE_COLLECT, "node-count claims disagree")
     nv = 2 * n - 1
 
-    # Each certificate of the edge (x, other), keyed by other, as one flat
-    # tuple: the certificate, x's copies in its two slot pairs, then those
-    # of other.  x's own certificates concern the edge to their far end, a
-    # neighbor's only those whose far end is x.  Own certificates come
-    # first, then the neighbors' in ascending id order.
-    found: dict[int, tuple[EdgeCertificate, int, int, int, int]] = {}
-    for ec in own.edge_certs:
+    # Each certificate of the edge (x, other), keyed by other.  x's own
+    # certificates concern the edge to their far end, a neighbor's only
+    # those whose far end is x, so a certificate is x's iff its far end is
+    # not x.  Own certificates come first, then the neighbors' in ascending
+    # id order.
+    found: dict[int, EdgeCertificate] = {}
+    for ec in own_ecs:
         other = ec.far
         if other not in neighbor_certs:
             e = norm_edge(x, other)
@@ -475,52 +475,61 @@ def verify_node_planarity(
         if other in found:
             e = norm_edge(x, other)
             return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
-        found[other] = (ec, ec.i, ec.i2, ec.j, ec.j2)
-    neighbors = sorted(neighbor_certs)
-    for other in neighbors:
+        found[other] = ec
+    for other in sorted(neighbor_certs):
         for ec in neighbor_certs[other].edge_certs:
             if ec.far != x:
                 continue  # someone else's edge; not locally checkable
             if other in found:
                 e = norm_edge(x, other)
                 return _reject(PHASE_COLLECT, f"edge {e} certified more than once")
-            found[other] = (ec, ec.j, ec.j2, ec.i, ec.i2)
+            found[other] = ec
     # found's keys are neighbors, so a missing one shows in the count
     if len(found) != len(neighbor_certs):
         for y in neighbor_certs:
             if y not in found:
                 return _reject(PHASE_COLLECT, f"edge {norm_edge(x, y)} has no certificate")
 
+    # One pass in that order registers each slot's interval, and sorts the
+    # edge by x's copies (xa, xb) and the other end's (ya, yb).  A second
+    # parent rejects after the pass, so conflicting intervals reject first.
     pop_table: dict[int, PopCertificate] = {}
-    get = pop_table.get
-    for ec, _, _, _, _ in found.values():
-        _, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 = ec
-        for k, pc in ((i, pop_i), (j, pop_j), (i2, pop_i2), (j2, pop_j2)):
-            held = get(k)
-            if held is None:
-                pop_table[k] = pc
-            elif held is not pc and held != pc:
-                return _reject(PHASE_COLLECT, f"conflicting certificates for copy {k}")
-
+    setdefault = pop_table.setdefault
+    parents = 0
     parent_sides: tuple[int, int] | None = None  # x's copies on it, ascending
     child_spans: list[tuple[int, int]] = []
-    chords: list[tuple[int, int]] = []  # (copy of x, copy of the other end)
+    chords: list[tuple[int, int, int]] = []  # (other, copy of x, copy of other)
     side_count: dict[int, int] = {}
-    for other in neighbors:
-        _, xa, xb, ya, yb = found[other]
+    for other, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2) in found.items():
+        # k: the first slot whose copy holds another interval (no slot tuples)
+        if (held := setdefault(i, pop_i)) is not pop_i and held != pop_i:
+            k = i
+        elif (held := setdefault(j, pop_j)) is not pop_j and held != pop_j:
+            k = j
+        elif (held := setdefault(i2, pop_i2)) is not pop_i2 and held != pop_i2:
+            k = i2
+        elif (held := setdefault(j2, pop_j2)) is not pop_j2 and held != pop_j2:
+            k = j2
+        else:
+            k = None
+        if k is not None:
+            return _reject(PHASE_COLLECT, f"conflicting certificates for copy {k}")
+        xa, xb, ya, yb = (j, j2, i, i2) if far == x else (i, i2, j, j2)
         if (xb == xa and yb == ya) or (xb == ya and yb == xa):  # a chord
-            chords.append((xa, ya))
+            chords.append((other, xa, ya))
             continue
         side_count[xa] = side_count.get(xa, 0) + 1
         side_count[xb] = side_count.get(xb, 0) + 1
         x_first, x_last = (xa, xb) if xa < xb else (xb, xa)
         y_first, y_last = (ya, yb) if ya < yb else (yb, ya)
         if y_first < x_first:
-            if parent_sides is not None:
-                return _reject(PHASE_COLLECT, "more than one neighbor claims parenthood")
+            parents += 1
             parent_sides = (x_first, x_last)
         else:
             child_spans.append((y_first, y_last))
+    if parents > 1:
+        return _reject(PHASE_COLLECT, "more than one neighbor claims parenthood")
+    get = pop_table.get
 
     is_root_claim = parent_sides is None
     if n == 1:
@@ -535,23 +544,18 @@ def verify_node_planarity(
         for k in copies:
             expected = 1 if (is_root_claim and (k == 1 or k == nv)) else 2
             if side_count[k] != expected:
-                return _reject(
-                    PHASE_COLLECT, f"copy {k} lacks a certified tour step"
-                )
+                return _reject(PHASE_COLLECT, f"copy {k} lacks a certified tour step")
 
     chord_at: dict[int, list[int]] = {}
-    for mine, partner in chords:
+    for _, mine, partner in sorted(chords):  # in ascending neighbor order
         if mine not in owned:
-            return _reject(
-                PHASE_COLLECT, f"chord attached to foreign copy {mine}"
-            )
+            return _reject(PHASE_COLLECT, f"chord attached to foreign copy {mine}")
         chord_at.setdefault(mine, []).append(partner)
 
     # Phase 2: spanning tree and tour consistency.  Parent chains need no
     # check of their own: the tour checks make them acyclic (module docstring).
-    root_id = own.tree_sub.root_id
-    for cert in neighbor_certs.values():
-        if cert.tree_sub.root_id != root_id:
+    for _, (other_root,), _ in neighbor_certs.values():
+        if other_root != root_id:
             return _reject(PHASE_TREE, "root identity disagrees with a neighbor")
     if is_root_claim and root_id != x:
         return _reject(PHASE_TREE, "node without a parent is not the claimed root")
@@ -561,9 +565,7 @@ def verify_node_planarity(
     if is_root_claim and not (copies and copies[0] == 1 and copies[-1] == nv):
         return _reject(PHASE_TREE, "root does not own the tour endpoints")
     if parent_sides is not None and parent_sides != (copies[0], copies[-1]):
-        return _reject(
-            PHASE_TREE, "parent edge does not bracket the first and last visits"
-        )
+        return _reject(PHASE_TREE, "parent edge does not bracket the first and last visits")
     # A childless node has one copy already: phase 1 rejects a parent edge
     # naming two copies, and the root check a root claim without tree edges.
     child_spans.sort()
@@ -575,9 +577,7 @@ def verify_node_planarity(
         # the sorted copies as a list
         expected_copies = [child_spans[0][0] - 1] + [b_max + 1 for _, b_max in child_spans]
         if copies != expected_copies:
-            return _reject(
-                PHASE_TREE, "visits do not interleave the children subtours"
-            )
+            return _reject(PHASE_TREE, "visits do not interleave the children subtours")
 
     # Phase 3: interval checks for every owned copy.  Tour neighbors k ± 1
     # enter nbr when a certificate names them (no copy is 0 or nv + 1), and

@@ -178,8 +178,8 @@ def pop_verify_node(
     rank n.  So an end rank whose own checks pass rejects any other
     interval: rank 1 with the right-chain code, rank n with the left.
     """
-    n = own.n
-    if own.rank != rank or not (1 <= rank <= n):
+    n, own_rank, lo, hi = own
+    if own_rank != rank or not (1 <= rank <= n):
         return REJECT_PATH_STRUCTURE
     nbrs = neighbor_certs
     for r, c in nbrs.items():
@@ -191,7 +191,6 @@ def pop_verify_node(
         nbrs = {**nbrs, 0: virtual_certificate(n, 0)}
     if rank == n:
         nbrs = {**nbrs, n + 1: virtual_certificate(n, n + 1)}
-    lo, hi = own.lo, own.hi
     # own interval strictly covers the rank; neighbors stay inside it
     if not (NEG_INF <= lo < rank < hi <= pos_inf(n)):
         return REJECT_INTERVAL_BOUNDS

@@ -13,9 +13,10 @@ A node's verdict depends on its view alone, so nothing a round decodes is
 needed once the round is over.  The outermost ``run_round`` or ``attack``
 call opens one decode table, through which every certificate it judges is
 decoded at most once, and drops the table when it returns; no decoded
-certificate outlives the call.  The built-in verifier's verdicts stay
-memoized process-wide, keyed on the node, its certificate, the graph's own
-neighbor tuple and the neighbors' certificates.
+certificate outlives the call.  Only a random-fields trial, whose bytes
+never repeat, decodes into its own round's table.  The built-in verifier's
+verdicts stay memoized process-wide, keyed on the node, its certificate,
+the graph's own neighbor tuple and the neighbors' certificates.
 
 ``attack`` drives dishonest certificate assignments against the verifier:
 uniformly random field values, honest templates with one corrupted field at
@@ -428,10 +429,11 @@ def attack(
     default; ``trials`` is a positive ``int``.  Identical (graph,
     strategies, trials, seed) inputs give an identical summary.
 
-    Every trial is one ``run_round``, and all of them decode through one
-    table that lives for the call: a template certificate is decoded once
-    for all of the call's template-edits and swap trials, and the table is
-    dropped when the call returns.  The verdict memo stays process-wide.
+    Every trial is one ``run_round``.  The template-edits, swap and replay
+    trials decode through one table that lives for the call, so a template
+    certificate is decoded once for all of them; a random-fields trial
+    decodes through its round's own table, since its bytes never repeat.
+    Both are dropped on return.  The verdict memo stays process-wide.
     """
     chosen = tuple(strategies) if strategies is not None else DEFAULT_STRATEGIES
     bad = [s for s in chosen if s not in DEFAULT_STRATEGIES]
@@ -456,10 +458,15 @@ def attack(
         template_bytes = {x: pack_certificate(c) for x, c in template_objs.items()}
         template_fields = {x: certificate_bit_fields(c) for x, c in template_objs.items()}
 
+    global _decodes
+    call_decodes = _decodes
     nodes = g.nodes()
     replay_pool: dict[int, dict[int, bytes]] = {}
     outcomes = []
     for strategy in chosen:
+        # a random-fields trial's bytes never repeat, so each of its rounds
+        # opens a table of its own and drops it on return
+        _decodes = None if strategy == "random-fields" else call_decodes
         accepts = 0
         hist: dict[int, int] = {}
         for t in range(trials):
@@ -499,6 +506,7 @@ def attack(
                 phase_histogram=dict(sorted(hist.items())),
             )
         )
+    _decodes = call_decodes
     return AttackSummary(
         nodes=g.n,
         edges=g.m,

@@ -371,6 +371,55 @@ def test_honest_bytes_are_the_three_bit_count_layout_without_its_first_bit(name)
     assert (most > 3 or shrank) == bool(moved)
 
 
+
+_GRID_ACCEPTS = {x: f"node {x}: accept\n" for x in range(1, 10)}
+
+#: The whole ``verify`` report on the 3x3 grid's honest files, and on three
+#: edited sets, each rejecting in one phase: the node whose certificate is
+#: edited, the index of the field and its new value, then the report.
+_PINNED_REPORTS = {
+    "honest": (None, "".join(_GRID_ACCEPTS.values()) + "global: accept\n"),
+    "phase 1": ((1, 0, 0), "".join({  # the count of edge certificates: trailing data
+        **_GRID_ACCEPTS,
+        1: "node 1: reject [phase 1] own certificate does not decode\n",
+        2: "node 2: reject [phase 1] certificate of neighbor 1 does not decode\n",
+        4: "node 4: reject [phase 1] certificate of neighbor 1 does not decode\n",
+    }.values()) + "global: reject\n"),
+    "phase 2": ((1, 2, 7), "".join({  # the root id
+        **_GRID_ACCEPTS,
+        1: "node 1: reject [phase 2] root identity disagrees with a neighbor\n",
+        2: "node 2: reject [phase 2] root identity disagrees with a neighbor\n",
+        4: "node 4: reject [phase 2] root identity disagrees with a neighbor\n",
+    }.values()) + "global: reject\n"),
+    "phase 3": ((4, 12, 0), "".join({  # an interval's lower end
+        **_GRID_ACCEPTS,
+        4: "node 4: reject [phase 3] copy 14: interval of the first left neighbor "
+        "strictly inside must equal own interval\n",
+        5: "node 5: reject [phase 3] copy 15: interval of a left neighbor differs "
+        "from [next left neighbor, rank]\n",
+        7: "node 7: reject [phase 3] copy 13: interval of the last right neighbor "
+        "strictly inside must equal own interval\n",
+    }.values()) + "global: reject\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_REPORTS))
+def test_verify_report_is_pinned_byte_for_byte(tmp_path, capfdbinary, name):
+    edit, report = _PINNED_REPORTS[name]
+    g = generate("grid", w=3, h=3)
+    certs = prove_planar(g)
+    text = write_certificates(certs)
+    if edit is not None:
+        x, target, value = edit
+        honest = pack_certificate(certs[x])
+        edited = _set_field(honest, certificate_bit_fields(certs[x]), target, value)
+        text = text.replace(honest.hex(), edited.hex())
+    path = tmp_path / "certs.txt"
+    path.write_text(text)
+    code = main(["verify", _graph_file(tmp_path, g), str(path)])
+    out, err = capfdbinary.readouterr()
+    assert (code, out, err) == (0 if edit is None else 3, report.encode(), b"")
+
 def test_verify_non_hex_line_is_a_parse_error(tmp_path, capsys):
     g = generate("wheel", n=6)
     graph = _graph_file(tmp_path, g)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from planarcert.pls import (
     prove_planar,
     unpack_certificate,
 )
+from reference_formats import reference_parse_certificates, reference_parse_graph
 
 
 def test_graph_round_trip_plain():
@@ -48,27 +51,48 @@ def test_graph_comments_and_blank_lines_ignored():
     assert g.n == 3 and g.m == 2
 
 
-@pytest.mark.parametrize(
-    "text",
+#: Each malformed graph file and its refusal, word for word.
+_GRAPH_REFUSALS = dict(
     [
-        "",
-        "3\n1 2\n",  # header too short
-        "a b\n",  # header not numeric
-        "3 2\n1 2\n",  # promised edges missing
-        "4 2\n1 2\n2 3\n",  # node count off
-        "3 2\n1 2\n2 3\nrot 1 2 3\n",  # rot line without colon
-        "3 2\n1 2\n2 3\nrot 1: 2\nrot 1: 2\n",  # duplicate rotation
-        "3 2\n1 2\n2 3\nrot 7: 1\n",  # rotation for unknown node
-        "3 2\n1 2\n2 3 4\n",  # unrecognized line shape
-        "2 1\nnode\n1 2\n",  # malformed node line
-        "2 2\n1 2\n1 1\n",  # self-loop
-        "2 2\n1 2\n1 2\n",  # repeated edge
-        "3 3\n1 2\n2 3\n2 1\n",  # repeated edge, other orientation
-        "2 1\n1 -2\n",  # a node id below 1
-    ],
+        ("", "empty graph file"),
+        ("3\n1 2\n", "header must be 'n m', got '3'"),  # header too short
+        ("a b\n", "header: expected an integer, got 'a'"),  # header not numeric
+        ("3 x\n", "header: expected an integer, got 'x'"),
+        ("3 2\n1 2\n", "header promises 2 edges, file has 1"),  # promised edges missing
+        ("4 2\n1 2\n2 3\n", "header promises 4 nodes, edges mention 3"),  # node count off
+        # rot line without colon
+        ("3 2\n1 2\n2 3\nrot 1 2 3\n", "malformed rotation line 'rot 1 2 3'"),
+        ("3 2\n1 2\n2 3\nrot\n", "malformed rotation line 'rot'"),
+        ("3 2\n1 2\n2 3\nrot 1: 2\nrot 1: 2\n", "duplicate rotation line for node 1"),
+        # rotation for unknown node
+        ("3 2\n1 2\n2 3\nrot 7: 1\n", "rotation lines for unknown nodes [7]"),
+        ("3 2\n1 2\n2 3 4\n", "unrecognized line '2 3 4'"),  # unrecognized line shape
+        ("2 1\nnode\n1 2\n", "malformed node line 'node'"),
+        ("2 1\n1 2\nnode 1 2\n", "malformed node line 'node 1 2'"),
+        ("2 2\n1 2\n1 1\n", "self-loop '1 1': the graph must be simple"),
+        ("2 2\n1 2\n1 2\n", "repeated edge '1 2': the graph must be simple"),
+        # repeated edge, other orientation
+        ("3 3\n1 2\n2 3\n2 1\n", "repeated edge '2 1': the graph must be simple"),
+        # a refusal quotes the line as the file writes it, without its comment
+        ("3 3\n1 2\n2 3\n 2\t1 # again\n", "repeated edge '2\\t1': the graph must be simple"),
+        ("2 1\n1 -2\n", "invalid graph data: node id must be positive, got -2"),  # an id below 1
+        ("2 1\n1 2\nnode 0\n", "invalid graph data: node id must be positive, got 0"),
+        # which token a refusal names: the first that is not an integer
+        ("2 1\n1 x\n", "edge line: expected an integer, got 'x'"),
+        ("2 1\nx 1\n", "edge line: expected an integer, got 'x'"),
+        ("2 1\ny x\n", "edge line: expected an integer, got 'y'"),
+        ("2 1\n1 2\nnode x\n", "node line: expected an integer, got 'x'"),
+        ("2 1\n1 2\nrot x: 1\n", "rotation line: expected an integer, got 'x'"),
+        ("2 1\n1 2\nrot 1: x\n", "rotation line: expected an integer, got 'x'"),
+        ("2 1\n1 2\nrot y: x\n", "rotation line: expected an integer, got 'y'"),
+        ("2 1\n1 2\nrot 1: 2 y x\n", "rotation line: expected an integer, got 'y'"),
+    ]
 )
+
+
+@pytest.mark.parametrize("text", list(_GRAPH_REFUSALS))
 def test_graph_parse_rejects(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(_GRAPH_REFUSALS[text])}$"):
         parse_graph(text)
 
 
@@ -104,23 +128,37 @@ def test_certificate_bits_annotation_is_advisory():
     assert parse_certificates(doctored) == _packed(certs)
 
 
-@pytest.mark.parametrize(
-    "text",
+#: Each malformed certificate file and its refusal, word for word.
+_CERTIFICATE_REFUSALS = dict(
     [
-        "",
-        "1 {broken\n",
-        '1 {"n":1}\n',  # missing keys
-        '1 {"n":1,"tree_sub":{"root_id":1,"parent_id":null,"dist":0},"edge_certs":{}}\n',
-        '1 {"n":1,"tree_sub":{"root_id":1},"edge_certs":[]}\n',
-        'x {"n":1,"tree_sub":{"root_id":1,"parent_id":null,"dist":0},"edge_certs":[]}\n',
-        "1 0a0b0\n",  # odd number of hex digits
-        "1 0a0b 0c\n",  # three tokens
-        "1 zz\n",  # not hex
-        "1\n",  # no bytes
-    ],
+        ("", "certificate file has no records"),
+        ("# only a comment\n\n", "certificate file has no records"),
+        ("1 {broken\n", "node 1: certificate is not hex"),
+        ('1 {"n":1}\n', "node 1: certificate is not hex"),  # the retired JSON layout
+        (
+            '1 {"n":1,"tree_sub":{"root_id":1,"parent_id":null,"dist":0},"edge_certs":{}}\n',
+            "node 1: certificate is not hex",
+        ),
+        ('1 {"n":1,"tree_sub":{"root_id":1},"edge_certs":[]}\n', "node 1: certificate is not hex"),
+        (
+            'x {"n":1,"tree_sub":{"root_id":1,"parent_id":null,"dist":0},"edge_certs":[]}\n',
+            "certificate line: expected an integer, got 'x'",
+        ),
+        ("1 0a0b0\n", "node 1: certificate is not hex"),  # odd number of hex digits
+        ("1 0a0b 0c\n", "certificate line must be '<id> <hex>', got '1 0a0b 0c'"),  # three tokens
+        ("1 zz\n", "node 1: certificate is not hex"),  # not hex
+        ("1\n", "certificate line must be '<id> <hex>', got '1'"),  # no bytes
+        # the id is read before the bytes
+        ("x 0a\n", "certificate line: expected an integer, got 'x'"),
+        ("x zz\n", "certificate line: expected an integer, got 'x'"),
+        ("1 0a\n 1\t0b #bits=8\n", "duplicate certificate for node 1"),
+    ]
 )
+
+
+@pytest.mark.parametrize("text", list(_CERTIFICATE_REFUSALS))
 def test_certificate_parse_rejects(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(_CERTIFICATE_REFUSALS[text])}$"):
         parse_certificates(text)
 
 
@@ -171,3 +209,109 @@ def test_graph_parser_raises_only_format_errors(text):
         parse_graph(text)
     except FormatError:
         pass
+
+
+# --- the readers against the reference readers ----------------------------------
+
+
+def _read_or_refusal(parse, text: str):
+    try:
+        return parse(text)
+    except FormatError as refused:
+        return str(refused)
+
+
+def _assert_reads_as_the_reference(text: str) -> None:
+    """Both readers give the reference's graph, rotation and bytes, down to
+    the order of every map, or its refusal text."""
+    got = _read_or_refusal(parse_graph, text)
+    want = _read_or_refusal(reference_parse_graph, text)
+    assert type(got) is type(want), text
+    if isinstance(got, str):
+        assert got == want, text
+    else:
+        (g, rot), (want_g, want_rot) = got, want
+        assert list(g.adj.items()) == list(want_g.adj.items()), text
+        assert g.connected is want_g.connected
+        assert rot == want_rot and list((rot or {}).items()) == list((want_rot or {}).items())
+    got = _read_or_refusal(parse_certificates, text)
+    want = _read_or_refusal(reference_parse_certificates, text)
+    assert type(got) is type(want), text
+    if isinstance(got, str):
+        assert got == want, text
+    else:
+        assert list(got.items()) == list(want.items()), text
+
+
+#: Line ends (the breaks ``str.splitlines`` knows, or a blank that joins two
+#: lines), blanks ``str.split`` knows, and tokens that ``int`` reads or
+#: refuses in less common ways.
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "])
+_BLANKS = st.sampled_from([" ", " ", "\t", "  ", "\xa0", "　"])
+_ODD_TOKENS = st.sampled_from(
+    ["0", "-1", "+2", "0_3", "1__2", "٣", "x", "0a", "zz", "node", "rot", "1:", ":", "rot:", "#"]
+)
+
+
+@st.composite
+def _format_texts(draw):
+    """Graph or certificate files that are mostly well formed: lines of
+    small ids, a header that is right or drawn, comments, blank lines, now
+    and then odd tokens, and every line break and blank the readers split
+    on."""
+    ids = st.integers(1, 7)
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=12))
+        isolated = draw(st.lists(st.integers(1, 9), max_size=2))
+        lines = [[str(u), str(v)] for u, v in edges] + [["node", str(v)] for v in isolated]
+        named = sorted({v for e in edges for v in e} | set(isolated))
+        for v in draw(st.lists(st.sampled_from(named), max_size=3, unique=True)) if named else ():
+            lines.append(["rot", f"{v}:", *(str(u) for e in edges for u in e if v in e and u != v)])
+        simple = {(min(u, v), max(u, v)) for u, v in edges}
+        header = [[str(len(named)), str(len(simple))]]
+    else:
+        odd_end = st.sampled_from(["z", "0"] + [""] * 14)  # not hex, or an odd digit count
+        lines = [
+            [str(v), draw(st.binary(min_size=1, max_size=6)).hex() + draw(odd_end)]
+            for v in draw(st.lists(st.integers(0, 9), max_size=6, unique=draw(st.booleans())))
+        ]
+        header = []
+    if draw(st.integers(0, 2)) == 0:
+        lines.append(draw(st.lists(_ODD_TOKENS | st.integers(-2, 9).map(str), min_size=1, max_size=3)))
+    lines = draw(st.permutations(lines))
+    if header and draw(st.integers(0, 3)) == 0:
+        header = [draw(st.lists(_ODD_TOKENS | st.integers(0, 9).map(str), max_size=3))]
+    out = []
+    for tokens in header + lines:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(["", "#", "# note", "  "])))
+        line = draw(_BLANKS).join(tokens)
+        if draw(st.integers(0, 3)) == 0:
+            line = draw(_BLANKS) + line + draw(st.sampled_from(["", " # c", "#bits=9", "\t"]))
+        out.append(line)
+    return "".join(line + draw(_BREAKS) for line in out)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_format_texts())
+def test_readers_match_the_reference_readers(text):
+    _assert_reads_as_the_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAPH_LIKE | st.text(max_size=120))
+def test_readers_match_the_reference_on_arbitrary_text(text):
+    _assert_reads_as_the_reference(text)
+
+
+def test_readers_match_the_reference_on_the_benchmark_files():
+    # The verify benchmark's graphs (seed 101) and certificates, as written
+    # and with a comment line, blank lines and CRLF line breaks added.
+    for g in (
+        generate("grid", w=32, h=32),
+        generate("random_maximal_planar", n=1024, seed=101),
+        generate("tree", n=1024, seed=101),
+    ):
+        for text in (write_graph(g), write_certificates(prove_planar(g))):
+            _assert_reads_as_the_reference(text)
+            _assert_reads_as_the_reference("# a copy\r\n\r\n" + text.replace("\n", "\r\n") + "\r\n")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+import re
 from collections import deque
 
 import pytest
@@ -51,6 +52,43 @@ def test_build_rejects_bad_ids():
     with pytest.raises(StructuralError):
         build_graph([(-3, 4)])
 
+
+
+@pytest.mark.parametrize(
+    "edges, nodes, refusal",
+    [
+        ([(True, 2)], (), "node id must be an int, got True"),
+        ([(1, False)], (), "node id must be an int, got False"),
+        ([("a", 1)], (), "node id must be an int, got 'a'"),
+        ([(1, 2.0)], (), "node id must be an int, got 2.0"),
+        ([(0, 1)], (), "node id must be positive, got 0"),
+        ([(-1, 2)], (), "node id must be positive, got -1"),
+        ([(1, 2), (3, 0)], (), "node id must be positive, got 0"),
+        # the first endpoint of a pair is checked first
+        ([(-1, "a")], (), "node id must be positive, got -1"),
+        ([("a", -1)], (), "node id must be an int, got 'a'"),
+        ([(1, 2, 3)], (), "edge must be a pair, got (1, 2, 3)"),
+        ([5], (), "edge must be a pair, got 5"),
+        ([(1,)], (), "edge must be a pair, got (1,)"),
+        ([(1, 2)], [True], "node id must be an int, got True"),
+        ([(1, 2)], ["3"], "node id must be an int, got '3'"),
+        ([(1, 2)], [0], "node id must be positive, got 0"),
+        # the isolated nodes are checked before any edge
+        ([(-1, 2)], [-5], "node id must be positive, got -5"),
+    ],
+)
+def test_build_graph_refusals_are_pinned(edges, nodes, refusal):
+    with pytest.raises(StructuralError, match=f"^{re.escape(refusal)}$"):
+        build_graph(edges, nodes=nodes)
+
+
+def test_build_graph_takes_int_subclasses_as_their_value():
+    class Id(int):
+        pass
+
+    g = build_graph([(Id(1), Id(2)), (2, 3)], nodes=[Id(4)])
+    assert g.adj == {4: (), 1: (2,), 2: (1, 3), 3: (2,)}
+    assert list(g.adj) == [4, 1, 2, 3]
 
 def test_isolated_nodes_allowed():
     g = build_graph([(1, 2)], nodes=[7])

@@ -581,6 +581,20 @@ def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
     assert oracle_verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
 
 
+def test_foreign_chords_are_named_in_ascending_neighbor_order():
+    # Node 1 holds a chord to neighbor 3 and neighbor 2 one to node 1, both
+    # attached to copies node 1 does not own.  The view reads its own
+    # certificates first, but the refusal names neighbor 2's chord.
+    own = NodeCertificate((_full_interval_edge(5, 3, 1, 2, 1, 2),), TreeSub(1), 3)
+    view = {
+        2: NodeCertificate((_full_interval_edge(5, 1, 4, 5, 4, 5),), TreeSub(1), 3),
+        3: NodeCertificate((), TreeSub(1), 3),
+    }
+    want = Verdict("reject", "chord attached to foreign copy 5", PHASE_COLLECT)
+    assert verify_node_planarity(1, own, view) == want
+    assert oracle_verify_node_planarity(1, own, view) == want
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_no_tour_indices_let_a_cycle_of_tree_edges_pass_phase_2(k):
     # A k-cycle whose every edge holds a tree-edge certificate is no tree, so

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import random
 import sys
+import tracemalloc
 import types
 from collections import Counter
 
@@ -403,6 +404,31 @@ def test_one_attack_call_decodes_each_certificate_once(monkeypatch):
     assert summary.total_accepts == 0
     assert len(calls) > g.n
     assert max(calls.values()) == 1
+
+
+def test_random_fields_decodes_do_not_outlive_their_round():
+    # A random-fields trial's bytes never repeat, so each of its rounds
+    # drops what it decoded.  A 1000-trial call on an n = 28 non-planar
+    # target then peaks near what the verdict memo keeps (about 1 MB), where
+    # the call's table, kept for every trial, peaked at 9.4 MB above start.
+    base = generate("random_maximal_planar", n=28, seed=3)
+    nodes = base.nodes()
+    missing = next((u, v) for u in nodes for v in nodes if u < v and not base.has_edge(u, v))
+    g = build_graph(base.edges() + [missing], nodes=nodes)
+    _cached_verdict.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        summary = attack(g, strategies=["random-fields"], trials=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert summary.total_accepts == 0 and not summary.planar
+    assert peak - start < 3_000_000
 
 
 # --- attack harness -------------------------------------------------------------
