@@ -77,20 +77,17 @@ class _MinorSearch:
         unassigned = self.all_mask & ~self.assigned
         touch: dict[int, int] = {}
         for t in involved:
-            frontier = 0
-            for i in _iter_bits(self.sets[t]):
-                frontier |= self.adj[i]
-            frontier &= unassigned
-            region = frontier
+            # the halo is every layer's neighbors; the first layer is the
+            # set's own cached neighbors
+            frontier = region = self.nbr[t] & unassigned
+            halo = 0
             while frontier:
                 nxt = 0
                 for i in _iter_bits(frontier):
                     nxt |= self.adj[i]
+                halo |= nxt
                 frontier = nxt & unassigned & ~region
                 region |= frontier
-            halo = 0
-            for i in _iter_bits(region):
-                halo |= self.adj[i]
             touch[t] = halo
         for a, b in violated:
             if not (touch[a] & self.sets[b]):
@@ -98,12 +95,13 @@ class _MinorSearch:
         return True
 
     def _state_key(self):
-        parts = []
-        for grp in self.groups:
-            parts.append(tuple(sorted(self.sets[t] for t in grp)))
-        if self.swap_break and len(parts) == 2:
-            return min((parts[0], parts[1]), (parts[1], parts[0]))
-        return tuple(parts)
+        """The state up to symmetry: ``_seed_floor`` keeps each group's sets
+        in ascending seed order, so the sets as they stand name it."""
+        if self.swap_break:
+            p = self.groups[1].start
+            left, right = tuple(self.sets[:p]), tuple(self.sets[p:])
+            return min((left, right), (right, left))
+        return tuple(self.sets)
 
     # -- search -----------------------------------------------------------
 

@@ -41,15 +41,18 @@ callback for each field in order and builds no certificate: it draws the
 attack harness's random fields and lists the fields of packed bytes for
 its field edits.
 
-Decoding is the gate: a field outside its legal range raises FormatError,
-so the verifier sees only well-formed certificates and judges what they
-claim.  The writer checks, as it writes, each field's range and that the
-certificate holds each value the layout forces, raising ParameterError
-otherwise.  No value the verifier would force is sent: a chord sends its
-one tour index pair once, and a flag bit tells it from a tree edge, which
-sends two tour steps.  Nor is an id the view already holds: an edge
-certificate names only its far endpoint, and no parent is sent, as the
-verifier reads it off the tree-edge certificates.
+Decoding is the gate, and the only shape check: a field outside its legal
+range, or past the last bit, raises FormatError, so the verifier sees only
+well-formed certificates and judges what they claim.  Phase 3 hands their
+intervals to ``pop_verify_node`` keyed by copy index, which the reader made
+each one's rank, so that function checks no shape of its own.  The writer
+checks, as it writes, each field's range and that the certificate holds
+each value the layout forces, raising ParameterError otherwise.  No value
+the verifier would force is sent: a chord sends its one tour index pair
+once, and a flag bit tells it from a tree edge, which sends two tour steps.
+Nor is an id the view already holds: an edge certificate names only its
+far endpoint, and no parent is sent, as the verifier reads it off the
+tree-edge certificates.
 
 Each copy's interval goes out once per certificate, with the first slot
 that names the copy; a later slot naming it sends no interval, and the
@@ -835,10 +838,6 @@ def pack_certificate(cert: NodeCertificate) -> bytes:
     return pack_certificate_with_bits(cert)[0]
 
 
-#: The refusal of a field that runs past the last byte.
-_TRUNCATED = "certificate bitstream is truncated"
-
-
 def unpack_certificate(data: bytes) -> NodeCertificate:
     """The only way into the verifier, and the reader: bytes to a certificate.
 
@@ -847,8 +846,12 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     a repeated copy shares its first slot's interval object.  Each field is
     checked as it is read, first that the bytes hold it and then that it
     lies in its legal range, so any malformed bytes raise FormatError, with
-    the text of the first field that fails.  Bytes left over after the
-    last field, beyond zero padding to a byte, raise FormatError too.
+    the text of the first field that fails: a field past the last bit makes
+    its shift raise ValueError (a negative count) before its range check,
+    and one ``except`` refuses it as truncated.  Bytes left over after the
+    last field, beyond zero padding to a byte, raise FormatError too.  Each
+    interval certificate it returns has its copy index, in 1..2n - 1, as
+    its rank and 2n - 1 as its size, as ``pop_verify_node`` requires.
     """
     if len(data) < 3:
         raise FormatError("certificate bytes too short")
@@ -861,79 +864,68 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     count = stream >> rest
     top_id = (1 << id_bits) - 1  # also the mask of an id field
     mask = (1 << idx_bits) - 1  # of an index field
-    rest -= idx_bits
-    if rest < 0:
-        raise FormatError(_TRUNCATED)
-    n = stream >> rest & mask
-    top_n = (mask - 2) // 2
-    if not 1 <= n <= top_n:
-        raise FormatError(f"n = {n} is outside 1..{top_n}")
-    rest -= id_bits
-    if rest < 0:
-        raise FormatError(_TRUNCATED)
-    root_id = stream >> rest & top_id
-    if not root_id:
-        raise FormatError(f"root_id = 0 is outside 1..{top_id}")
-    nv = 2 * n - 1
-    top_end = nv + 3
-    sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
-    edge_certs = []
-    for _ in range(count):
+    try:
+        rest -= idx_bits
+        n = stream >> rest & mask
+        top_n = (mask - 2) // 2
+        if not 1 <= n <= top_n:
+            raise FormatError(f"n = {n} is outside 1..{top_n}")
         rest -= id_bits
-        if rest < 0:
-            raise FormatError(_TRUNCATED)
-        far = stream >> rest & top_id
-        if not far:
-            raise FormatError(f"far = 0 is outside 1..{top_id}")
-        rest -= 1
-        if rest < 0:
-            raise FormatError(_TRUNCATED)
-        second = stream >> rest & 1
-        if second and n == 1:
-            raise FormatError("second = 1 is outside 0..0")
-        slots = []  # each slot's copy index, then its interval certificate
-        k = 0
-        for step in ((0, 1, 0, 1) if second else (0, 0)):
-            if step:  # the far end of a tour step, next to its near end k
-                rest -= 1
-                if rest < 0:
-                    raise FormatError(_TRUNCATED)
-                if stream >> rest & 1:  # after it unless k is the last copy
-                    if k >= nv:
-                        raise FormatError(f"step = 1 is outside {int(k == 1)}..0")
-                    k += 1
-                else:  # before it unless k is the first
-                    if k == 1:
-                        raise FormatError(f"step = 0 is outside 1..{int(k < nv)}")
-                    k -= 1
-            else:
-                rest -= idx_bits
-                if rest < 0:
-                    raise FormatError(_TRUNCATED)
-                k = stream >> rest & mask
-                if not 1 <= k <= nv:
-                    raise FormatError(f"index = {k} is outside 1..{nv}")
-            pc = sent.get(k)
-            if pc is None:
-                rest -= idx_bits
-                if rest < 0:
-                    raise FormatError(_TRUNCATED)
-                lo = stream >> rest & mask
-                if lo > top_end:
-                    raise FormatError(f"lo = {lo} is outside 0..{top_end}")
-                rest -= idx_bits
-                if rest < 0:
-                    raise FormatError(_TRUNCATED)
-                hi = stream >> rest & mask
-                if hi > top_end:
-                    raise FormatError(f"hi = {hi} is outside 0..{top_end}")
-                pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1))
-            slots.append(k)
-            slots.append(pc)
-        if not second:
-            slots *= 2
-        i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
-        edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
+        root_id = stream >> rest & top_id
+        if not root_id:
+            raise FormatError(f"root_id = 0 is outside 1..{top_id}")
+        nv = 2 * n - 1
+        top_end = nv + 3
+        sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
+        edge_certs = []
+        for _ in range(count):
+            rest -= id_bits
+            far = stream >> rest & top_id
+            if not far:
+                raise FormatError(f"far = 0 is outside 1..{top_id}")
+            rest -= 1
+            second = stream >> rest & 1
+            if second and n == 1:
+                raise FormatError("second = 1 is outside 0..0")
+            slots = []  # each slot's copy index, then its interval certificate
+            k = 0
+            for step in ((0, 1, 0, 1) if second else (0, 0)):
+                if step:  # the far end of a tour step, next to its near end k
+                    rest -= 1
+                    if stream >> rest & 1:  # after it unless k is the last copy
+                        if k >= nv:
+                            raise FormatError(f"step = 1 is outside {int(k == 1)}..0")
+                        k += 1
+                    else:  # before it unless k is the first
+                        if k == 1:
+                            raise FormatError(f"step = 0 is outside 1..{int(k < nv)}")
+                        k -= 1
+                else:
+                    rest -= idx_bits
+                    k = stream >> rest & mask
+                    if not 1 <= k <= nv:
+                        raise FormatError(f"index = {k} is outside 1..{nv}")
+                pc = sent.get(k)
+                if pc is None:
+                    rest -= idx_bits
+                    lo = stream >> rest & mask
+                    if lo > top_end:
+                        raise FormatError(f"lo = {lo} is outside 0..{top_end}")
+                    rest -= idx_bits
+                    hi = stream >> rest & mask
+                    if hi > top_end:
+                        raise FormatError(f"hi = {hi} is outside 0..{top_end}")
+                    pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1))
+                slots.append(k)
+                slots.append(pc)
+            if not second:
+                slots *= 2
+            i, pop_i, j, pop_j, i2, pop_i2, j2, pop_j2 = slots
+            edge_certs.append(_new(EdgeCertificate, (far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2)))
+    except FormatError:
+        raise
+    except ValueError:  # "negative shift count": a field runs past the last bit
+        raise FormatError("certificate bitstream is truncated") from None
     if rest >= 8 or stream & ((1 << rest) - 1):
         raise FormatError("certificate bitstream has trailing data")
     return _new(NodeCertificate, (tuple(edge_certs), _new(TreeSub, (root_id,)), n))

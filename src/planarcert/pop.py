@@ -167,24 +167,25 @@ def pop_verify_node(
 ) -> int | None:
     """One node's verdict: None to accept, else the first failing check code.
 
-    neighbor_certs is keyed by claimed rank and must cover exactly the real
-    neighbors.  Ranks 1 and n also see the fixed certificates of virtual
-    ranks 0 and n+1 as neighbors (no extra communication); those decide the
-    bounds, boundary and endpoint codes there.  The virtual ranks' own
-    checks come down to one rule.  Rank 0's neighbors are rank 1 and the
-    fixed rank n+1, so its structure, bounds, boundary and endpoint checks
-    hold whenever its right chain does, and that chain holds iff rank 1's
-    interval is (0, n+1); rank n+1 mirrors this with its left chain and
-    rank n.  So an end rank whose own checks pass rejects any other
-    interval: rank 1 with the right-chain code, rank n with the left.
+    The view must be well-formed, as ``pop_verify_all`` and the reader
+    build it: ``own`` has rank ``rank`` in 1..n, and neighbor_certs keys
+    each neighbor by its own rank, in 1..n, with the node's n.  It covers
+    exactly the real neighbors; ``rank`` among them, or a missing tour
+    neighbor, rejects with the structural code.  Ranks 1 and n also see
+    the fixed certificates of virtual ranks 0 and n+1 as neighbors (no
+    extra communication); those decide the bounds, boundary and endpoint
+    codes there.  The virtual ranks' own checks come down to one rule.
+    Rank 0's neighbors are rank 1 and the fixed rank n+1, so its structure,
+    bounds, boundary and endpoint checks hold whenever its right chain
+    does, and that chain holds iff rank 1's interval is (0, n+1); rank n+1
+    mirrors this with its left chain and rank n.  So an end rank whose own
+    checks pass rejects any other interval: rank 1 with the right-chain
+    code, rank n with the left.
     """
-    n, own_rank, lo, hi = own
-    if own_rank != rank or not (1 <= rank <= n):
-        return REJECT_PATH_STRUCTURE
+    n, _, lo, hi = own
     nbrs = neighbor_certs
-    for r, c in nbrs.items():
-        if c.rank != r or c.n != n or r == rank or not (1 <= r <= n):
-            return REJECT_PATH_STRUCTURE
+    if rank in nbrs:
+        return REJECT_PATH_STRUCTURE
     if (rank > 1 and rank - 1 not in nbrs) or (rank < n and rank + 1 not in nbrs):
         return REJECT_PATH_STRUCTURE
     if rank == 1:
@@ -243,18 +244,23 @@ def pop_verify_node(
 def pop_verify_all(g: Graph, certs: dict[int, PopCertificate]) -> dict[int, int | None]:
     """Evaluate every node against its neighbors' certificates.
 
-    Two neighbors claiming one rank cannot both be handed to the verifier;
-    the node observing the clash rejects with the structural code.
+    Certificates may be arbitrary, so views are checked for shape here: a
+    node whose rank is outside 1..n, or that sees a neighbor with another
+    n, a rank outside 1..n or a rank claimed twice, rejects with the
+    structural code.
     """
     out: dict[int, int | None] = {}
     for v in g.nodes():
-        by_rank: dict[int, PopCertificate] = {}
-        clash = False
-        for u in g.neighbors(v):
-            c = certs[u]
-            if c.rank in by_rank:
-                clash = True
-                break
-            by_rank[c.rank] = c
-        out[v] = REJECT_PATH_STRUCTURE if clash else pop_verify_node(certs[v].rank, certs[v], by_rank)
+        own = certs[v]
+        n, rank = own.n, own.rank
+        out[v] = REJECT_PATH_STRUCTURE
+        if 1 <= rank <= n:
+            by_rank: dict[int, PopCertificate] = {}
+            for u in g.neighbors(v):
+                c = certs[u]
+                if c.n != n or not 1 <= c.rank <= n or c.rank in by_rank:
+                    break
+                by_rank[c.rank] = c
+            else:
+                out[v] = pop_verify_node(rank, own, by_rank)
     return out

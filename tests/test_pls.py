@@ -44,9 +44,10 @@ from planarcert.cli import main as cli_main
 from planarcert.embedding import RotationSystem, planar_embed
 from planarcert.formats import parse_graph
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
-from planarcert.sim import planarity_verifier, random_assignment
+from planarcert.sim import planarity_verifier, random_assignment, run_round
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
 from reference_decoder import reference_unpack, reference_walk
+from splice import splice_forgeries
 from verdict_oracle import oracle_verify_node_planarity
 
 
@@ -652,6 +653,35 @@ def test_no_tour_indices_let_a_cycle_of_tree_edges_pass_phase_2(k):
     for o in options:  # every option is a certificate the wire carries
         cert = NodeCertificate((_full_interval_edge(nv, 2, *o[0], *o[1]),), TreeSub(1), k)
         assert unpack_certificate(pack_certificate(cert)) == cert
+
+
+def _without_phase_3(x, own, neighbors):
+    """The built-in verifier with every phase-3 rejection turned into an
+    accept.  Exact, because phase 3 runs last: a view it rejects there has
+    passed every other check."""
+    verdict = planarity_verifier(x, own, neighbors)
+    return Verdict("accept", "", PHASE_POP) if verdict.phase == PHASE_POP else verdict
+
+
+@pytest.mark.parametrize(
+    "kind, params, forgeries",
+    [("complete", {"k": 5}, 52), ("complete_bipartite", {"p": 3, "q": 3}, 40)],
+)
+def test_splice_forgeries_are_rejected_only_by_the_interval_checks(kind, params, forgeries):
+    # An honest proof of g - e with e spliced back in as a chord passes
+    # phases 1 and 2 everywhere, so the interval checks alone stand between
+    # it and an accept: without them some splice is accepted.
+    g = generate(kind, **params)
+    spliced = splice_forgeries(g)
+    assert len(spliced) == forgeries
+    accepted_without = 0
+    for label, a in spliced:
+        report = run_round(g, a)
+        assert report.global_decision == "reject", label
+        # every verdict, the first rejector's included, is phase 3's
+        assert {v.phase for v in report.per_node.values()} == {PHASE_POP}, label
+        accepted_without += run_round(g, a, _without_phase_3).global_decision == "accept"
+    assert accepted_without >= 1
 
 
 # --- certificate size --------------------------------------------------------

@@ -296,6 +296,26 @@ def test_rank_outside_one_to_n_is_caught():
     assert pop_verify_all(fan, certs)[5] == REJECT_PATH_STRUCTURE
 
 
+@pytest.mark.parametrize(
+    "node, edit, rejecting",
+    [
+        (3, {"n": 6}, {1, 2, 3, 4}),
+        (3, {"rank": 0}, {1, 2, 3, 4}),
+        (5, {"rank": 6}, {1, 4, 5}),
+    ],
+    ids=["another n", "rank 0", "rank n + 1"],
+)
+def test_views_of_the_wrong_shape_reject_on_structure(node, edit, rejecting):
+    # One fan certificate claims another instance size, or a rank outside
+    # 1..n.  Its holder and every neighbor that sees it reject on shape,
+    # before any interval check; nodes that do not see it accept.
+    fan = build_graph(FAN)
+    certs = pop_prove(fan, PopWitness(order=(1, 2, 3, 4, 5)))
+    certs[node] = certs[node]._replace(**edit)
+    want = {v: REJECT_PATH_STRUCTURE if v in rejecting else None for v in fan.nodes()}
+    assert pop_verify_all(fan, certs) == want
+
+
 def test_boundary_inheritance_reject_code():
     fan = build_graph(FAN)
     certs = pop_prove(fan, PopWitness(order=(1, 2, 3, 4, 5)))
