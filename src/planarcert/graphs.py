@@ -189,7 +189,8 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
 
     Vertices are stacked into faces, then diagonals are flipped.  The faces
     are kept as one oriented map, ``apex[(u, v)] = w`` iff ``(u, v, w)`` is
-    a counterclockwise face, which makes both steps O(1).
+    a counterclockwise face, which makes both steps O(1).  Every edge has a
+    face on each side, so the edges are the map's keys.
 
     Each index is drawn as ``random.Random(seed).randrange(size)`` would draw
     it: the rejection loop over ``getrandbits`` that ``randrange`` runs, inlined.
@@ -203,7 +204,6 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
         (3, 1): 4, (1, 4): 3, (4, 3): 1,
         (1, 3): 2, (3, 2): 1, (2, 1): 3,
     }
-    adj = {a: {b for b in range(1, 5) if b != a} for a in range(1, 5)}
     faces = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     for w in range(5, n + 1):
@@ -223,10 +223,6 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
         apex[(a, b)] = apex[(b, c)] = apex[(c, a)] = w
         apex[(b, w)], apex[(w, a)], apex[(c, w)] = a, b, b
         apex[(w, b)], apex[(a, w)], apex[(w, c)] = c, c, a
-        adj[a].add(w)
-        adj[b].add(w)
-        adj[c].add(w)
-        adj[w] = {a, b, c}
 
     # Diagonal flips for variety; each flip preserves the triangulation.
     edge_list = sorted(e for e in apex if e[0] < e[1])
@@ -241,21 +237,20 @@ def _triangulate(n: int, seed: int) -> tuple[Graph, dict[Edge, int]]:
             continue
         x, y = apex[(u, v)], apex[(v, u)]
         a, b = (x, y) if x < y else (y, x)
-        if b in adj[a]:
+        if (a, b) in apex:
             continue
         # flip: replace edge {u,v} by {x,y}, with the counterclockwise faces
         # (x, u, y) and (y, v, x)
         del apex[(u, v)], apex[(v, u)]
-        adj[u].discard(v)
-        adj[v].discard(u)
-        adj[a].add(b)
-        adj[b].add(a)
         apex[(x, u)], apex[(u, y)], apex[(y, x)] = y, x, u
         apex[(y, v)], apex[(v, x)], apex[(x, y)] = x, y, v
         edge_list.append((a, b))
 
+    nbrs: dict[int, list[int]] = {u: [] for u in range(1, n + 1)}
+    for a, b in apex:
+        nbrs[a].append(b)
     # ids 1..n, and stacking and flipping keep the triangulation connected
-    return Graph({u: tuple(sorted(nb)) for u, nb in adj.items()}, connected=True), apex
+    return Graph({u: tuple(sorted(nb)) for u, nb in nbrs.items()}, connected=True), apex
 
 
 def _gen_random_maximal_planar(n: int, seed: int) -> Graph:
@@ -309,9 +304,9 @@ def _gen_petersen() -> Graph:
 
 
 def subdivide(g: Graph, steps: int) -> Graph:
-    """Replace every edge by a path with ``steps`` fresh interior nodes."""
-    if steps < 0:
-        raise ParameterError("steps must be >= 0")
+    """Replace every edge by a path with ``steps`` (an int >= 0) fresh interior nodes."""
+    if type(steps) is not int or steps < 0:
+        raise ParameterError(f"steps must be an int >= 0, got {steps!r}")
     if steps == 0:
         return g
     next_id = max(g.adj) + 1

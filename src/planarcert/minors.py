@@ -336,24 +336,24 @@ def has_biclique_minor(g: Graph, p: int, q: int) -> bool:
 
 
 def parse_minor_spec(spec: str) -> tuple:
-    """Parse "K5" into ("clique", 5) and "K3,3" into ("biclique", 3, 3)."""
+    """Parse "K5" into ("clique", 5) and "K3,3" into ("biclique", 3, 3); refuse other text."""
     s = spec.strip().upper().replace("_", "").replace("{", "").replace("}", "")
-    if not s.startswith("K"):
+    try:
+        sizes = tuple(int(t) for t in s[1:].split(",")) if s[:1] == "K" else ()
+    except ValueError:
+        sizes = ()
+    if not 1 <= len(sizes) <= 2:
         raise ParameterError(f"unrecognized minor spec {spec!r}")
-    body = s[1:]
-    if "," in body:
-        left, right = body.split(",", 1)
-        return ("biclique", int(left), int(right))
-    return ("clique", int(body))
+    return ("clique" if len(sizes) == 1 else "biclique", *sizes)
 
 
 def minor_contains(g: Graph, h) -> bool:
     """Decide whether ``h`` (a spec like "K5"/"K3,3" or a parsed tuple) is a minor of g."""
     if isinstance(h, str):
         h = parse_minor_spec(h)
-    kind = h[0]
-    if kind == "clique":
-        return has_clique_minor(g, h[1])
-    if kind == "biclique":
-        return has_biclique_minor(g, h[1], h[2])
-    raise ParameterError(f"unknown minor kind {kind!r}")
+    kind, *sizes = tuple(h) or (None,)
+    if kind == "clique" and len(sizes) == 1:
+        return has_clique_minor(g, *sizes)
+    if kind == "biclique" and len(sizes) == 2:
+        return has_biclique_minor(g, *sizes)
+    raise ParameterError(f"unrecognized minor spec {h!r}")

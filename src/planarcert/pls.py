@@ -595,7 +595,7 @@ def verify_node_planarity(
             nbr[k + 1] = pc
         for partner in chord_at.get(k, ()):
             nbr[partner] = pop_table[partner]
-        code = pop_verify_node(k, pop_table[k], nbr)
+        code = pop_verify_node(pop_table[k], nbr)
         if code is not None:
             return _reject(PHASE_POP, f"copy {k}: {REJECT_REASONS[code]}")
     return _ACCEPT

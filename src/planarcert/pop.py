@@ -162,27 +162,26 @@ def pop_prove(g: Graph, w: PopWitness) -> dict[int, PopCertificate]:
     }
 
 
-def pop_verify_node(
-    rank: int, own: PopCertificate, neighbor_certs: dict[int, PopCertificate]
-) -> int | None:
+def pop_verify_node(own: PopCertificate, neighbor_certs: dict[int, PopCertificate]) -> int | None:
     """One node's verdict: None to accept, else the first failing check code.
 
     The view must be well-formed, as ``pop_verify_all`` and the reader
-    build it: ``own`` has rank ``rank`` in 1..n, and neighbor_certs keys
-    each neighbor by its own rank, in 1..n, with the node's n.  It covers
-    exactly the real neighbors; ``rank`` among them, or a missing tour
-    neighbor, rejects with the structural code.  Ranks 1 and n also see
-    the fixed certificates of virtual ranks 0 and n+1 as neighbors (no
-    extra communication); those decide the bounds, boundary and endpoint
-    codes there.  The virtual ranks' own checks come down to one rule.
-    Rank 0's neighbors are rank 1 and the fixed rank n+1, so its structure,
-    bounds, boundary and endpoint checks hold whenever its right chain
-    does, and that chain holds iff rank 1's interval is (0, n+1); rank n+1
-    mirrors this with its left chain and rank n.  So an end rank whose own
-    checks pass rejects any other interval: rank 1 with the right-chain
-    code, rank n with the left.
+    build it: ``own.rank`` is in 1..n, and neighbor_certs keys each
+    neighbor by its own rank, in 1..n, with the node's n.  It covers
+    exactly the real neighbors; the own rank among them, or a missing tour
+    neighbor, rejects with the structural code.  Ranks 1 and n also see the
+    fixed certificates of virtual ranks 0 and n+1 as neighbors (no extra
+    communication); those decide the bounds, boundary and endpoint codes
+    there.  So past the structural check each side of the rank holds a tour
+    neighbor or a virtual rank.  The virtual ranks' own checks come down to
+    one rule.  Rank 0's neighbors are rank 1 and the fixed rank n+1, so its
+    structure, bounds, boundary and endpoint checks hold whenever its right
+    chain does, and that chain holds iff rank 1's interval is (0, n+1);
+    rank n+1 mirrors this with its left chain and rank n.  So an end rank
+    whose own checks pass rejects any other interval: rank 1 with the
+    right-chain code, rank n with the left.
     """
-    n, _, lo, hi = own
+    n, rank, lo, hi = own
     nbrs = neighbor_certs
     if rank in nbrs:
         return REJECT_PATH_STRUCTURE
@@ -195,17 +194,15 @@ def pop_verify_node(
     # own interval strictly covers the rank; neighbors stay inside it
     if not (NEG_INF <= lo < rank < hi <= pos_inf(n)):
         return REJECT_INTERVAL_BOUNDS
-    # ranks[:split] lie left of rank and ranks[split:] right of it, so
-    # ranks[0] and ranks[last] are the outermost neighbors on their sides
+    # ranks[:split] lie left of rank and ranks[split:] right of it, both
+    # nonempty, so ranks[0] and ranks[-1] are the outermost neighbors on
+    # their sides
     ranks = sorted(nbrs)
     split = bisect_left(ranks, rank)
-    last = len(ranks) - 1
-    if split <= last and ranks[last] > hi:
-        return REJECT_INTERVAL_BOUNDS
-    if split and ranks[0] < lo:
+    if ranks[-1] > hi or ranks[0] < lo:
         return REJECT_INTERVAL_BOUNDS
     # chains: consecutive same-side neighbors pin each other's intervals
-    for t in range(split, last):
+    for t in range(split, len(ranks) - 1):
         c = nbrs[ranks[t]]
         if c.lo != rank or c.hi != ranks[t + 1]:
             return REJECT_RIGHT_CHAIN
@@ -215,11 +212,11 @@ def pop_verify_node(
             return REJECT_LEFT_CHAIN
     # boundaries: the outermost same-side neighbor strictly inside [lo, hi]
     # must carry [lo, hi] itself
-    if split <= last and ranks[last] < hi:
-        c = nbrs[ranks[last]]
+    if ranks[-1] < hi:
+        c = nbrs[ranks[-1]]
         if c.lo != lo or c.hi != hi:
             return REJECT_RIGHT_BOUNDARY
-    if split and ranks[0] > lo:
+    if ranks[0] > lo:
         c = nbrs[ranks[0]]
         if c.lo != lo or c.hi != hi:
             return REJECT_LEFT_BOUNDARY
@@ -262,5 +259,5 @@ def pop_verify_all(g: Graph, certs: dict[int, PopCertificate]) -> dict[int, int 
                     break
                 by_rank[c.rank] = c
             else:
-                out[v] = pop_verify_node(rank, own, by_rank)
+                out[v] = pop_verify_node(own, by_rank)
     return out

@@ -13,8 +13,8 @@ A node's verdict depends on its view alone, so nothing a round decodes is
 needed once the round is over.  The outermost ``run_round`` or ``attack``
 call opens one decode table, through which every certificate it judges is
 decoded at most once, and drops the table when it returns; no decoded
-certificate outlives the call.  Only a random-fields trial, whose bytes
-never repeat, decodes into its own round's table.  The built-in verifier's
+certificate outlives the call.  ``attack`` clears the table after each
+random-fields round, whose bytes never repeat.  The built-in verifier's
 verdicts stay memoized process-wide, keyed on the node, its certificate,
 the graph's own neighbor tuple and the neighbors' certificates.
 
@@ -429,11 +429,13 @@ def attack(
     default; ``trials`` is a positive ``int``.  Identical (graph,
     strategies, trials, seed) inputs give an identical summary.
 
-    Every trial is one ``run_round``.  The template-edits, swap and replay
-    trials decode through one table that lives for the call, so a template
-    certificate is decoded once for all of them; a random-fields trial
-    decodes through its round's own table, since its bytes never repeat.
-    Both are dropped on return.  The verdict memo stays process-wide.
+    Every trial is one ``run_round``, and every round decodes through the
+    one table that lives for the call.  The table is cleared after each
+    random-fields round, since those bytes never repeat.  The other trials
+    keep what they decode, so a template certificate is decoded once for
+    all of them, unless a random-fields strategy listed between them has
+    cleared it.  The table is dropped on return; the verdict memo stays
+    process-wide.
     """
     chosen = tuple(strategies) if strategies is not None else DEFAULT_STRATEGIES
     bad = [s for s in chosen if s not in DEFAULT_STRATEGIES]
@@ -458,15 +460,11 @@ def attack(
         template_bytes = {x: pack_certificate(c) for x, c in template_objs.items()}
         template_fields = {x: certificate_bit_fields(c) for x, c in template_objs.items()}
 
-    global _decodes
-    call_decodes = _decodes
+    decodes = _decodes
     nodes = g.nodes()
     replay_pool: dict[int, dict[int, bytes]] = {}
     outcomes = []
     for strategy in chosen:
-        # a random-fields trial's bytes never repeat, so each of its rounds
-        # opens a table of its own and drops it on return
-        _decodes = None if strategy == "random-fields" else call_decodes
         accepts = 0
         hist: dict[int, int] = {}
         for t in range(trials):
@@ -493,6 +491,8 @@ def attack(
                     }
                 a = Assignment(dict(replay_pool[idx]), Origin("external", base="replayed-planar-proof"))
             report = run_round(g, a, stop_at_first_reject=True)
+            if strategy == "random-fields":
+                decodes.clear()  # these bytes never repeat
             if report.accepted:
                 accepts += 1
             else:
@@ -506,7 +506,6 @@ def attack(
                 phase_histogram=dict(sorted(hist.items())),
             )
         )
-    _decodes = call_decodes
     return AttackSummary(
         nodes=g.n,
         edges=g.m,

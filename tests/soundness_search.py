@@ -57,7 +57,7 @@ def _node_verdict(g: Graph, certs: dict[int, PopCertificate], v: int):
         if c.rank in by_rank:
             return False
         by_rank[c.rank] = c
-    return pop_verify_node(certs[v].rank, certs[v], by_rank) is None
+    return pop_verify_node(certs[v], by_rank) is None
 
 
 def _search_intervals(g: Graph, ranks: dict[int, int], n: int):

@@ -543,3 +543,10 @@ def test_subdivide_counts(k, steps):
     g = subdivide(base, steps)
     assert g.n == base.n + steps * base.m
     assert g.m == base.m * (steps + 1)
+
+
+@pytest.mark.parametrize("steps", [True, 2.0, "1"])
+def test_subdivide_takes_an_int_only(steps):
+    # as generate does, a bool and an integral float included
+    with pytest.raises(ParameterError, match=re.escape(repr(steps))):
+        subdivide(generate("complete", k=4), steps)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from planarcert.errors import ResourceError
+from planarcert.errors import ParameterError, ResourceError
 from planarcert.graphs import Graph, build_graph, generate, subdivide
 from planarcert.minors import (
     has_biclique_minor,
@@ -201,6 +202,12 @@ def test_parse_minor_spec():
     assert parse_minor_spec("K5") == ("clique", 5)
     assert parse_minor_spec("K3,3") == ("biclique", 3, 3)
     assert parse_minor_spec("k2,3") == ("biclique", 2, 3)
+
+
+@pytest.mark.parametrize("spec", ["K", "Kx", "K3,", "K3,3,3", "K2.5", ("clique",), ("biclique", 3)])
+def test_a_malformed_minor_is_refused_quoting_it(spec):
+    with pytest.raises(ParameterError, match=re.escape(repr(spec))):
+        minor_contains(generate("petersen"), spec)
 
 
 def test_minor_contains_dispatch():

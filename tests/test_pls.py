@@ -555,6 +555,10 @@ _CRAFTED_VIEWS = [
     # no certificate names copy 5, copy 4's tour neighbor
     (3, [(2, 2, 1, 4, 3), (3, 2, 3, 4, 3)], {}, PHASE_POP,
      "copy 4: rank neighborhood is not consistent with a spanning path"),
+    # node 1 is the root of the tour 1 2 4 2 1 3 1 and holds a chord from its
+    # copy 5 to copy 5
+    (4, [(2, 1, 2, 5, 4), (3, 5, 6, 7, 6), (4, 5, 5, 5, 5)], {}, PHASE_POP,
+     "copy 5: rank neighborhood is not consistent with a spanning path"),
     # a lone node that claims n = 2 and holds no edge certificate (packed:
     # 01030a) owns no copy at all, so neither tour endpoint
     (2, [], {}, PHASE_TREE, "root does not own the tour endpoints"),

@@ -319,16 +319,16 @@ def test_views_of_the_wrong_shape_reject_on_structure(node, edit, rejecting):
 def test_boundary_inheritance_reject_code():
     fan = build_graph(FAN)
     certs = pop_prove(fan, PopWitness(order=(1, 2, 3, 4, 5)))
-    assert pop_verify_node(5, certs[5], {1: certs[1], 4: certs[4]}) is None
+    assert pop_verify_node(certs[5], {1: certs[1], 4: certs[4]}) is None
     # chain break: the nearest left neighbor must carry [1, 5]
     bad_four = PopCertificate(n=5, rank=4, lo=0, hi=6)
     assert (
-        pop_verify_node(5, certs[5], {1: certs[1], 4: bad_four}) == REJECT_LEFT_CHAIN
+        pop_verify_node(certs[5], {1: certs[1], 4: bad_four}) == REJECT_LEFT_CHAIN
     )
     # boundary break: the farthest left neighbor strictly inside must inherit (0, 6)
     bad_one = PopCertificate(n=5, rank=1, lo=0, hi=5)
     assert (
-        pop_verify_node(5, certs[5], {1: bad_one, 4: certs[4]}) == REJECT_LEFT_BOUNDARY
+        pop_verify_node(certs[5], {1: bad_one, 4: certs[4]}) == REJECT_LEFT_BOUNDARY
     )
 
 

@@ -209,7 +209,7 @@ def test_interval_codes_match_the_reference():
     for _ in range(40_000):
         rank, own, nbrs = _random_pop_view(rng)
         want = oracle_pop_verify_node(rank, own, nbrs)
-        assert pop_verify_node(rank, own, nbrs) == want, (rank, own, nbrs)
+        assert pop_verify_node(own, nbrs) == want, (rank, own, nbrs)
         codes[want] += 1
     # Every code the interval checks have, and accept.  The reference's
     # nesting check (code 17) never decides: the far end of a neighbor
