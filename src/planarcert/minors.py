@@ -309,8 +309,8 @@ def _adj_dict(g: Graph) -> dict[int, set[int]]:
 
 def has_clique_minor(g: Graph, k: int) -> bool:
     """True iff K_k is a minor of g. Exponential search; see module docstring."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ParameterError(f"k must be an int >= 1, got {k!r}")
     if g.n > NODE_CAP:
         raise ResourceError(f"graph has {g.n} nodes, above the cap {NODE_CAP}")
     if k == 1:
@@ -324,8 +324,9 @@ def has_clique_minor(g: Graph, k: int) -> bool:
 
 def has_biclique_minor(g: Graph, p: int, q: int) -> bool:
     """True iff K_{p,q} is a minor of g."""
-    if p < 1 or q < 1:
-        raise ParameterError("p and q must be >= 1")
+    for name, size in (("p", p), ("q", q)):
+        if type(size) is not int or size < 1:
+            raise ParameterError(f"{name} must be an int >= 1, got {size!r}")
     if g.n > NODE_CAP:
         raise ResourceError(f"graph has {g.n} nodes, above the cap {NODE_CAP}")
     if p == 1 and q == 1:

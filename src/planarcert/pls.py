@@ -21,13 +21,21 @@ spanning tree and the tour around it.
 No certificate carries a tree depth, because the tour checks already make
 parent pointers acyclic.  Let x be an accepting node with parent p, where
 the parent is the tree-edge neighbor whose copy on the shared edge comes
-first.  The bracket check makes x's copies on that edge its first and last
-copies, so p's copy on the edge comes before x's first copy.  p reads the
-same certificate and counts that copy among its own, so
-first(p) < first(x).  First copies strictly fall along every parent chain,
-so no chain cycles, and each one ends at a parentless node.  Such a node
-must be the root it claims, and root identities agree across every edge of
-a connected graph, so when every node accepts there is exactly one root.
+first.  Phase 2 accepts a parent edge only at x's first and last copies,
+as a count shows.  For children whose copies span [s1, e1], ..., [sk, ek],
+the tour checks make x's copies exactly s1 - 1, e1 + 1, ..., ek + 1, none
+inside a span, so child i's two tour steps land on si - 1 and ei + 1: one
+on the first copy, one on the last and two on each copy between.  Every
+copy of a node with a parent needs two steps, so the parent edge's two
+steps fill the first and the last; with no child they share x's one copy.
+(A root claim needs one step only at copies 1 and 2n - 1, so the same
+count puts its first and last copies there.)  So p's copy on the edge
+comes before x's first copy.  p reads the same certificate and counts that
+copy among its own, so first(p) < first(x).  First copies strictly fall
+along every parent chain, so no chain cycles, and each one ends at a
+parentless node.  Such a node must be the root it claims, and root
+identities agree across every edge of a connected graph, so when every
+node accepts there is exactly one root.
 
 Certificates travel as packed bits in one layout, which one reader, one
 writer and one walk state.  The reader, ``unpack_certificate``, reads each
@@ -499,7 +507,6 @@ def verify_node_planarity(
     pop_table: dict[int, PopCertificate] = {}
     setdefault = pop_table.setdefault
     parents = 0
-    parent_sides: tuple[int, int] | None = None  # x's copies on it, ascending
     child_spans: list[tuple[int, int]] = []
     chords: list[tuple[int, int, int]] = []  # (other, copy of x, copy of other)
     side_count: dict[int, int] = {}
@@ -523,35 +530,25 @@ def verify_node_planarity(
             continue
         side_count[xa] = side_count.get(xa, 0) + 1
         side_count[xb] = side_count.get(xb, 0) + 1
-        x_first, x_last = (xa, xb) if xa < xb else (xb, xa)
         y_first, y_last = (ya, yb) if ya < yb else (yb, ya)
-        if y_first < x_first:
+        if y_first < (xa if xa < xb else xb):
             parents += 1
-            parent_sides = (x_first, x_last)
         else:
             child_spans.append((y_first, y_last))
     if parents > 1:
         return _reject(PHASE_COLLECT, "more than one neighbor claims parenthood")
     get = pop_table.get
 
-    is_root_claim = parent_sides is None
-    if n == 1:
-        # A single node has no incident edges to carry its certificate, so
-        # its lone tour copy gets the canonical full interval.
-        copies = [1]
-        owned = {1}
-        pop_table[1] = PopCertificate(n=1, rank=1, lo=0, hi=2)
-    else:
-        copies = sorted(side_count)
-        owned = side_count.keys()
-        for k in copies:
-            expected = 1 if (is_root_claim and (k == 1 or k == nv)) else 2
-            if side_count[k] != expected:
-                return _reject(PHASE_COLLECT, f"copy {k} lacks a certified tour step")
+    is_root_claim = parents == 0
+    copies = sorted(side_count)
+    for k in copies:
+        expected = 1 if (is_root_claim and (k == 1 or k == nv)) else 2
+        if side_count[k] != expected:
+            return _reject(PHASE_COLLECT, f"copy {k} lacks a certified tour step")
 
     chord_at: dict[int, list[int]] = {}
     for _, mine, partner in sorted(chords):  # in ascending neighbor order
-        if mine not in owned:
+        if mine not in side_count:
             return _reject(PHASE_COLLECT, f"chord attached to foreign copy {mine}")
         chord_at.setdefault(mine, []).append(partner)
 
@@ -562,15 +559,12 @@ def verify_node_planarity(
             return _reject(PHASE_TREE, "root identity disagrees with a neighbor")
     if is_root_claim and root_id != x:
         return _reject(PHASE_TREE, "node without a parent is not the claimed root")
-    # Every copy lies in 1..nv, so the sorted copies hold both tour endpoints
-    # iff they run from 1 to nv; a parent edge names copies of x, so it
-    # brackets them iff its two copies are the first and the last.
-    if is_root_claim and not (copies and copies[0] == 1 and copies[-1] == nv):
-        return _reject(PHASE_TREE, "root does not own the tour endpoints")
-    if parent_sides is not None and parent_sides != (copies[0], copies[-1]):
-        return _reject(PHASE_TREE, "parent edge does not bracket the first and last visits")
-    # A childless node has one copy already: phase 1 rejects a parent edge
-    # naming two copies, and the root check a root claim without tree edges.
+    # The two checks below leave each child one tour step on the first copy
+    # and one on the last, so the side counts already put the parent edge's
+    # steps there, and a root claim's first and last copies at 1 and nv
+    # (module docstring).  A childless node has one copy, as phase 1 rejects
+    # a parent edge naming two, or, claiming the root, none: a neighbor's
+    # edge would be a chord on a foreign copy, so it has no neighbor.
     child_spans.sort()
     if child_spans:
         for (_, a_max), (b_min, _) in zip(child_spans, child_spans[1:]):

@@ -210,6 +210,17 @@ def test_a_malformed_minor_is_refused_quoting_it(spec):
         minor_contains(generate("petersen"), spec)
 
 
+@pytest.mark.parametrize(
+    "spec, value",
+    [(("clique", 2.0), "2.0"), (("clique", True), "True"), (("clique", 0), "0"),
+     (("biclique", 2, 3.0), "3.0"), (("biclique", False, 3), "False")],
+)
+def test_a_minor_size_that_is_not_a_positive_int_is_refused_naming_it(spec, value):
+    # As generate does, a bool or a float is refused, not converted.
+    with pytest.raises(ParameterError, match=f"got {re.escape(value)}$"):
+        minor_contains(generate("petersen"), spec)
+
+
 def test_minor_contains_dispatch():
     assert minor_contains(generate("petersen"), "K5")
     assert not minor_contains(generate("grid", w=4, h=4), "K3,3")

@@ -533,7 +533,9 @@ def _full_interval_edge(nv: int, far: int, i: int, j: int, i2: int, j2: int) -> 
 #: edge certificate, as (far, i, j, i2, j2), and its neighbors hold none.
 #: Each node claims the root its entry in the dict gives, else node 1's
 #: claimed parent, else node 1.  Tree steps name adjacent copies, so every
-#: view packs and decodes unchanged.
+#: view packs and decodes unchanged.  The reference reaches each site; the
+#: verifier in ``src`` has none for the tour endpoints or the parent bracket,
+#: which the other checks imply, and a sixth entry gives its verdict there.
 _CRAFTED_VIEWS = [
     (3, [(2, 2, 1, 2, 3), (3, 2, 1, 2, 3)], {}, PHASE_COLLECT,
      "more than one neighbor claims parenthood"),
@@ -545,9 +547,11 @@ _CRAFTED_VIEWS = [
     (3, [(2, 1, 2, 3, 2), (3, 3, 4, 5, 4)], {1: 2, 2: 2, 3: 2}, PHASE_TREE,
      "node without a parent is not the claimed root"),
     (3, [(2, 2, 3, 3, 4), (3, 2, 3, 3, 4)], {}, PHASE_TREE,
-     "root does not own the tour endpoints"),
+     "root does not own the tour endpoints",
+     Verdict("reject", "children subtours are not contiguous", PHASE_TREE)),
     (4, [(2, 1, 2, 2, 3), (3, 1, 2, 2, 3), (4, 3, 2, 3, 4)], {}, PHASE_TREE,
-     "parent edge does not bracket the first and last visits"),
+     "parent edge does not bracket the first and last visits",
+     Verdict("reject", "children subtours are not contiguous", PHASE_TREE)),
     (3, [(2, 1, 2, 2, 3), (3, 2, 3, 5, 4)], {}, PHASE_TREE,
      "children subtours are not contiguous"),
     (3, [(2, 2, 1, 3, 2), (3, 2, 3, 3, 4)], {}, PHASE_TREE,
@@ -560,17 +564,21 @@ _CRAFTED_VIEWS = [
     (4, [(2, 1, 2, 5, 4), (3, 5, 6, 7, 6), (4, 5, 5, 5, 5)], {}, PHASE_POP,
      "copy 5: rank neighborhood is not consistent with a spanning path"),
     # a lone node that claims n = 2 and holds no edge certificate (packed:
-    # 01030a) owns no copy at all, so neither tour endpoint
-    (2, [], {}, PHASE_TREE, "root does not own the tour endpoints"),
+    # 010314) owns no copy at all, so neither tour endpoint; with no
+    # neighbor it is the whole graph, or a component of one, and src accepts
+    (2, [], {}, PHASE_TREE, "root does not own the tour endpoints",
+     Verdict("accept", "", PHASE_POP)),
 ]
 
 
 @pytest.mark.parametrize(
-    "n, edges, roots, phase, reason",
+    "crafted",
     _CRAFTED_VIEWS,
-    ids=[r if e else f"{r}, no edge certificates" for _, e, _, _, r in _CRAFTED_VIEWS],
+    ids=[r if e else f"{r}, no edge certificates" for _, e, _, _, r, *_ in _CRAFTED_VIEWS],
 )
-def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
+def test_crafted_view_reaches_its_reject_site(crafted):
+    n, edges, roots, phase, reason, *derived = crafted
+    want = Verdict("reject", reason, phase)
     nv = 2 * n - 1
     ecs = tuple(_full_interval_edge(nv, *e) for e in edges)
     parent = next((ec.far for ec in ecs if min(ec.j, ec.j2) < min(ec.i, ec.i2)), None)
@@ -582,8 +590,8 @@ def test_crafted_view_reaches_its_reject_site(n, edges, roots, phase, reason):
     view = {ec.far: cert(ec.far) for ec in ecs}
     for c in (own, *view.values()):
         assert unpack_certificate(pack_certificate(c)) == c
-    assert verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
-    assert oracle_verify_node_planarity(1, own, view) == Verdict("reject", reason, phase)
+    assert verify_node_planarity(1, own, view) == (derived[0] if derived else want)
+    assert oracle_verify_node_planarity(1, own, view) == want
 
 
 def test_foreign_chords_are_named_in_ascending_neighbor_order():
