@@ -13,7 +13,10 @@ certificate by path and cycle reversals along held edges.  A node holding
 more than three counts as infinitely large, so overloaded nodes pass edges
 on first, and three suffice because a planar graph has arboricity at most
 3.  The largest size then does not hinge on one node that happens to hold
-two tree edges with no copy in common.  The verifier reassembles its local
+two tree edges with no copy in common.  Each size the search asks for is
+priced from at most four entries of a per-node table of incident edges,
+built once per proof, and only if some node holds three once no node holds
+more (grids and trees never do).  The verifier reassembles its local
 slice of the virtual graph from its own and its neighbors' certificates,
 replays the interval checks for every tour copy it owns, and checks the
 spanning tree and the tour around it.
@@ -98,6 +101,7 @@ from __future__ import annotations
 import functools
 import gc
 from bisect import insort
+from collections import defaultdict
 from math import inf
 from typing import NamedTuple
 
@@ -314,36 +318,21 @@ def _held_edges(
     the nodes such a search reaches cannot all hold three or more; a graph
     where they do is not planar, and raises NonPlanarError.
 
-    No node is sized while ``top`` is inf.  The first finite round sizes
-    every node then holding three, and after that a node is sized again
-    only when a reversal changes its held edges.  A size depends on the
-    held edges alone, so sizing late changes no size.  Each size is priced
-    from per-edge costs computed once (``_edge_costs``), and a node's size
-    after giving up one held edge for another, which the search tries, is
-    kept until its held edges change.
+    No node is sized while ``top`` is inf.  If some node holds three after
+    those rounds, each node's table of incident edges (``_edge_tables``) is
+    built once, and then every size the search asks for, of a node as it
+    stands, taking one more edge, or trading one held edge for another, is
+    priced by ``_packed_bytes`` from at most four table entries.  The first
+    finite round sizes every node then holding three, and after that a
+    node is sized again only when a reversal changes its held edges.  A
+    size depends on the held edges alone, so sizing late changes no size.
     """
     position = degeneracy_order(g).position()
     held: dict[int, list[int]] = {}
     for u in g.nodes():
         pu = position[u]
         held[u] = [v for v in g.adj[u] if pu < position[v]]
-
-    costs = _edge_costs(slots)
     idx_bits = _field_widths(root, g.n)[1]
-
-    def size(x: int, fars: list[int]) -> int:
-        return _packed_bytes(x, fars, costs, root, idx_bits)
-
-    # per node: its size after it gives up one held edge for another, kept
-    # until its held edges change
-    swapped: dict[int, dict[tuple[int, int], int]] = {}
-
-    def size_swapped(u: int, out: int, into: int) -> int:
-        memo = swapped.setdefault(u, {})
-        b = memo.get((out, into))
-        if b is None:
-            b = memo[out, into] = size(u, [v for v in held[u] if v != out] + [into])
-        return b
 
     def search(x: int, top: float) -> list[int] | None:
         """A path or cycle from ``x`` after which every node on it packs
@@ -358,11 +347,11 @@ def _held_edges(
                 if w in parent and w != x:
                     continue
                 # u would give up w and take back the edge it was reached by
-                if u != x and finite and size_swapped(u, w, back) >= top:
+                if u != x and finite and _packed_bytes(u, held[u], tables, root, idx_bits, w, back) >= top:
                     continue
                 if w == x:  # a cycle: x gives up its first step and takes u
                     # a cycle keeps x's count, so it cannot lower an overloaded x
-                    if not finite or size_swapped(x, first[u], u) >= top:
+                    if not finite or _packed_bytes(x, held[x], tables, root, idx_bits, first[u], u) >= top:
                         continue
                     path = [x]
                 else:
@@ -370,7 +359,9 @@ def _held_edges(
                     first[w] = w if u == x else first[u]
                     # w ends the path holding at most three, so only a finite
                     # top needs its size
-                    if len(held[w]) >= MAX_EDGE_CERTS or finite and size(w, held[w] + [u]) >= top:
+                    if len(held[w]) >= MAX_EDGE_CERTS or finite and _packed_bytes(
+                        w, held[w], tables, root, idx_bits, 0, u
+                    ) >= top:
                         queue.append(w)
                         continue
                     path = [w]
@@ -389,8 +380,6 @@ def _held_edges(
         for a, b in zip(path, path[1:]):
             held[a].remove(b)
             insort(held[b], a)
-        for y in path:
-            swapped.pop(y, None)
 
     # the inf rounds: no path raises a count above three, so one round, in
     # ascending id order (held's order), relieves every overloaded node
@@ -398,7 +387,12 @@ def _held_edges(
         while len(held[x]) > MAX_EDGE_CERTS:
             reverse(search(x, inf))
 
-    sizes = {x: size(x, fars) for x, fars in held.items() if len(fars) == MAX_EDGE_CERTS}
+    three = [x for x, fars in held.items() if len(fars) == MAX_EDGE_CERTS]
+    if not three:
+        return held
+    # search prices only below a finite top, so the inf rounds read no table
+    tables = _edge_tables(slots, idx_bits)
+    sizes = {x: _packed_bytes(x, held[x], tables, root, idx_bits, 0, 0) for x in three}
     while sizes:
         top = max(sizes.values())
         for x in sorted(x for x, b in sizes.items() if b == top):
@@ -409,43 +403,87 @@ def _held_edges(
                 reverse(path)
                 for y in path:
                     if len(held[y]) == MAX_EDGE_CERTS:
-                        sizes[y] = size(y, held[y])
+                        sizes[y] = _packed_bytes(y, held[y], tables, root, idx_bits, 0, 0)
                     else:
                         sizes.pop(y, None)
     return held
 
 
-def _edge_costs(
-    slots: dict[Edge, tuple[int, int, int, int]]
-) -> dict[Edge, tuple[tuple[int, int, int, int], int]]:
-    """What each edge adds to its holder's packed size, keyed as ``slots``:
-    the tour copies its slots name, and its step bits, two for a tree edge,
-    which sends two tour steps, and none for a chord."""
-    return {e: (c, 2 if c[0] != c[2] or c[1] != c[3] else 0) for e, c in slots.items()}
+def _edge_tables(
+    slots: dict[Edge, tuple[int, int, int, int]], idx_bits: int
+) -> dict[int, dict[int, tuple[int, int]]]:
+    """Per node, one entry per incident edge, keyed by its far end: what
+    the edge adds to the node's packed size when the node holds it.
+
+    An entry is a pair.  First the bits the edge adds apart from the id
+    width: its flag bit and two index fields, a tree edge's two step bits,
+    and ``lo`` and ``hi`` for each tour copy of the far end that it names.
+    Copies of different nodes never coincide, so no other held edge names
+    those.  Then the node's own copies that it names, as a mask with one bit
+    per copy of the node, so that a copy two held edges share counts once in
+    the union of their masks.  Tour copies lie below ``2 ** idx_bits``.
+    """
+    copy_bits = 2 * idx_bits  # a copy's lo and hi
+    chord = 1 + 2 * copy_bits  # flag, two indices and one far copy
+    bit = [0] * (1 << idx_bits)  # per copy, its bit in its node's masks
+    free: dict[int, int] = {}  # per node, the bit its next new copy takes
+    tables: dict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
+    for (a, b), (ca, cb, ca2, cb2) in slots.items():
+        if not bit[ca]:
+            bit[ca] = m = free.get(a, 1)
+            free[a] = m << 1
+        if not bit[ca2]:
+            bit[ca2] = m = free.get(a, 1)
+            free[a] = m << 1
+        if not bit[cb]:
+            bit[cb] = m = free.get(b, 1)
+            free[b] = m << 1
+        if not bit[cb2]:
+            bit[cb2] = m = free.get(b, 1)
+            free[b] = m << 1
+        steps = 0 if ca == ca2 and cb == cb2 else 2
+        tables[a][b] = (chord + steps + (copy_bits if cb != cb2 else 0), bit[ca] | bit[ca2])
+        tables[b][a] = (chord + steps + (copy_bits if ca != ca2 else 0), bit[cb] | bit[cb2])
+    return tables
 
 
 def _packed_bytes(
     x: int,
     fars: list[int],
-    costs: dict[Edge, tuple[tuple[int, int, int, int], int]],
+    tables: dict[int, dict[int, tuple[int, int]]],
     root: int,
     idx_bits: int,
+    out: int,
+    into: int,
 ) -> int:
     """``len(pack_certificate(...))`` for ``x`` holding the edges to ``fars``,
-    which is not empty, from ``_edge_costs`` and the graph's ``idx_bits``.
+    less the one to ``out`` and plus the one to ``into`` (each 0 for none), from
+    ``_edge_tables`` and the graph's ``idx_bits``.
 
     It restates the widths the writer writes, and a test keeps the two equal:
     a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
     step bits, and ``far`` and ``root_id`` take the widest id among them.
     """
-    id_bits = max(root, *fars).bit_length()  # ids are positive, so at least 1
-    bits = 2 + idx_bits + id_bits + len(fars) * (id_bits + 1 + 2 * idx_bits)
-    copies: set[int] = set()
+    entries = tables[x]
+    count = 0
+    top = root if root > into else into
+    bits = mask = 0
     for v in fars:
-        c, steps = costs[(x, v) if x < v else (v, x)]
-        copies.update(c)
-        bits += steps
-    return 2 + (bits + 2 * idx_bits * len(copies) + 7) // 8
+        if v != out:
+            b, m = entries[v]
+            bits += b
+            mask |= m
+            count += 1
+            if v > top:
+                top = v
+    if into:
+        b, m = entries[into]
+        bits += b
+        mask |= m
+        count += 1
+    # ids are positive, so the id width is at least 1
+    bits += 2 + idx_bits + top.bit_length() * (count + 1) + 2 * idx_bits * mask.bit_count()
+    return 2 + (bits + 7) // 8
 
 
 # --- verifier ----------------------------------------------------------------

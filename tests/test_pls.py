@@ -26,7 +26,7 @@ from planarcert.pls import (
     NodeCertificate,
     TreeSub,
     Verdict,
-    _edge_costs,
+    _edge_tables,
     _field_widths,
     _held_edges,
     _packed_bytes,
@@ -44,9 +44,10 @@ from planarcert.cli import main as cli_main
 from planarcert.embedding import RotationSystem, planar_embed
 from planarcert.formats import parse_graph
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
-from planarcert.sim import planarity_verifier, random_assignment, run_round
+from planarcert.sim import attack, planarity_verifier, random_assignment, run_round
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
 from reference_decoder import reference_unpack, reference_walk
+from reference_holders import _held_edges as reference_held_edges
 from splice import splice_forgeries
 from verdict_oracle import oracle_verify_node_planarity
 
@@ -215,10 +216,11 @@ def test_packed_bytes_is_the_packed_length():
         certs = prove_planar(g)
         held, slots = _holders_and_slots(certs)
         root = min(g.nodes())
-        costs, idx_bits = _edge_costs(slots), _field_widths(root, g.n)[1]
+        idx_bits = _field_widths(root, g.n)[1]
+        tables = _edge_tables(slots, idx_bits)
         for x, cert in certs.items():
             if held[x]:
-                assert _packed_bytes(x, held[x], costs, root, idx_bits) == len(pack_certificate(cert)), x
+                assert _packed_bytes(x, held[x], tables, root, idx_bits, 0, 0) == len(pack_certificate(cert)), x
 
 
 def _count_bound_holders(g):
@@ -272,10 +274,11 @@ def test_prover_lowers_the_largest_certificate():
         held, slots = _holders_and_slots(certs)
         before = _count_bound_holders(g)
         root = min(g.nodes())
-        costs, idx_bits = _edge_costs(slots), _field_widths(root, g.n)[1]
+        idx_bits = _field_widths(root, g.n)[1]
+        tables = _edge_tables(slots, idx_bits)
 
         def largest(holders):
-            return max(_packed_bytes(x, fars, costs, root, idx_bits) for x, fars in holders.items() if fars)
+            return max(_packed_bytes(x, fars, tables, root, idx_bits, 0, 0) for x, fars in holders.items() if fars)
 
         assert largest(held) <= largest(before)
         if max(map(len, before.values())) < MAX_EDGE_CERTS:
@@ -309,6 +312,107 @@ def test_holder_search_sizes_no_node_in_the_overload_rounds(monkeypatch):
         first = [(x, fars) for x, fars in _count_bound_holders(g).items() if len(fars) == MAX_EDGE_CERTS]
         assert sized[: len(first)] == first
     assert overloaded > 0
+
+
+def test_traded_sizes_are_the_packed_length():
+    # The search also prices a node taking one more edge (out = 0) and a
+    # node trading a held edge for another.  Each price must be the length
+    # pack_certificate gives the certificate the node would then hold,
+    # whichever ends set the widest id.
+    base = generate("random_maximal_planar", n=40, seed=3)
+    priced = 0
+    for g in (
+        generate("wheel", n=7),
+        generate("random_maximal_planar", n=40, seed=3),
+        relabel(base, {v: 3 * v + 7 for v in base.nodes()}),
+        relabel(base, {v: 41 - v for v in base.nodes()}),
+    ):
+        certs = prove_planar(g)
+        held, slots = _holders_and_slots(certs)
+        root = min(g.nodes())
+        idx_bits = _field_widths(root, g.n)[1]
+        tables = _edge_tables(slots, idx_bits)
+        pops = {k: pc for cert in certs.values() for ec in cert.edge_certs for k, pc in ec.bindings()}
+
+        def edge_cert(x, v):
+            i, j, i2, j2 = slots[x, v] if x < v else (slots[v, x][k] for k in (1, 0, 3, 2))
+            return EdgeCertificate(v, i, j, i2, j2, pops[i], pops[j], pops[i2], pops[j2])
+
+        for x in g.nodes():
+            for into in g.neighbors(x):
+                if into in held[x]:
+                    continue
+                for out in (0, *held[x]):
+                    fars = sorted({*held[x], into} - {out})
+                    if len(fars) > MAX_EDGE_CERTS:
+                        continue
+                    cert = NodeCertificate(tuple(edge_cert(x, v) for v in fars), TreeSub(root), g.n)
+                    price = _packed_bytes(x, held[x], tables, root, idx_bits, out, into)
+                    assert price == len(pack_certificate(cert)), (x, out, into)
+                    priced += 1
+    assert priced > 1000
+
+
+def _sparse_subgraph(g, rng):
+    """g with a third of its edges dropped, none of them on a spanning tree."""
+    first = min(g.nodes())
+    seen, stack, tree = {first}, [first], set()
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+                tree.add(norm_edge(u, v))
+    others = [e for e in g.edges() if e not in tree]
+    dropped = set(rng.sample(others, g.m // 3))
+    return build_graph([e for e in g.edges() if e not in dropped], nodes=g.nodes())
+
+
+def _holder_corpus():
+    """Planar graphs whose holders the search and the reference must agree
+    on: every shape that reaches the lowering, and some that never do."""
+    rng = random.Random(34)
+    rmp = generate("random_maximal_planar", n=60, seed=9)
+    yield relabel(rmp, {v: 3 * v + 7 for v in rmp.nodes()})
+    for k in range(20):
+        g = generate("random_maximal_planar", n=8 + 3 * k, seed=k)
+        yield relabel(g, dict(zip(g.nodes(), rng.sample(range(1, 5000), g.n))))
+    for n in range(4, 90):
+        for seed in range(3):
+            yield generate("random_maximal_planar", n=n, seed=seed)
+    for seed in range(4):
+        yield generate("random_maximal_planar", n=1024, seed=seed)
+    for w, h in ((2, 2), (3, 5), (6, 6), (9, 4), (16, 16)):
+        yield generate("grid", w=w, h=h)
+    for n in (4, 5, 9, 17, 40):
+        yield generate("wheel", n=n)
+    for n, seed in ((2, 0), (7, 1), (30, 2), (200, 3)):
+        yield generate("tree", n=n, seed=seed)
+    for n in (12, 30, 64, 150):
+        for seed in range(3):
+            yield _sparse_subgraph(generate("random_maximal_planar", n=n, seed=seed), rng)
+
+
+def test_holders_match_the_reference_search(monkeypatch):
+    # The search prices its sizes from per-node tables; the reference, the
+    # search as it was before, from per-edge costs and fresh copy sets.  The
+    # holders, and so every certificate byte, must be the same: on the 100
+    # replay donors of one attack call at n = 28, and on the corpus above.
+    compared = []
+
+    def both(g, slots, root):
+        held = _held_edges(g, slots, root)
+        assert held == reference_held_edges(g, slots, root), (g.n, g.m, root)
+        compared.append(g.n)
+        return held
+
+    monkeypatch.setattr("planarcert.pls._held_edges", both)
+    attack(generate("random_maximal_planar", n=28, seed=0), strategies=("replay",), trials=100, seed=0)
+    assert compared == [28] * 100
+    for g in _holder_corpus():
+        prove_planar(g)
+    assert len(compared) == 100 + 1 + 20 + 86 * 3 + 4 + 5 + 5 + 4 + 12
 
 
 def test_largest_certificate_is_steady_across_seeds():
