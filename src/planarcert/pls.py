@@ -101,7 +101,6 @@ from __future__ import annotations
 import functools
 import gc
 from bisect import insort
-from collections import defaultdict
 from math import inf
 from typing import NamedTuple
 
@@ -319,10 +318,10 @@ def _held_edges(
     where they do is not planar, and raises NonPlanarError.
 
     No node is sized while ``top`` is inf.  If some node holds three after
-    those rounds, each node's table of incident edges (``_edge_tables``) is
-    built once, and then every size the search asks for, of a node as it
-    stands, taking one more edge, or trading one held edge for another, is
-    priced by ``_packed_bytes`` from at most four table entries.  The first
+    those rounds, every size the search asks for, of a node as it stands,
+    taking one more edge, or trading one held edge for another, is priced
+    by ``_packed_bytes`` from at most four entries of the node's table of
+    incident edges (``_edge_tables``, built once).  The first
     finite round sizes every node then holding three, and after that a
     node is sized again only when a reversal changes its held edges.  A
     size depends on the held edges alone, so sizing late changes no size.
@@ -391,7 +390,7 @@ def _held_edges(
     if not three:
         return held
     # search prices only below a finite top, so the inf rounds read no table
-    tables = _edge_tables(slots, idx_bits)
+    tables = _edge_tables(g, slots)
     sizes = {x: _packed_bytes(x, held[x], tables, root, idx_bits, 0, 0) for x in three}
     while sizes:
         top = max(sizes.values())
@@ -410,47 +409,57 @@ def _held_edges(
 
 
 def _edge_tables(
-    slots: dict[Edge, tuple[int, int, int, int]], idx_bits: int
-) -> dict[int, dict[int, tuple[int, int]]]:
-    """Per node, one entry per incident edge, keyed by its far end: what
-    the edge adds to the node's packed size when the node holds it.
+    g: Graph, slots: dict[Edge, tuple[int, int, int, int]]
+) -> dict[int, tuple[dict[int, tuple[int, int]], dict[int, int]]]:
+    """Per node, what each incident edge adds to the node's packed size when
+    the node holds it, and the widths of the node's own copies' intervals.
 
-    An entry is a pair.  First the bits the edge adds apart from the id
-    width: its flag bit and two index fields, a tree edge's two step bits,
-    and ``lo`` and ``hi`` for each tour copy of the far end that it names.
-    Copies of different nodes never coincide, so no other held edge names
-    those.  Then the node's own copies that it names, as a mask with one bit
-    per copy of the node, so that a copy two held edges share counts once in
-    the union of their masks.  Tour copies lie below ``2 ** idx_bits``.
+    A node's table is a pair.  First, one entry per incident edge, keyed by
+    its far end: the bits the edge adds apart from the id width and the
+    node's own intervals (its flag bit and two index fields, a tree edge's
+    two step bits, and ``lo`` and ``hi`` for each tour copy of the far end
+    that it names; copies of different nodes never coincide, so no other
+    held edge names those), and the node's own copies that it names, as a
+    mask with one bit per copy of the node.  Second, per mask, the width of
+    those copies' intervals, so that a copy two held edges share counts
+    once in the union of their masks.  A copy k's ``lo`` and ``hi`` take
+    the bits of k and of 2n - k, as the writer writes them.  The widths of
+    single copies are filled in here, and those of a union on its first
+    pricing.
     """
-    copy_bits = 2 * idx_bits  # a copy's lo and hi
-    chord = 1 + 2 * copy_bits  # flag, two indices and one far copy
-    bit = [0] * (1 << idx_bits)  # per copy, its bit in its node's masks
-    free: dict[int, int] = {}  # per node, the bit its next new copy takes
-    tables: dict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
+    nv = 2 * g.n - 1
+    pair = 1 + 2 * nv.bit_length()  # the flag and two index fields
+    width = [k.bit_length() + (nv + 1 - k).bit_length() for k in range(nv + 1)]
+    bit = [0] * (nv + 1)  # per copy, its bit in its node's masks
+    tables = {x: ({}, {0: 0}) for x in g.adj}
     for (a, b), (ca, cb, ca2, cb2) in slots.items():
-        if not bit[ca]:
-            bit[ca] = m = free.get(a, 1)
-            free[a] = m << 1
+        entries_a, widths_a = tables[a]
+        entries_b, widths_b = tables[b]
+        if not bit[ca]:  # a node's next new copy takes the next bit
+            bit[ca] = m = 1 << len(widths_a) - 1
+            widths_a[m] = width[ca]
         if not bit[ca2]:
-            bit[ca2] = m = free.get(a, 1)
-            free[a] = m << 1
+            bit[ca2] = m = 1 << len(widths_a) - 1
+            widths_a[m] = width[ca2]
         if not bit[cb]:
-            bit[cb] = m = free.get(b, 1)
-            free[b] = m << 1
+            bit[cb] = m = 1 << len(widths_b) - 1
+            widths_b[m] = width[cb]
         if not bit[cb2]:
-            bit[cb2] = m = free.get(b, 1)
-            free[b] = m << 1
-        steps = 0 if ca == ca2 and cb == cb2 else 2
-        tables[a][b] = (chord + steps + (copy_bits if cb != cb2 else 0), bit[ca] | bit[ca2])
-        tables[b][a] = (chord + steps + (copy_bits if ca != ca2 else 0), bit[cb] | bit[cb2])
+            bit[cb2] = m = 1 << len(widths_b) - 1
+            widths_b[m] = width[cb2]
+        if ca == ca2 and cb == cb2:  # a chord
+            entries_a[b] = (pair + width[cb], bit[ca])
+            entries_b[a] = (pair + width[ca], bit[cb])
+        else:  # a tree edge: two step bits, and a far copy per tour step
+            entries_a[b] = (pair + 2 + width[cb] + (width[cb2] if cb != cb2 else 0), bit[ca] | bit[ca2])
+            entries_b[a] = (pair + 2 + width[ca] + (width[ca2] if ca != ca2 else 0), bit[cb] | bit[cb2])
     return tables
 
 
 def _packed_bytes(
     x: int,
     fars: list[int],
-    tables: dict[int, dict[int, tuple[int, int]]],
+    tables: dict[int, tuple[dict[int, tuple[int, int]], dict[int, int]]],
     root: int,
     idx_bits: int,
     out: int,
@@ -464,7 +473,7 @@ def _packed_bytes(
     a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
     step bits, and ``far`` and ``root_id`` take the widest id among them.
     """
-    entries = tables[x]
+    entries, widths = tables[x]
     count = 0
     top = root if root > into else into
     bits = mask = 0
@@ -481,8 +490,19 @@ def _packed_bytes(
         bits += b
         mask |= m
         count += 1
+    own = widths.get(mask)
+    if own is None:  # the union of single copies' widths, one bit at a time
+        own = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            # a bit that only another node's copy has, which no tour gives,
+            # counts nothing
+            own += widths.get(low, 0)
+            rest ^= low
+        widths[mask] = own
     # ids are positive, so the id width is at least 1
-    bits += 2 + idx_bits + top.bit_length() * (count + 1) + 2 * idx_bits * mask.bit_count()
+    bits += 2 + idx_bits + top.bit_length() * (count + 1) + own
     return 2 + (bits + 7) // 8
 
 
@@ -673,15 +693,19 @@ def _walk(field, id_bits: int, idx_bits: int) -> int:
     holder, so it sends one id (``far``), and the tree parent.  So decoding
     does not depend on which node holds the certificate.
 
-    Node ids take ``id_bits``; the node count, tour indices and
-    interval endpoints take ``idx_bits``, enough for the 2n + 3 codes of an
-    endpoint (-1 .. 2n + 1, stored plus one).  Edge certificates number at
-    most three, so their count takes 2 bits.
+    Node ids take ``id_bits`` and the node count ``idx_bits``.  Every other
+    field takes exactly the bits of its legal range, given the fields before
+    it.  A tour index lies in 1..2n - 1.  A copy k's interval ends are the
+    ones the interval checks' own bounds allow, lo in -1..k - 1 and hi in
+    k + 1..2n + 1, so ``lo`` is stored plus one, in 0..k, and ``hi`` less
+    k + 1, in 0..2n - k.  Edge certificates number at most three, so their
+    count takes 2 bits.
     """
     top_id = (1 << id_bits) - 1
     count = field("count", 2, 0, MAX_EDGE_CERTS)
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2)
     nv = 2 * n - 1
+    index_bits = nv.bit_length()
     root_id = field("root_id", id_bits, 1, top_id)
     acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id  # the leading 1 bit first
     sent: set[int] = set()  # copies whose interval went out
@@ -700,12 +724,13 @@ def _walk(field, id_bits: int, idx_bits: int) -> int:
                 k += 2 * up - 1
                 acc = acc << 1 | up
             else:
-                k = field("index", idx_bits, 1, nv)
-                acc = acc << idx_bits | k
+                k = field("index", index_bits, 1, nv)
+                acc = acc << index_bits | k
             if k not in sent:
-                lo = field("lo", idx_bits, 0, nv + 3)
-                hi = field("hi", idx_bits, 0, nv + 3)
-                acc = (acc << idx_bits | lo) << idx_bits | hi
+                lo_bits, hi_bits = k.bit_length(), (nv + 1 - k).bit_length()
+                lo = field("lo", lo_bits, 0, k)
+                hi = field("hi", hi_bits, 0, nv + 1 - k)
+                acc = (acc << lo_bits | lo) << hi_bits | hi
                 sent.add(k)
     return acc
 
@@ -808,7 +833,7 @@ def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
     if not 1 <= root_id <= top_id:
         raise _out_of_range("root_id", root_id, 1, top_id)
     nv = 2 * n - 1
-    top_end = nv + 3
+    index_bits = nv.bit_length()
     acc = ((1 << 2 | count) << idx_bits | n) << id_bits | root_id  # the leading 1 bit first
     sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
     for far, i, j, i2, j2, pop_i, pop_j, pop_i2, pop_j2 in edge_certs:
@@ -841,7 +866,7 @@ def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
                 if not 1 <= held_k <= nv:
                     raise _out_of_range("index", held_k, 1, nv)
                 k = held_k
-                acc = acc << idx_bits | k
+                acc = acc << index_bits | k
             pc_n, pc_rank, pc_lo, pc_hi = held_pc
             if held_k != k or pc_n != nv or pc_rank != k:
                 raise ParameterError(
@@ -850,12 +875,12 @@ def pack_certificate_with_bits(cert: NodeCertificate) -> tuple[bytes, int]:
                 )
             pc = sent.get(k)
             if pc is None:
-                lo, hi = pc_lo + 1, pc_hi + 1
-                if not 0 <= lo <= top_end:
-                    raise _out_of_range("lo", lo, 0, top_end)
-                if not 0 <= hi <= top_end:
-                    raise _out_of_range("hi", hi, 0, top_end)
-                acc = (acc << idx_bits | lo) << idx_bits | hi
+                lo, hi, top_hi = pc_lo + 1, pc_hi - k - 1, nv + 1 - k
+                if not 0 <= lo <= k:
+                    raise _out_of_range("lo", lo, 0, k)
+                if not 0 <= hi <= top_hi:
+                    raise _out_of_range("hi", hi, 0, top_hi)
+                acc = (acc << k.bit_length() | lo) << top_hi.bit_length() | hi
                 sent[k] = held_pc
             elif pc is not held_pc and pc != held_pc:
                 raise ParameterError(
@@ -895,11 +920,10 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     rest = 8 * (len(data) - 2) - 2
     count = stream >> rest
     top_id = (1 << id_bits) - 1  # also the mask of an id field
-    mask = (1 << idx_bits) - 1  # of an index field
     try:
         rest -= idx_bits
-        n = stream >> rest & mask
-        top_n = (mask - 2) // 2
+        n = stream >> rest & (1 << idx_bits) - 1
+        top_n = ((1 << idx_bits) - 3) // 2
         if not 1 <= n <= top_n:
             raise FormatError(f"n = {n} is outside 1..{top_n}")
         rest -= id_bits
@@ -907,7 +931,8 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
         if not root_id:
             raise FormatError(f"root_id = 0 is outside 1..{top_id}")
         nv = 2 * n - 1
-        top_end = nv + 3
+        index_bits = nv.bit_length()
+        mask = (1 << index_bits) - 1  # of an index field
         sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
         edge_certs = []
         for _ in range(count):
@@ -933,21 +958,24 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
                             raise FormatError(f"step = 0 is outside 1..{int(k < nv)}")
                         k -= 1
                 else:
-                    rest -= idx_bits
+                    rest -= index_bits
                     k = stream >> rest & mask
                     if not 1 <= k <= nv:
                         raise FormatError(f"index = {k} is outside 1..{nv}")
                 pc = sent.get(k)
                 if pc is None:
-                    rest -= idx_bits
-                    lo = stream >> rest & mask
-                    if lo > top_end:
-                        raise FormatError(f"lo = {lo} is outside 0..{top_end}")
-                    rest -= idx_bits
-                    hi = stream >> rest & mask
-                    if hi > top_end:
-                        raise FormatError(f"hi = {hi} is outside 0..{top_end}")
-                    pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi - 1))
+                    width = k.bit_length()
+                    rest -= width
+                    lo = stream >> rest & (1 << width) - 1
+                    if lo > k:
+                        raise FormatError(f"lo = {lo} is outside 0..{k}")
+                    top_hi = nv + 1 - k
+                    width = top_hi.bit_length()
+                    rest -= width
+                    hi = stream >> rest & (1 << width) - 1
+                    if hi > top_hi:
+                        raise FormatError(f"hi = {hi} is outside 0..{top_hi}")
+                    pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi + k + 1))
                 slots.append(k)
                 slots.append(pc)
             if not second:

@@ -360,13 +360,46 @@ def _edit_one_field(fields: tuple[Field, ...], data: bytes, rng: random.Random) 
 
     ``fields`` are ``certificate_bit_fields`` of the certificate ``data``
     packs.  A field with a single legal value gets any other value of its
-    width.
+    width, written over its window: the reader refuses it there, whatever
+    follows.  Otherwise the walk packs the certificate again, since an
+    index, step or n sets the widths of the fields after it, and a count,
+    flag or index sets which fields follow.  Every other field keeps its
+    value at its place (edge certificate, slot and name) while that value
+    is still legal; a field with no place in ``fields``, or whose value is
+    no longer legal there, gets a legal value drawn from ``rng``.
     """
     target = rng.randrange(len(fields))
     f = fields[target]
-    lo, hi = (f.lo, f.hi) if f.lo < f.hi else (0, (1 << f.width) - 1)
-    new = rng.randint(lo, hi - 1)
-    return _set_field(data, fields, target, new + (new >= f.value))
+    if f.lo >= f.hi:
+        new = rng.randint(0, (1 << f.width) - 2)
+        return _set_field(data, fields, target, new + (new >= f.value))
+    new = rng.randint(f.lo, f.hi - 1)
+    new += new >= f.value
+    edge = slot = 0
+
+    def place(name: str) -> tuple[int, int, str]:
+        nonlocal edge, slot
+        if name == "far":
+            edge, slot = edge + 1, 0
+        elif name == "index" or name == "step":
+            slot += 1
+        return edge, slot, name
+
+    kept = {place(f.name): f.value for f in fields}
+    edge = slot = 0
+    at = -1
+
+    def choose(name: str, width: int, lo: int, hi: int) -> int:
+        nonlocal at
+        at += 1
+        value = kept.get(place(name))
+        if at == target:
+            return new
+        if value is not None and lo <= value <= hi:
+            return value
+        return rng.randint(lo, hi)
+
+    return encode_fields(choose, data[0], data[1])[0]
 
 
 def _replay_graph(g: Graph, seed: int) -> tuple[Graph, RotationSystem | None]:

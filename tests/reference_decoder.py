@@ -22,6 +22,7 @@ def reference_walk(field, id_bits: int, idx_bits: int) -> NodeCertificate:
     count = field("count", 2, 0, MAX_EDGE_CERTS)
     n = field("n", idx_bits, 1, ((1 << idx_bits) - 3) // 2)
     nv = 2 * n - 1
+    index_bits = nv.bit_length()
     root_id = field("root_id", id_bits, 1, top_id)
     sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
     edge_certs = []
@@ -38,11 +39,13 @@ def reference_walk(field, id_bits: int, idx_bits: int) -> NodeCertificate:
                 up = field("step", 1, 1 if k == 1 else 0, 1 if k < nv else 0)
                 k += 2 * up - 1
             else:
-                k = field("index", idx_bits, 1, nv)
+                k = field("index", index_bits, 1, nv)
             if k not in sent:
-                lo = field("lo", idx_bits, 0, nv + 3)
-                hi = field("hi", idx_bits, 0, nv + 3)
-                sent[k] = PopCertificate(nv, k, lo - 1, hi - 1)
+                # lo + 1 in 0..k and hi - k - 1 in 0..nv + 1 - k, each in the
+                # bits of its largest value
+                lo = field("lo", k.bit_length(), 0, k)
+                hi = field("hi", (nv + 1 - k).bit_length(), 0, nv + 1 - k)
+                sent[k] = PopCertificate(nv, k, lo - 1, hi + k + 1)
             slots += (k, sent[k])
         if not second:
             slots *= 2

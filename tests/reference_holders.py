@@ -5,7 +5,8 @@ per far end, the edge's four slot copies added to a fresh set, and a new
 list for each trade it tries.  It decides the same holders as
 ``pls._held_edges``, which prices from one table per node; a test compares
 the two on every graph of a corpus.  The three functions are kept as they
-were, names included.
+were, names included, but for the size rule, which states the layout's
+widths and moves with it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _held_edges(
     idx_bits = _field_widths(root, g.n)[1]
 
     def size(x: int, fars: list[int]) -> int:
-        return _packed_bytes(x, fars, costs, root, idx_bits)
+        return _packed_bytes(x, fars, costs, root, idx_bits, 2 * g.n - 1)
 
     # per node: its size after it gives up one held edge for another, kept
     # until its held edges change
@@ -157,19 +158,23 @@ def _packed_bytes(
     costs: dict[Edge, tuple[tuple[int, int, int, int], int]],
     root: int,
     idx_bits: int,
+    nv: int,
 ) -> int:
     """``len(pack_certificate(...))`` for ``x`` holding the edges to ``fars``,
-    which is not empty, from ``_edge_costs`` and the graph's ``idx_bits``.
+    which is not empty, from ``_edge_costs``, the graph's ``idx_bits`` and
+    its tour length ``nv``.
 
     It restates the widths the writer writes, and a test keeps the two equal:
-    a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
-    step bits, and ``far`` and ``root_id`` take the widest id among them.
+    an index takes the bits of ``nv``, a copy k's ``lo`` and ``hi`` take the
+    bits of k and of nv + 1 - k and go once per certificate, a tree edge adds
+    two step bits, and ``far`` and ``root_id`` take the widest id among them.
     """
     id_bits = max(root, *fars).bit_length()  # ids are positive, so at least 1
-    bits = 2 + idx_bits + id_bits + len(fars) * (id_bits + 1 + 2 * idx_bits)
+    bits = 2 + idx_bits + id_bits + len(fars) * (id_bits + 1 + 2 * nv.bit_length())
     copies: set[int] = set()
     for v in fars:
         c, steps = costs[(x, v) if x < v else (v, x)]
         copies.update(c)
         bits += steps
-    return 2 + (bits + 2 * idx_bits * len(copies) + 7) // 8
+    bits += sum(k.bit_length() + (nv + 1 - k).bit_length() for k in copies)
+    return 2 + (bits + 7) // 8

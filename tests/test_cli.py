@@ -191,7 +191,8 @@ def test_verify_rejects_files_in_the_depth_layout(tmp_path, capsys, name):
 #: which shifts every later field, and no certificate in these files
 #: decodes.  In the wheel, node 2 held three edges and packed the largest
 #: certificate (16 bytes): it now passes one to node 1, which passes one to
-#: node 5, and the largest is 12 bytes.
+#: node 5, and the largest is 11 bytes (12 while every index and interval
+#: end took idx_bits).
 _EVERY_INTERVAL_FILES = {
     "edge": (
         build_graph([(1, 2)]),
@@ -265,34 +266,49 @@ def _bits(data: bytes) -> str:
     return "".join(f"{b:08b}" for b in data[2:])
 
 
+def _old_fields(cert, count_bits: int):
+    """Each field of ``cert`` as the layout where every index and interval
+    end took ``idx_bits`` stored it: its name, its width there and the
+    value stored, with the edge certificate count in ``count_bits``.  Each
+    ``hi`` was stored plus one, not less its slot's copy k plus one."""
+    idx_bits = pack_certificate(cert)[1]
+    k = 0
+    for f in certificate_bit_fields(cert):
+        if f.name == "index":
+            k = f.value
+        elif f.name == "step":
+            k += 2 * f.value - 1
+        if f.name == "count":
+            yield f.name, count_bits, f.value
+        elif f.name in ("index", "lo"):
+            yield f.name, idx_bits, f.value
+        elif f.name == "hi":
+            yield f.name, idx_bits, f.value + k + 2
+        else:
+            yield f.name, f.width, f.value
+
+
 @pytest.mark.parametrize("name", sorted(_EVERY_INTERVAL_FILES))
 def test_honest_bytes_are_the_every_interval_layout_without_its_repeats(name):
-    # The earlier layout sent the count in 3 bits, and lo and hi (idx_bits
-    # each) after every index or step field; this one sends the count in 2
-    # bits, and lo and hi only after the first field naming a copy.  No node
-    # of these graphs held more than three certificates, so the count's first
-    # bit was 0.  Where a node kept its certificates, cutting that bit and the
-    # repeats' windows out of the old bits gives the new ones.
+    # The earlier layout sent the count in 3 bits, every index and interval
+    # end in idx_bits, and lo and hi after every index or step field; this
+    # one sends the count in 2 bits, each index, lo and hi in the bits of its
+    # own range, and lo and hi only after the first field naming a copy.
+    # Where a node kept its certificates, the old bits read field by field
+    # at the old widths, with the repeats' intervals skipped, hold the values
+    # of the new certificate's fields, and nothing but padding after them.
     g, text, _, moved = _EVERY_INTERVAL_FILES[name]
     certs = prove_planar(g)
     kept = set()
     for x, old in parse_certificates(text).items():
-        new, nbits = pack_certificate_with_bits(certs[x])
-        bits = _bits(old)
-        assert bits[0] == "0", x
-        fields = certificate_bit_fields(certs[x])
-        cut, at = [], 1
-        for f, after in zip(fields, fields[1:] + (None,)):
-            cut.append(bits[at : at + f.width])
-            at += f.width
-            if f.name in ("index", "step") and (after is None or after.name != "lo"):
+        bits, at, same = _bits(old), 0, old[:2] == pack_certificate(certs[x])[:2]
+        fields = list(_old_fields(certs[x], 3))
+        for (field, width, value), after in zip(fields, fields[1:] + [None]):
+            same = same and bits[at : at + width] == f"{value:0{width}b}"
+            at += width
+            if field in ("index", "step") and (after is None or after[0] != "lo"):
                 at += 2 * old[1]  # a repeated copy's interval
-        payload = _bits(new)
-        if (
-            new[:2] == old[:2]
-            and payload[:nbits] == "".join(cut)
-            and "1" not in payload[nbits:] + bits[at:]  # padding only
-        ):
+        if same and "1" not in bits[at:]:  # padding only
             kept.add(x)
     assert set(certs) - kept == moved
 
@@ -302,7 +318,9 @@ def test_honest_bytes_are_the_every_interval_layout_without_its_repeats(name):
 #: them now, and the nodes whose certificates moved.  Node 1 of the maximal
 #: planar graph held four, and node 2 of the wheel packed the largest
 #: certificate; lowering the largest (18 bytes to 15 in the maximal planar
-#: graph) moved edges at every node of that graph.
+#: graph, and to 12 with each index and interval end in the bits of its
+#: range) moved edges at every node of that graph but node 2, which the
+#: search, pricing the narrower fields, leaves the edges it held then.
 _THREE_BIT_COUNT_FILES = {
     "wheel-6": (
         generate("wheel", n=6),
@@ -340,7 +358,7 @@ _THREE_BIT_COUNT_FILES = {
             "node 6: reject [phase 1] own certificate does not decode",
             "node 7: reject [phase 1] own certificate does not decode",
         ),
-        {1, 2, 3, 4, 5, 6, 7},
+        {1, 3, 4, 5, 6, 7},
     ),
 }
 
@@ -358,16 +376,18 @@ def test_honest_bytes_are_the_three_bit_count_layout_without_its_first_bit(name)
     # largest certificate shrank.
     g, text, _, moved = _THREE_BIT_COUNT_FILES[name]
     certs = prove_planar(g)
-    kept, most, largest = set(), 0, 0
+    kept, most, largest, at_old_widths = set(), 0, 0, 0
     for x, old in parse_certificates(text).items():
-        new, nbits = pack_certificate_with_bits(certs[x])
+        fields = list(_old_fields(certs[x], 3))
+        wanted = "".join(f"{value:0{width}b}" for _, width, value in fields)
         bits = _bits(old)
         most = max(most, int(bits[:3], 2))
         largest = max(largest, len(old))
-        if new[:2] == old[:2] and bits[: 1 + nbits] == "0" + _bits(new)[:nbits] and "1" not in bits[1 + nbits :]:
+        at_old_widths = max(at_old_widths, 2 + (len(wanted) + 7) // 8)
+        if old[:2] == pack_certificate(certs[x])[:2] and bits.startswith(wanted) and "1" not in bits[len(wanted) :]:
             kept.add(x)
     assert set(certs) - kept == moved
-    shrank = max(len(pack_certificate(c)) for c in certs.values()) < largest
+    shrank = at_old_widths < largest
     assert (most > 3 or shrank) == bool(moved)
 
 

@@ -34,6 +34,7 @@ from planarcert.pls import (
     _wire_bytes,
     certificate_bit_fields,
     certificate_size_bits,
+    encode_fields,
     pack_certificate,
     pack_certificate_with_bits,
     prove_planar,
@@ -44,7 +45,7 @@ from planarcert.cli import main as cli_main
 from planarcert.embedding import RotationSystem, planar_embed
 from planarcert.formats import parse_graph
 from planarcert.pop import PopCertificate, PopWitness, pop_prove
-from planarcert.sim import attack, planarity_verifier, random_assignment, run_round
+from planarcert.sim import _sweep_graph, attack, planarity_verifier, random_assignment, run_round
 from planarcert.transform import dfs_mapping, induce_graph, spanning_tree_dfs
 from reference_decoder import reference_unpack, reference_walk
 from reference_holders import _held_edges as reference_held_edges
@@ -217,7 +218,7 @@ def test_packed_bytes_is_the_packed_length():
         held, slots = _holders_and_slots(certs)
         root = min(g.nodes())
         idx_bits = _field_widths(root, g.n)[1]
-        tables = _edge_tables(slots, idx_bits)
+        tables = _edge_tables(g, slots)
         for x, cert in certs.items():
             if held[x]:
                 assert _packed_bytes(x, held[x], tables, root, idx_bits, 0, 0) == len(pack_certificate(cert)), x
@@ -275,7 +276,7 @@ def test_prover_lowers_the_largest_certificate():
         before = _count_bound_holders(g)
         root = min(g.nodes())
         idx_bits = _field_widths(root, g.n)[1]
-        tables = _edge_tables(slots, idx_bits)
+        tables = _edge_tables(g, slots)
 
         def largest(holders):
             return max(_packed_bytes(x, fars, tables, root, idx_bits, 0, 0) for x, fars in holders.items() if fars)
@@ -331,7 +332,7 @@ def test_traded_sizes_are_the_packed_length():
         held, slots = _holders_and_slots(certs)
         root = min(g.nodes())
         idx_bits = _field_widths(root, g.n)[1]
-        tables = _edge_tables(slots, idx_bits)
+        tables = _edge_tables(g, slots)
         pops = {k: pc for cert in certs.values() for ec in cert.edge_certs for k, pc in ec.bindings()}
 
         def edge_cert(x, v):
@@ -417,11 +418,12 @@ def test_holders_match_the_reference_search(monkeypatch):
 
 def test_largest_certificate_is_steady_across_seeds():
     # At n = 1024 the largest packed certificate of a random maximal planar
-    # graph was 344 or 368 bits by seed with the count bound alone, and 408
-    # with up to five edge certificates per node.
+    # graph was 344 or 368 bits by seed with the count bound alone, 408 with
+    # up to five edge certificates per node, and 320 while every index and
+    # interval end took idx_bits.
     for seed in range(4):
         certs = prove_planar(generate("random_maximal_planar", n=1024, seed=seed))
-        assert max(8 * len(pack_certificate(c)) for c in certs.values()) == 320, seed
+        assert max(8 * len(pack_certificate(c)) for c in certs.values()) == 296, seed
 
 
 def test_parent_rule_matches_prover_tree():
@@ -836,12 +838,15 @@ def _worst_share_of_closed_form(g) -> float:
     """The largest packed field count among ``g``'s honest certificates, over
     the layout's closed-form ceiling at the certificate's own widths: a node
     holding three tree edges, each with four new copies, takes
-    11 + 31·idx_bits + 4·id_bits field bits."""
+    11 + idx_bits + 30·index_bits + 4·id_bits field bits, where a tour index
+    takes index_bits, the bits of 2n - 1, and a copy's lo and hi together
+    at most twice that."""
     worst = 0.0
     for cert in prove_planar(g).values():
         data, bits = pack_certificate_with_bits(cert)
         id_bits, idx_bits = data[0], data[1]
-        closed_form = 11 + 31 * idx_bits + 4 * id_bits
+        index_bits = (2 * cert.n - 1).bit_length()
+        closed_form = 11 + idx_bits + 30 * index_bits + 4 * id_bits
         assert bits <= closed_form, (cert, bits, closed_form)
         worst = max(worst, bits / closed_form)
     return worst
@@ -878,6 +883,34 @@ def test_build_corpus_certificates_stay_within_the_closed_form(tmp_path):
 )
 def test_certificates_stay_within_the_closed_form_at_scale(kind, params):
     assert _worst_share_of_closed_form(generate(kind, **params)) <= 1
+
+
+def _sweep_family_graphs():
+    """The sweep's four families at n = 16, 64, 256 and 1024, seed 0."""
+    for kind in ("grid", "random_maximal_planar", "tree", "path"):
+        for n in (16, 64, 256, 1024):
+            yield _sweep_graph(kind, n, 0)
+
+
+def test_no_honest_certificate_packs_longer_than_at_the_old_widths():
+    # Every tour index, lo and hi once took idx_bits, the node count's width.
+    # Each now takes the bits of its own range, which idx_bits always holds,
+    # so no field is wider, and no certificate longer, than it was then.
+    narrower = 0
+    for g in [*_planar_corpus(), *_sweep_family_graphs()]:
+        for cert in prove_planar(g).values():
+            data, bits = pack_certificate_with_bits(cert)
+            idx_bits = data[1]
+            old_bits = 0
+            for f in certificate_bit_fields(cert):
+                if f.name in ("index", "lo", "hi"):
+                    assert f.width <= idx_bits, (f, idx_bits)
+                    old_bits += idx_bits
+                else:
+                    old_bits += f.width
+            assert bits <= old_bits
+            narrower += bits < old_bits
+    assert narrower > 0
 
 
 # --- packing -----------------------------------------------------------------
@@ -919,12 +952,12 @@ def test_certificates_are_built_as_their_named_classes():
 
 
 #: sha256 of the honest certificates' packed bytes, concatenated in node
-#: order, at the benchmark's sizes (seed 101), where ids take up to 11 bits
-#: and indices 12.
+#: order, at the benchmark's sizes (seed 101), where ids take up to 11 bits,
+#: n 12 and tour indices 11.
 _PACKED_PINS_AT_SCALE = {
-    "grid": "bb2395c903998120b6bb5f559e56b6cb423a886f41fe226157b4ddf5fc8ae1fa",
-    "random_maximal_planar": "82d371dd924ed59e7d85164e77b9076626da7043575a3cd7ec78a20287b61c9c",
-    "tree": "bc0683acc3a02b4b4765050e6315c918d0666027912ae77e7250ccfe5ff9b99f",
+    "grid": "4a1d86adcf31dced11521fe61dff2a356f5d0df77c57f6086407fc4109cd86fa",
+    "random_maximal_planar": "fe050c21f338c4aca9ef14eb18a28d797df954ae0a1222048b7bc7b0408670af",
+    "tree": "c9d2088f7b7d84e1e423200104b44ced705ee3f50f8668d05e1c712eadac4458",
 }
 
 
@@ -950,13 +983,13 @@ def test_packed_bytes_are_pinned_at_the_benchmark_size():
 #: sha256 of every ``certificate_bit_fields`` tuple (name, width, lo, hi,
 #: value), each as its repr, over the honest certificates at the benchmark's
 #: sizes (seed 101), in node order.
-_FIELD_LISTING_PIN = "12c5ba54a9ea1842"
+_FIELD_LISTING_PIN = "40fbc64e40d653c1"
 
 
 def test_field_listing_is_pinned_at_the_benchmark_size():
-    # Template edits write through these windows, so the listing read back
-    # from the packed bytes must name the fields, ranges and values that
-    # were written.
+    # Template edits read each field's value and place off this listing, so
+    # the listing read back from the packed bytes must name the fields,
+    # widths, ranges and values that were written.
     digest = hashlib.sha256()
     for g in (
         generate("grid", w=32, h=32),
@@ -981,7 +1014,8 @@ def _chord(far: int, i: int, j: int, pop_i: PopCertificate, pop_j: PopCertificat
 
 #: One certificate per check the writer makes, and the exact refusal: each
 #: field's range, in layout order, then each value the layout forces.  At
-#: n = 2 copies run 1..3 and stored interval ends 0..6.
+#: n = 2 copies run 1..3, and at n = 4 copies 1..7, where copy k's stored
+#: interval ends run 0..k (lo + 1) and 0..8 - k (hi - k - 1).
 _REFUSALS = [
     (NodeCertificate(tuple(_full_interval_edge(9, v, 1, 2, 1, 2) for v in (2, 3, 4, 5)), TreeSub(1), 5),
      "cannot pack count = 4: legal values are 0..3"),
@@ -1000,9 +1034,9 @@ _REFUSALS = [
      "cannot pack step = 1: legal values are 0..0"),
     (NodeCertificate((_full_interval_edge(3, 2, 4, 3, 4, 3),), TreeSub(1), 2),
      "cannot pack index = 4: legal values are 1..3"),
-    (NodeCertificate((_chord(2, 1, 2, PopCertificate(3, 1, -2, 4), PopCertificate(3, 2, 0, 4)),), TreeSub(1), 2),
+    (NodeCertificate((_chord(2, 6, 1, PopCertificate(7, 6, -2, 8), PopCertificate(7, 1, 0, 8)),), TreeSub(1), 4),
      "cannot pack lo = -1: legal values are 0..6"),
-    (NodeCertificate((_chord(2, 1, 2, PopCertificate(3, 1, 0, 6), PopCertificate(3, 2, 0, 4)),), TreeSub(1), 2),
+    (NodeCertificate((_chord(2, 2, 1, PopCertificate(7, 2, 0, 10), PopCertificate(7, 1, 0, 8)),), TreeSub(1), 4),
      "cannot pack hi = 7: legal values are 0..6"),
     (NodeCertificate((), TreeSub(2**255), 1), "identifiers too large to pack"),
     # the step from copy 3 gives copy 4, not 5, whatever rank copy 5 claims
@@ -1061,10 +1095,11 @@ def _wire(id_bits: int, idx_bits: int, *fields: tuple[int, int]) -> bytes:
 
 #: One byte string per check the reader makes, and the exact refusal, in
 #: layout order: length and widths, then per field its truncation and its
-#: range, then trailing data.  Most use 2-bit ids and 3-bit indices, where n
-#: runs 1..2, ids 1..3, and at n = 2 copies 1..3 and stored interval ends
-#: 0..6.  The chord (far 1, 2) and tree edge (far 2, 2) prefixes below give
-#: count 1, n 2 and root 1.
+#: range, then trailing data.  Most use 2-bit ids and a 3-bit n, where n runs
+#: 1..2 and ids 1..3; at n = 2 an index takes 2 bits for copies 1..3, and copy
+#: k's stored interval ends take the bits of 0..k (lo + 1) and 0..4 - k
+#: (hi - k - 1).  The chord (far 1, 2) and tree edge (far 2, 2) prefixes below
+#: give count 1, n 2 and root 1.
 _CHORD = ((1, 2), (2, 3), (1, 2), (2, 2), (0, 1))
 _TREE = ((1, 2), (2, 3), (1, 2), (2, 2), (1, 1))
 _UNPACK_REFUSALS = [
@@ -1081,20 +1116,22 @@ _UNPACK_REFUSALS = [
     (_wire(1, 4, (1, 2), (2, 4), (1, 1), (1, 1)), "certificate bitstream is truncated"),  # at second
     # a tree edge needs a tour of two nodes
     (_wire(2, 3, (1, 2), (1, 3), (1, 2), (2, 2), (1, 1)), "second = 1 is outside 0..0"),
-    (_wire(2, 7, (1, 2), (2, 7), (1, 2), (2, 2), (0, 1)), "certificate bitstream is truncated"),  # at index
-    (_wire(2, 3, *_CHORD, (0, 3)), "index = 0 is outside 1..3"),
-    (_wire(2, 3, *_CHORD, (4, 3)), "index = 4 is outside 1..3"),
-    (_wire(2, 7, (1, 2), (2, 7), (1, 2), (2, 2), (0, 1), (1, 7)), "certificate bitstream is truncated"),  # at lo
-    (_wire(2, 3, *_CHORD, (1, 3), (7, 3)), "lo = 7 is outside 0..6"),
-    (_wire(2, 3, *_CHORD, (1, 3), (1, 3)), "certificate bitstream is truncated"),  # at hi
-    (_wire(2, 3, *_CHORD, (1, 3), (1, 3), (7, 3)), "hi = 7 is outside 0..6"),
+    (_wire(2, 8, (1, 2), (2, 8), (1, 2), (2, 2), (0, 1)), "certificate bitstream is truncated"),  # at index
+    (_wire(2, 3, *_CHORD, (0, 2)), "index = 0 is outside 1..3"),
+    # at n = 3 an index takes 3 bits for copies 1..5
+    (_wire(2, 4, (1, 2), (3, 4), (1, 2), (2, 2), (0, 1), (6, 3)), "index = 6 is outside 1..5"),
+    (_wire(2, 7, (1, 2), (2, 7), (1, 2), (2, 2), (0, 1), (2, 2)), "certificate bitstream is truncated"),  # at lo
+    (_wire(2, 3, *_CHORD, (2, 2), (3, 2)), "lo = 3 is outside 0..2"),
+    (_wire(2, 4, (1, 2), (2, 4), (1, 2), (2, 2), (0, 1), (2, 2), (1, 2)),
+     "certificate bitstream is truncated"),  # at hi
+    (_wire(2, 3, *_CHORD, (2, 2), (1, 2), (3, 2)), "hi = 3 is outside 0..2"),
     # at the step after copy 2's interval, its repeat i2 = 1 sending none
-    (_wire(4, 4, (1, 2), (2, 4), (1, 4), (2, 4), (1, 1), (1, 4), (0, 4), (4, 4), (1, 1),
-           (0, 4), (4, 4), (1, 4)), "certificate bitstream is truncated"),
+    (_wire(2, 5, (1, 2), (2, 5), (1, 2), (2, 2), (1, 1), (1, 2), (0, 1), (2, 2), (1, 1),
+           (0, 2), (1, 2), (1, 2)), "certificate bitstream is truncated"),
     # copy 1 cannot step down to copy 0
-    (_wire(2, 3, *_TREE, (1, 3), (1, 3), (5, 3), (0, 1)), "step = 0 is outside 1..1"),
+    (_wire(2, 3, *_TREE, (1, 2), (1, 1), (2, 2), (0, 1)), "step = 0 is outside 1..1"),
     # nor copy 3 = 2n - 1 up to copy 4
-    (_wire(2, 3, *_TREE, (3, 3), (1, 3), (5, 3), (1, 1)), "step = 1 is outside 0..0"),
+    (_wire(2, 3, *_TREE, (3, 2), (1, 2), (0, 1), (1, 1)), "step = 1 is outside 0..0"),
     (_wire(2, 3, (0, 2), (1, 3), (1, 2), (0, 8)), "certificate bitstream has trailing data"),
     (_wire(2, 3, (0, 2), (1, 3), (1, 2), (1, 1)), "certificate bitstream has trailing data"),
 ]
@@ -1198,7 +1235,7 @@ def _old_pack_refuses(cert: NodeCertificate) -> bool:
                 near = at = k
             values.append(near)
             if at not in sent:
-                values += [pc.lo + 1, pc.hi + 1]
+                values += [pc.lo + 1, pc.hi - at - 1]
                 sent.add(at)
     feed = iter(values)
     try:
@@ -1255,10 +1292,10 @@ def _repeat_edits(cert: NodeCertificate):
 #: First 16 hex digits of the sha256 of the honest certificates' packed bytes,
 #: concatenated in node order.
 _PACKED_PINS = {
-    "grid": "420058164baa98be",
-    "random_maximal_planar": "7668cc5524e84166",
-    "tree": "7370da057690d616",
-    "complete": "a5cf5620814ae590",
+    "grid": "cedb28a9cc0987ad",
+    "random_maximal_planar": "7180a77dc8954f34",
+    "tree": "5471ddfbfd5ae089",
+    "complete": "0bdf0792799b298f",
 }
 
 
@@ -1396,6 +1433,32 @@ def test_reader_matches_the_reference_on_arbitrary_bytes(data, id_bits, idx_bits
     # as they come, and after plausible widths, so that most fields are read
     _assert_decodes_as_the_reference(data)
     _assert_decodes_as_the_reference(bytes((id_bits, idx_bits)) + data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64), st.integers(1, 6), st.integers(3, 7), st.data())
+def test_every_decoded_interval_is_within_its_own_bounds(data, id_bits, idx_bits, draw):
+    # The reader carries only the intervals the interval checks' own bounds
+    # allow: for copy k of 1..2n - 1, -1 <= lo < k < hi <= 2n + 1.  Arbitrary
+    # bytes seldom decode, so the bytes the walk packs from legal counts, ids
+    # and flags, and arbitrary bits in every index, step, lo and hi window,
+    # are tried too.
+    def window(name, width, lo, hi):
+        if name in ("index", "step", "lo", "hi"):
+            return draw.draw(st.integers(0, (1 << width) - 1))
+        return draw.draw(st.integers(lo, hi))
+
+    fields = encode_fields(window, id_bits, idx_bits)[0]
+    for raw in (data, bytes((id_bits, idx_bits)) + data, fields):
+        try:
+            cert = unpack_certificate(raw)
+        except FormatError:
+            continue
+        nv = 2 * cert.n - 1
+        for ec in cert.edge_certs:
+            for k, pc in ec.bindings():
+                assert (pc.n, pc.rank) == (nv, k)
+                assert -1 <= pc.lo < k < pc.hi <= nv + 2, (raw.hex(), k, pc)
 
 
 @settings(max_examples=300, deadline=None)

@@ -54,6 +54,10 @@ from planarcert.sim import (
 from verdict_oracle import oracle_pop_verify_node, oracle_verify_node_planarity
 
 _TRIALS = 12  # assignments per forging strategy and graph
+#: Template edits per budget and graph.  Edits reach the deepest and most
+#: varied rejections, and the rarest checks, the children's contiguity
+#: among them, need about this many to come up.
+_EDITS = 3 * _TRIALS
 
 
 def _graphs():
@@ -78,7 +82,7 @@ def _views(name, g):
     for t in range(_TRIALS):
         yield "random-fields", random_assignment(g, f"oracle/{name}/{t}").certs
     for k in EDIT_BUDGETS:
-        for _ in range(_TRIALS):
+        for _ in range(_EDITS):
             edited = dict(packed)
             for _ in range(k):
                 x = rng.choice(nodes)
@@ -144,6 +148,7 @@ _REACHED = {
     "copy #: interval of the first left neighbor strictly inside must equal own interval",
     "copy #: interval of the last right neighbor strictly inside must equal own interval",
     "copy #: own interval does not strictly cover the rank or a neighbor escapes it",
+    "copy #: rank neighborhood is not consistent with a spanning path",
 }
 
 
