@@ -84,6 +84,18 @@ verifier does not depend on the count's width, so the views it accepts can
 only be fewer.  Nor does it cost completeness, because the prover gives no
 node more than three.
 
+Each tour index takes the bits of 2n - 1, and each interval end the bits of
+the values the interval checks' own bounds allow for its copy k, which the
+reader knows before the interval: ``lo`` goes plus one, in 0..k, and ``hi``
+less k + 1, in 0..2n - k.  This costs no soundness either.  Every field's
+width is fixed by the fields before it, so every bit string decodes to a
+certificate that the layout with every index and interval end in
+``idx_bits`` could also carry, and the verifier is unchanged, so the views
+it accepts can only be fewer; every interval it decodes already passes
+``pop_verify_node``'s own-bounds check.  Nor does it cost completeness,
+since an honest interval has lo < k < hi.  No field is wider than
+``idx_bits``, so no certificate is longer than it was in that layout.
+
 Certificates and verdicts are immutable named tuples (``TreeSub``,
 ``EdgeCertificate``, ``NodeCertificate``, ``Verdict``, and the interval
 certificate ``pop.PopCertificate``).  Within one round, or one ``attack``
@@ -694,12 +706,13 @@ def _walk(field, id_bits: int, idx_bits: int) -> int:
     does not depend on which node holds the certificate.
 
     Node ids take ``id_bits`` and the node count ``idx_bits``.  Every other
-    field takes exactly the bits of its legal range, given the fields before
+    field takes the bits of its largest legal value, given the fields before
     it.  A tour index lies in 1..2n - 1.  A copy k's interval ends are the
     ones the interval checks' own bounds allow, lo in -1..k - 1 and hi in
     k + 1..2n + 1, so ``lo`` is stored plus one, in 0..k, and ``hi`` less
-    k + 1, in 0..2n - k.  Edge certificates number at most three, so their
-    count takes 2 bits.
+    k + 1, in 0..2n - k (the module docstring says why this is sound).  So
+    the value of n, an index or a step sets the widths of fields after it.
+    Edge certificates number at most three, so their count takes 2 bits.
     """
     top_id = (1 << id_bits) - 1
     count = field("count", 2, 0, MAX_EDGE_CERTS)
@@ -755,7 +768,8 @@ def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
 
     The writer packs ``cert``, and the walk reads the bytes back, so
     the listing names the fields the writer wrote, with the values it wrote.
-    The attack harness corrupts an encoded certificate through these windows.
+    The attack harness edits a certificate through this listing: one field
+    gets another value, and the walk packs the others again.
     A certificate the writer refuses raises ParameterError here too.
     """
     data = pack_certificate_with_bits(cert)[0]
@@ -895,6 +909,12 @@ def pack_certificate(cert: NodeCertificate) -> bytes:
     return pack_certificate_with_bits(cert)[0]
 
 
+#: The mask of the low w bits, at index w: the reader masks each interval end
+#: with the entry for its width, which lies below 256, as does every width
+#: the two width bytes allow.
+_LOW_BITS = tuple((1 << w) - 1 for w in range(256))
+
+
 def unpack_certificate(data: bytes) -> NodeCertificate:
     """The only way into the verifier, and the reader: bytes to a certificate.
 
@@ -966,13 +986,13 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
                 if pc is None:
                     width = k.bit_length()
                     rest -= width
-                    lo = stream >> rest & (1 << width) - 1
+                    lo = stream >> rest & _LOW_BITS[width]
                     if lo > k:
                         raise FormatError(f"lo = {lo} is outside 0..{k}")
                     top_hi = nv + 1 - k
                     width = top_hi.bit_length()
                     rest -= width
-                    hi = stream >> rest & (1 << width) - 1
+                    hi = stream >> rest & _LOW_BITS[width]
                     if hi > top_hi:
                         raise FormatError(f"hi = {hi} is outside 0..{top_hi}")
                     pc = sent[k] = _new(PopCertificate, (nv, k, lo - 1, hi + k + 1))

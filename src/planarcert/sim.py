@@ -60,6 +60,9 @@ from .pls import (
 DEFAULT_STRATEGIES = ("random-fields", "template-edits", "swap", "replay")
 EDIT_BUDGETS = (1, 2, 4)
 DEFAULT_TRIALS = 1000
+#: The fields whose values no later field's width, range or presence
+#: depends on, so an edit writes them in their own windows.
+_SETS_NO_LATER_FIELD = frozenset(("root_id", "far", "lo", "hi"))
 _REPLAY_POOL = 200  # distinct replay donors per campaign
 
 
@@ -361,40 +364,44 @@ def _edit_one_field(fields: tuple[Field, ...], data: bytes, rng: random.Random) 
     ``fields`` are ``certificate_bit_fields`` of the certificate ``data``
     packs.  A field with a single legal value gets any other value of its
     width, written over its window: the reader refuses it there, whatever
-    follows.  Otherwise the walk packs the certificate again, since an
-    index, step or n sets the widths of the fields after it, and a count,
-    flag or index sets which fields follow.  Every other field keeps its
+    follows.  An id or an interval end is written over its window too, as no
+    later field's width, range or presence depends on it.  Any other edit
+    packs the certificate again through the walk, since n, an index or a
+    step sets the widths of the fields after it, and the count, a flag, an
+    index or a step sets which fields follow.  Every other field keeps its
     value at its place (edge certificate, slot and name) while that value
     is still legal; a field with no place in ``fields``, or whose value is
     no longer legal there, gets a legal value drawn from ``rng``.
     """
     target = rng.randrange(len(fields))
     f = fields[target]
-    if f.lo >= f.hi:
-        new = rng.randint(0, (1 << f.width) - 2)
-        return _set_field(data, fields, target, new + (new >= f.value))
-    new = rng.randint(f.lo, f.hi - 1)
+    lo, hi = (f.lo, f.hi) if f.lo < f.hi else (0, (1 << f.width) - 1)
+    new = rng.randint(lo, hi - 1)
     new += new >= f.value
+    if f.lo >= f.hi or f.name in _SETS_NO_LATER_FIELD:
+        return _set_field(data, fields, target, new)
+    kept = {}
     edge = slot = 0
-
-    def place(name: str) -> tuple[int, int, str]:
-        nonlocal edge, slot
+    for field in fields:
+        name = field.name
         if name == "far":
             edge, slot = edge + 1, 0
         elif name == "index" or name == "step":
             slot += 1
-        return edge, slot, name
-
-    kept = {place(f.name): f.value for f in fields}
+        kept[edge, slot, name] = field.value
     edge = slot = 0
     at = -1
 
     def choose(name: str, width: int, lo: int, hi: int) -> int:
-        nonlocal at
+        nonlocal at, edge, slot
         at += 1
-        value = kept.get(place(name))
+        if name == "far":  # the place as above
+            edge, slot = edge + 1, 0
+        elif name == "index" or name == "step":
+            slot += 1
         if at == target:
             return new
+        value = kept.get((edge, slot, name))
         if value is not None and lo <= value <= hi:
             return value
         return rng.randint(lo, hi)
