@@ -447,7 +447,9 @@ def _edge_tables(
     for (a, b), (ca, cb, ca2, cb2) in slots.items():
         entries_a, widths_a = tables[a]
         entries_b, widths_b = tables[b]
-        if not bit[ca]:  # a node's next new copy takes the next bit
+        # a node's next new copy takes the next bit: its widths hold 0 and
+        # one entry per copy so far
+        if not bit[ca]:
             bit[ca] = m = 1 << len(widths_a) - 1
             widths_a[m] = width[ca]
         if not bit[ca2]:
@@ -909,9 +911,8 @@ def pack_certificate(cert: NodeCertificate) -> bytes:
     return pack_certificate_with_bits(cert)[0]
 
 
-#: The mask of the low w bits, at index w: the reader masks each interval end
-#: with the entry for its width, which lies below 256, as does every width
-#: the two width bytes allow.
+#: The mask of the low w bits, at index w, for every field width the reader
+#: meets: no width exceeds the two width bytes' 255.
 _LOW_BITS = tuple((1 << w) - 1 for w in range(256))
 
 
@@ -942,8 +943,8 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
     top_id = (1 << id_bits) - 1  # also the mask of an id field
     try:
         rest -= idx_bits
-        n = stream >> rest & (1 << idx_bits) - 1
-        top_n = ((1 << idx_bits) - 3) // 2
+        n = stream >> rest & _LOW_BITS[idx_bits]
+        top_n = (_LOW_BITS[idx_bits] - 2) // 2
         if not 1 <= n <= top_n:
             raise FormatError(f"n = {n} is outside 1..{top_n}")
         rest -= id_bits
@@ -952,7 +953,7 @@ def unpack_certificate(data: bytes) -> NodeCertificate:
             raise FormatError(f"root_id = 0 is outside 1..{top_id}")
         nv = 2 * n - 1
         index_bits = nv.bit_length()
-        mask = (1 << index_bits) - 1  # of an index field
+        mask = _LOW_BITS[index_bits]  # of an index field
         sent: dict[int, PopCertificate] = {}  # copy index -> its first slot's interval
         edge_certs = []
         for _ in range(count):
