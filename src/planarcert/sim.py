@@ -60,9 +60,6 @@ from .pls import (
 DEFAULT_STRATEGIES = ("random-fields", "template-edits", "swap", "replay")
 EDIT_BUDGETS = (1, 2, 4)
 DEFAULT_TRIALS = 1000
-#: The fields whose values no later field's width, range or presence
-#: depends on, so an edit writes them in their own windows.
-_SETS_NO_LATER_FIELD = frozenset(("root_id", "far", "lo", "hi"))
 _REPLAY_POOL = 200  # distinct replay donors per campaign
 
 
@@ -378,7 +375,7 @@ def _edit_one_field(fields: tuple[Field, ...], data: bytes, rng: random.Random) 
     lo, hi = (f.lo, f.hi) if f.lo < f.hi else (0, (1 << f.width) - 1)
     new = rng.randint(lo, hi - 1)
     new += new >= f.value
-    if f.lo >= f.hi or f.name in _SETS_NO_LATER_FIELD:
+    if f.lo >= f.hi or f.name in ("root_id", "far", "lo", "hi"):
         return _set_field(data, fields, target, new)
     kept = {}
     edge = slot = 0
