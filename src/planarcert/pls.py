@@ -771,7 +771,7 @@ def certificate_bit_fields(cert: NodeCertificate) -> tuple[Field, ...]:
     The writer packs ``cert``, and the walk reads the bytes back, so
     the listing names the fields the writer wrote, with the values it wrote.
     The attack harness edits a certificate through this listing: one field
-    gets another value, and the walk packs the others again.
+    gets another value, and the others keep theirs where still legal.
     A certificate the writer refuses raises ParameterError here too.
     """
     data = pack_certificate_with_bits(cert)[0]

@@ -18,7 +18,6 @@ from planarcert.pls import (
     _set_field,
     certificate_bit_fields,
     pack_certificate,
-    pack_certificate_with_bits,
     prove_planar,
 )
 from planarcert.sim import honest_assignment, run_round
