@@ -113,6 +113,7 @@ from __future__ import annotations
 import functools
 import gc
 from bisect import insort
+from collections import defaultdict
 from math import inf
 from typing import NamedTuple
 
@@ -422,58 +423,58 @@ def _held_edges(
 
 def _edge_tables(
     g: Graph, slots: dict[Edge, tuple[int, int, int, int]]
-) -> dict[int, tuple[dict[int, tuple[int, int]], dict[int, int]]]:
-    """Per node, what each incident edge adds to the node's packed size when
-    the node holds it, and the widths of the node's own copies' intervals.
+) -> dict[int, dict[int, tuple[int, int]]]:
+    """Per node, one entry per incident edge, keyed by its far end: what
+    the edge adds to the node's packed size when the node holds it.
 
-    A node's table is a pair.  First, one entry per incident edge, keyed by
-    its far end: the bits the edge adds apart from the id width and the
-    node's own intervals (its flag bit and two index fields, a tree edge's
-    two step bits, and ``lo`` and ``hi`` for each tour copy of the far end
-    that it names; copies of different nodes never coincide, so no other
-    held edge names those), and the node's own copies that it names, as a
-    mask with one bit per copy of the node.  Second, per mask, the width of
-    those copies' intervals, so that a copy two held edges share counts
-    once in the union of their masks.  A copy k's ``lo`` and ``hi`` take
-    the bits of k and of 2n - k, as the writer writes them.  The widths of
-    single copies are filled in here, and those of a union on its first
-    pricing.
+    An entry is a pair.  First the bits the edge adds apart from the id
+    width and the node's own intervals: its flag bit and two index fields,
+    a tree edge's two step bits, and ``lo`` and ``hi`` for each tour copy of
+    the far end that it names.  Copies of different nodes never coincide,
+    so no other held edge names those.  Then the node's own copies that it
+    names, as a mask in which each copy of the node owns a run of one bits
+    as long as its ``lo`` and ``hi`` together, the bits of k and of 2n - k
+    for copy k.  A copy two held edges share is one run in the union of
+    their masks, so the union's one bits are the width of the node's own
+    intervals.
     """
     nv = 2 * g.n - 1
+    end = nv + 1
     pair = 1 + 2 * nv.bit_length()  # the flag and two index fields
-    width = [k.bit_length() + (nv + 1 - k).bit_length() for k in range(nv + 1)]
-    bit = [0] * (nv + 1)  # per copy, its bit in its node's masks
-    tables = {x: ({}, {0: 0}) for x in g.adj}
+    width = [0] * end  # per copy, the bits of its lo and hi
+    run = [0] * end  # per copy, its run of one bits in its node's masks
+    free: dict[int, int] = {}  # per node, where its next new copy's run starts
+    tables: dict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
     for (a, b), (ca, cb, ca2, cb2) in slots.items():
-        entries_a, widths_a = tables[a]
-        entries_b, widths_b = tables[b]
-        # a node's next new copy takes the next bit: its widths hold 0 and
-        # one entry per copy so far
-        if not bit[ca]:
-            bit[ca] = m = 1 << len(widths_a) - 1
-            widths_a[m] = width[ca]
-        if not bit[ca2]:
-            bit[ca2] = m = 1 << len(widths_a) - 1
-            widths_a[m] = width[ca2]
-        if not bit[cb]:
-            bit[cb] = m = 1 << len(widths_b) - 1
-            widths_b[m] = width[cb]
-        if not bit[cb2]:
-            bit[cb2] = m = 1 << len(widths_b) - 1
-            widths_b[m] = width[cb2]
+        if not run[ca]:
+            at = free.get(a, 0)
+            width[ca] = w = ca.bit_length() + (end - ca).bit_length()
+            run[ca], free[a] = ((1 << w) - 1) << at, at + w
+        if not run[ca2]:
+            at = free.get(a, 0)
+            width[ca2] = w = ca2.bit_length() + (end - ca2).bit_length()
+            run[ca2], free[a] = ((1 << w) - 1) << at, at + w
+        if not run[cb]:
+            at = free.get(b, 0)
+            width[cb] = w = cb.bit_length() + (end - cb).bit_length()
+            run[cb], free[b] = ((1 << w) - 1) << at, at + w
+        if not run[cb2]:
+            at = free.get(b, 0)
+            width[cb2] = w = cb2.bit_length() + (end - cb2).bit_length()
+            run[cb2], free[b] = ((1 << w) - 1) << at, at + w
         if ca == ca2 and cb == cb2:  # a chord
-            entries_a[b] = (pair + width[cb], bit[ca])
-            entries_b[a] = (pair + width[ca], bit[cb])
+            tables[a][b] = (pair + width[cb], run[ca])
+            tables[b][a] = (pair + width[ca], run[cb])
         else:  # a tree edge: two step bits, and a far copy per tour step
-            entries_a[b] = (pair + 2 + width[cb] + (width[cb2] if cb != cb2 else 0), bit[ca] | bit[ca2])
-            entries_b[a] = (pair + 2 + width[ca] + (width[ca2] if ca != ca2 else 0), bit[cb] | bit[cb2])
+            tables[a][b] = (pair + 2 + width[cb] + (width[cb2] if cb != cb2 else 0), run[ca] | run[ca2])
+            tables[b][a] = (pair + 2 + width[ca] + (width[ca2] if ca != ca2 else 0), run[cb] | run[cb2])
     return tables
 
 
 def _packed_bytes(
     x: int,
     fars: list[int],
-    tables: dict[int, tuple[dict[int, tuple[int, int]], dict[int, int]]],
+    tables: dict[int, dict[int, tuple[int, int]]],
     root: int,
     idx_bits: int,
     out: int,
@@ -487,7 +488,7 @@ def _packed_bytes(
     a copy's ``lo`` and ``hi`` go once per certificate, a tree edge adds two
     step bits, and ``far`` and ``root_id`` take the widest id among them.
     """
-    entries, widths = tables[x]
+    entries = tables[x]
     count = 0
     top = root if root > into else into
     bits = mask = 0
@@ -504,19 +505,8 @@ def _packed_bytes(
         bits += b
         mask |= m
         count += 1
-    own = widths.get(mask)
-    if own is None:  # the union of single copies' widths, one bit at a time
-        own = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            # a bit that only another node's copy has, which no tour gives,
-            # counts nothing
-            own += widths.get(low, 0)
-            rest ^= low
-        widths[mask] = own
     # ids are positive, so the id width is at least 1
-    bits += 2 + idx_bits + top.bit_length() * (count + 1) + own
+    bits += 2 + idx_bits + top.bit_length() * (count + 1) + mask.bit_count()
     return 2 + (bits + 7) // 8
 
 
